@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import mpmath
 
 from .counting import count_am, count_ame
-from .errors import DomainError, NegativeRadicand, NonConvergence
+from .errors import DomainError, NegativeRadicand, NonConvergence, require_int
 
 _GUARD_BITS = 16
 _MAX_EXTRA_ITERATIONS = 64
@@ -98,8 +98,7 @@ class TruncatedSeries:
 
     def substitute_power(self, d):
         """x -> x^d; exact, so the order grows to (order-1)*d + 1."""
-        if not isinstance(d, int) or d < 1:
-            raise DomainError(f"need a positive integer power, got {d!r}")
+        require_int(d, 1, "power")
         n = (self.order - 1) * d + 1
         out = [0] * n
         for i, c in enumerate(self.coefficients):
@@ -155,12 +154,9 @@ def _normalize_family(family):
 
 
 def _check_params(terms, iterations, precision_bits):
-    if not isinstance(terms, int) or terms < 8:
-        raise DomainError(f"terms must be an integer >= 8, got {terms!r}")
-    if not isinstance(iterations, int) or iterations < 1:
-        raise DomainError(f"iterations must be a positive integer, got {iterations!r}")
-    if not isinstance(precision_bits, int) or precision_bits < 53:
-        raise DomainError(f"precision_bits must be >= 53, got {precision_bits!r}")
+    require_int(terms, 8, "terms")
+    require_int(iterations, 1, "iterations")
+    require_int(precision_bits, 53, "precision_bits")
 
 
 def _substituted_sum(family, terms):

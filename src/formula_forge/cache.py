@@ -5,7 +5,10 @@ The file format is a single JSON object:
     {"format": "formula-forge-counts", "version": 1,
      "entries": [["ame", "+", 6, "25"], ...]}
 
-Counts are decimal strings (they overflow doubles long before n = 100).
+Each row is (family, root class, n, count); the root classes are the
+columns of the family description in ``counting`` ('all' for the one-gate
+families a and lop, one per gate for am and ame).  Counts are decimal
+strings (they overflow doubles long before n = 100).
 Loading validates the whole file before absorbing anything; a malformed or
 inconsistent file is rejected wholesale with CacheError so a partial or
 corrupted cache can never poison in-memory tables.  Saving writes to a
@@ -20,15 +23,12 @@ import json
 import os
 import tempfile
 
-from .counting import CountTable, default_table
+from .counting import FAMILIES, CountTable, default_table
 from .errors import CacheError
 
 FORMAT_NAME = "formula-forge-counts"
 FORMAT_VERSION = 1
 ENV_VAR = "FORMULA_FORGE_CACHE"
-
-_FAMILIES = {"a", "lop", "am", "ame"}
-_ROOTS = {"a": {"all"}, "lop": {"all"}, "am": {"+", "*"}, "ame": {"+", "*", "^"}}
 
 
 def save_table(path: str, table: CountTable | None = None) -> int:
@@ -65,9 +65,9 @@ def _validate(payload) -> list:
         if not (isinstance(row, list) and len(row) == 4):
             raise CacheError(f"malformed row {row!r}")
         fam, root, n, count = row
-        if fam not in _FAMILIES:
+        if fam not in FAMILIES:
             raise CacheError(f"unknown family {fam!r}")
-        if root not in _ROOTS[fam]:
+        if root not in FAMILIES[fam].columns:
             raise CacheError(f"family {fam!r} cannot have root {root!r}")
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise CacheError(f"bad index {n!r}")

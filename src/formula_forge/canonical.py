@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, LevelTooLarge, MagnitudeError
+from .errors import DomainError, LevelTooLarge, MagnitudeError, require_int
 from .symexpr import ONE, X, SymExpr, sym_pow, sym_prod, sym_sum, sym_value
 
 
@@ -51,9 +51,7 @@ def encode_goodstein(n: int) -> GoodsteinForm:
 
     encode_goodstein(6) has exponents with values (2, 1): x^x + x.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DomainError(f"need a nonnegative integer, got {n!r}")
-    return _encode(n)
+    return _encode(require_int(n, 0))
 
 
 @lru_cache(maxsize=None)
@@ -163,8 +161,7 @@ def goodstein_levels(t: int, force: bool = False) -> list:
     (values 1..7), level 2 has 255 (values 1..255); level 3 would have
     2^256 - 1, so t > 2 is refused unless force=True.
     """
-    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-        raise DomainError(f"need a nonnegative level, got {t!r}")
+    require_int(t, 0, "level")
     if t > 2 and not force:
         raise LevelTooLarge(f"level {t} would hold a tower-of-two of expressions")
     level = [ONE, X]
@@ -190,8 +187,7 @@ def horner_levels(t: int, force: bool = False) -> list:
     Level 0 is [1, x, x + 1, x^x]; level 1 adds values {5, 6, 8, 12, 16}.
     t > 3 is refused unless force=True.
     """
-    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-        raise DomainError(f"need a nonnegative level, got {t!r}")
+    require_int(t, 0, "level")
     if t > 3 and not force:
         raise LevelTooLarge(f"level {t} is beyond the guarded range")
     xx = sym_pow(X, X)
@@ -217,8 +213,7 @@ def encode_horner(n: int) -> SymExpr:
 
     str(encode_horner(6)) == '(x + 1)*x'
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"need a positive integer, got {n!r}")
+    require_int(n)
     if n == 1:
         return ONE
     if n % 2:

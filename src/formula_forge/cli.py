@@ -14,6 +14,7 @@ share work.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
@@ -35,14 +36,8 @@ from .canonical import (
     gs_value,
     horner_levels,
 )
-from .counting import (
-    count_add_lop,
-    count_add_only,
-    count_am,
-    count_ame,
-    normalize_root,
-)
-from .enumeration import EnumerationRequest, enumerate_strings, enumerate_trees
+from .counting import FAMILIES, GATE_SETS, ROOT_ALL, default_table
+from .enumeration import EnumerationRequest, enumerate_trees
 from .errors import (
     FormulaForgeError,
     LevelTooLarge,
@@ -50,13 +45,19 @@ from .errors import (
     SizeGuard,
 )
 from .graph import build_graph
-from .sampling import sample_add, sample_add_lop, sample_am, sample_ame
+from .sampling import sample_from
 from .shortest import shortest, shortest_range
 from .sieve import rational_set, run_sieve, scf_coarse
 from .symexpr import sym_value
 from .trees import to_brackets, to_postfix, to_prefix
 
 DEFAULT_LIST_LIMIT = 1_000_000
+_RENDER = {
+    "brackets": lambda tree: json.dumps(to_brackets(tree)),
+    "prefix": to_prefix,
+    "postfix": to_postfix,
+}
+_ROOT_WORDS = {"+": "add", "*": "mul", "^": "pow"}
 
 
 def _emit(obj):
@@ -68,105 +69,61 @@ def _nstr(value, precision_bits):
     return mpmath.nstr(value, digits)
 
 
-def _render_tree(tree, notation):
-    if notation == "prefix":
-        return to_prefix(tree)
-    if notation == "postfix":
-        return to_postfix(tree)
-    return json.dumps(to_brackets(tree))
+def _expr_json(e):
+    return {"value": str(sym_value(e)), "text": str(e)}
 
 
-def _total_for(args):
-    if args.lop:
-        return count_add_lop(args.n)
-    if args.gates == "a":
-        return count_add_only(args.n)
-    if args.gates == "am":
-        return count_am(args.n, args.root)
-    return count_ame(args.n, args.root)
+def _request(args):
+    """The family request behind --gates/--root/--lop; checks the combination."""
+    return EnumerationRequest(n=args.n, gates=args.gates, root=args.root, lop=args.lop)
 
 
 def _cmd_count(args):
-    if args.lop and (args.gates != "a" or args.root != "all"):
-        raise FormulaForgeError("--lop applies to the add-only family, root all")
-    if args.gates == "a" and args.root != "all":
-        raise FormulaForgeError("root filters need --gates am or ame")
+    request = _request(args)
+    family, root = request.family, request.root
+    count = default_table().count
     out = {
         "n": args.n,
         "gates": args.gates,
         "root": args.root,
         "lop": args.lop,
-        "total": str(_total_for(args)),
+        "total": str(count(family.name, args.n, root)),
     }
-    if args.root == "all" and args.gates == "am":
+    if root == ROOT_ALL and len(family.columns) > 1:
         out["by_root"] = {
-            "add": str(count_am(args.n, "+")),
-            "mul": str(count_am(args.n, "*")),
-        }
-    elif args.root == "all" and args.gates == "ame":
-        out["by_root"] = {
-            "add": str(count_ame(args.n, "+")),
-            "mul": str(count_ame(args.n, "*")),
-            "pow": str(count_ame(args.n, "^")),
+            _ROOT_WORDS[g]: str(count(family.name, args.n, g)) for g in family.columns
         }
     _emit(out)
     return 0
 
 
 def _cmd_list(args):
-    if args.lop and (args.gates != "a" or args.root != "all"):
-        raise FormulaForgeError("--lop applies to the add-only family, root all")
-    if args.gates == "a" and args.root != "all":
-        raise FormulaForgeError("root filters need --gates am or ame")
-    request = EnumerationRequest(
-        n=args.n, gates=args.gates, root=args.root, lop=args.lop
-    )
-    total = _total_for(args)
-    limit = args.limit
-    if limit is None:
-        if total > DEFAULT_LIST_LIMIT and not args.unsafe:
+    request = _request(args)
+    if args.limit is None and not args.unsafe:
+        total = default_table().count(request.family.name, args.n, request.root)
+        if total > DEFAULT_LIST_LIMIT:
             raise SizeGuard(
                 f"{total} encodings (> {DEFAULT_LIST_LIMIT}); "
                 "pass --limit or --unsafe"
             )
-        limit = total
-    if args.notation == "brackets":
-        stream = (json.dumps(to_brackets(t)) for t in enumerate_trees(request))
-    else:
-        stream = enumerate_strings(request, args.notation)
-    for i, line in enumerate(stream):
-        if i >= limit:
-            break
-        print(line)
+    render = _RENDER[args.notation]
+    for tree in itertools.islice(enumerate_trees(request), args.limit):
+        print(render(tree))
     return 0
 
 
 def _cmd_sample(args):
-    if args.lop and (args.gates != "a" or args.root != "all"):
-        raise FormulaForgeError("--lop applies to the add-only family, root all")
-    if args.gates == "a" and args.root != "all":
-        raise FormulaForgeError("root filters need --gates am or ame")
-    rng = random.Random(args.seed)
+    request = _request(args)
+    rng, render = random.Random(args.seed), _RENDER[args.notation]
     for _ in range(args.count):
-        if args.lop:
-            tree = sample_add_lop(args.n, rng)
-        elif args.gates == "a":
-            tree = sample_add(args.n, rng)
-        elif args.gates == "am":
-            tree = sample_am(args.n, rng, args.root)
-        else:
-            tree = sample_ame(args.n, rng, args.root)
-        print(_render_tree(tree, args.notation))
+        print(render(sample_from(request.family, args.n, rng, request.root)))
     return 0
 
 
 def _cmd_shortest(args):
-    if args.upto is not None:
-        for entry in shortest_range(args.upto):
-            _emit({"n": entry.n, "size": entry.size, "witness": to_prefix(entry.witness)})
-        return 0
-    entry = shortest(args.n)
-    _emit({"n": entry.n, "size": entry.size, "witness": to_prefix(entry.witness)})
+    entries = shortest_range(args.upto) if args.upto is not None else [shortest(args.n)]
+    for entry in entries:
+        _emit({"n": entry.n, "size": entry.size, "witness": to_prefix(entry.witness)})
     return 0
 
 
@@ -176,45 +133,31 @@ def _gs_json(form):
     return {"value": str(gs_value(form)), "text": str(gs_to_symexpr(form))}
 
 
+def _emit_levels(t, exprs):
+    _emit({"t": t, "count": len(exprs), "expressions": [_expr_json(e) for e in exprs]})
+    return 0
+
+
 def _cmd_goodstein(args):
     if args.mode == "levels":
-        exprs = goodstein_levels(args.t, force=args.unsafe)
-        _emit({
-            "t": args.t,
-            "count": len(exprs),
-            "expressions": [
-                {"value": str(sym_value(e)), "text": str(e)} for e in exprs
-            ],
-        })
-        return 0
+        return _emit_levels(args.t, goodstein_levels(args.t, force=args.unsafe))
     if args.mode == "encode":
         form = encode_goodstein(args.a)
         _emit({"n": str(args.a), **_gs_json(form)})
         return 0
     fa, fb = encode_goodstein(args.a), encode_goodstein(args.b)
-    if args.mode == "add":
-        result = g_add(fa, fb)
-    elif args.mode == "mul":
-        result = g_mul(fa, fb)
-    else:
+    if args.mode == "pow":
         result = g_pow(fa, fb, max_bits=args.max_bits)
+    else:
+        result = (g_add if args.mode == "add" else g_mul)(fa, fb)
     _emit({"op": args.mode, "a": str(args.a), "b": str(args.b), **_gs_json(result)})
     return 0
 
 
 def _cmd_horner(args):
     if args.mode == "levels":
-        exprs = horner_levels(args.t, force=args.unsafe)
-        _emit({
-            "t": args.t,
-            "count": len(exprs),
-            "expressions": [
-                {"value": str(sym_value(e)), "text": str(e)} for e in exprs
-            ],
-        })
-        return 0
-    expr = encode_horner(args.a)
-    _emit({"n": str(args.a), "value": str(sym_value(expr)), "text": str(expr)})
+        return _emit_levels(args.t, horner_levels(args.t, force=args.unsafe))
+    _emit({"n": str(args.a), **_expr_json(encode_horner(args.a))})
     return 0
 
 
@@ -228,19 +171,13 @@ def _cmd_sieve(args):
         "coarse": args.coarse,
         "covers": str(state.covers),
         "prime_count": len(state.primes),
-        "primes": [
-            {"value": str(sym_value(p)), "text": str(p)} for p in state.primes
-        ],
+        "primes": [_expr_json(p) for p in state.primes],
     }
     if args.integers:
-        out["integers"] = [
-            {"value": str(sym_value(e)), "text": str(e)} for e in state.integers
-        ]
+        out["integers"] = [_expr_json(e) for e in state.integers]
     if args.rationals:
         rs = rational_set(state, args.exponent_bound, args.factor_bound)
-        out["rationals"] = [
-            {"value": str(sym_value(e)), "text": str(e)} for e in rs
-        ]
+        out["rationals"] = [_expr_json(e) for e in rs]
     _emit(out)
     return 0
 
@@ -294,10 +231,8 @@ def _cmd_graph(args):
 def _cmd_cache(args):
     if args.mode == "save":
         if args.warm:
-            count_add_only(args.warm)
-            count_add_lop(args.warm)
-            count_am(args.warm)
-            count_ame(args.warm)
+            for name in FAMILIES:
+                default_table().count(name, args.warm)
         rows = save_table(args.path)
         _emit({"saved": rows, "path": args.path})
         return 0
@@ -306,14 +241,18 @@ def _cmd_cache(args):
     return 0
 
 
-def _add_family_flags(p, lop=True):
-    p.add_argument("--gates", choices=["a", "am", "ame"], default="a",
+def _family_command(sub, name, help, func):
+    """A subcommand on the trees of value n in the family --gates/--root/--lop name."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("n", type=int)
+    p.add_argument("--gates", choices=GATE_SETS, default="a",
                    help="gate set: a (add-only), am, or ame (default a)")
     p.add_argument("--root", choices=["all", "add", "mul", "pow"], default="all",
                    help="restrict the root gate (am/ame families)")
-    if lop:
-        p.add_argument("--lop", action="store_true",
-                       help="left operand >= right (add-only family)")
+    p.add_argument("--lop", action="store_true",
+                   help="left operand >= right (add-only family)")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,30 +264,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("count", help="exact number of trees of value n")
-    p.add_argument("n", type=int)
-    _add_family_flags(p)
-    p.set_defaults(func=_cmd_count)
+    _family_command(sub, "count", "exact number of trees of value n", _cmd_count)
 
-    p = sub.add_parser("list", help="enumerate all trees of value n")
-    p.add_argument("n", type=int)
-    _add_family_flags(p)
-    p.add_argument("--notation", choices=["brackets", "prefix", "postfix"],
-                   default="brackets")
+    p = _family_command(sub, "list", "enumerate all trees of value n", _cmd_list)
+    p.add_argument("--notation", choices=list(_RENDER), default="brackets")
     p.add_argument("--limit", type=int, default=None,
                    help="stop after this many encodings")
     p.add_argument("--unsafe", action="store_true",
                    help=f"allow streams beyond {DEFAULT_LIST_LIMIT} items")
-    p.set_defaults(func=_cmd_list)
 
-    p = sub.add_parser("sample", help="uniform random trees of value n")
-    p.add_argument("n", type=int)
-    _add_family_flags(p)
+    p = _family_command(sub, "sample", "uniform random trees of value n", _cmd_sample)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--notation", choices=["brackets", "prefix", "postfix"],
-                   default="brackets")
-    p.set_defaults(func=_cmd_sample)
+    p.add_argument("--notation", choices=list(_RENDER), default="brackets")
 
     p = sub.add_parser("shortest", help="minimal strict encoding of n")
     p.add_argument("n", type=int, nargs="?")
@@ -419,6 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_required(args, parser):
+    for flag in ("limit", "count"):
+        if (getattr(args, flag, None) or 0) < 0:
+            parser.error(f"--{flag} must be >= 0")
     if args.command == "shortest" and args.n is None and args.upto is None:
         parser.error("shortest needs n or --upto")
     if args.command == "goodstein":
@@ -426,13 +357,10 @@ def _check_required(args, parser):
             parser.error(f"goodstein {args.mode} needs an operand")
         if args.mode in ("add", "mul", "pow") and args.b is None:
             parser.error(f"goodstein {args.mode} needs two operands")
-        if args.mode == "levels":
-            args.t = args.a if args.a is not None else args.t
-    if args.command == "horner":
-        if args.mode == "encode" and args.a is None:
-            parser.error("horner encode needs an operand")
-        if args.mode == "levels":
-            args.t = args.a if args.a is not None else args.t
+    if args.command == "horner" and args.mode == "encode" and args.a is None:
+        parser.error("horner encode needs an operand")
+    if args.command in ("goodstein", "horner") and args.mode == "levels":
+        args.t = args.a if args.a is not None else args.t
 
 
 def main(argv=None) -> int:

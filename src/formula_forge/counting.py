@@ -1,25 +1,32 @@
-"""Exact counts of formula trees by value.
+"""Exact counts of formula trees by value, and the family description.
 
-Four families, all counted by Catalan-style convolution recurrences on the
-root gate:
+Four families, all counted by one Catalan-style convolution on the root
+gate:
 
-* add-only trees (counts are the Catalan numbers shifted by one),
-* add-only trees under the LOP restriction (left operand >= right),
-* {+, *} trees,
-* {+, *, ^} trees (strict: no 1 operand under * or ^).
+* ``a``: add-only trees (counts are the Catalan numbers shifted by one),
+* ``lop``: add-only trees under the LOP restriction (left operand >= right),
+* ``am``: {+, *} trees,
+* ``ame``: {+, *, ^} trees (strict: no 1 operand under * or ^).
+
+Each family is a ``Family`` of (gate, splits) rules; the trees of value m
+rooted at a gate number sum(count(l) * count(r)) over its splits (l, r).
+Counting, enumeration, sampling, the shortest-encoding DP, the cache layout
+and the CLI all read this one description.
 
 Base case: the bare leaf counts as the single tree for n = 1 and is charged
-to the add-rooted class; mul- and pow-rooted counts at n = 1 are zero.
-Counts are exact big ints, memoized per table, filled bottom-up so deep
-recursion never occurs.
+to the first gate's class (add); mul- and pow-rooted counts at n = 1 are
+zero.  Counts are exact big ints, memoized per table, filled bottom-up so
+deep recursion never occurs.
 """
 
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 
-from .errors import DomainError
+from .errors import DomainError, require_int
 
 ROOT_ALL = "all"
 _ROOT_NAMES = {
@@ -52,14 +59,9 @@ def exact_root(n: int, k: int):
 
 def mid_divisors(n: int) -> list[int]:
     """Divisors d of n with 2 <= d <= n//2, ascending."""
-    out = set()
-    for a in range(2, isqrt(n) + 1):
-        if n % a == 0:
-            out.add(a)
-            b = n // a
-            if b <= n // 2:
-                out.add(b)
-    return sorted(out)
+    small = [a for a in range(2, isqrt(n) + 1) if n % a == 0]
+    # each cofactor n // a is at most n//2 because a >= 2
+    return sorted({*small, *(n // a for a in small)})
 
 
 def exponent_candidates(n: int):
@@ -73,102 +75,148 @@ def exponent_candidates(n: int):
             yield i, b
 
 
+# -- family description ----------------------------------------------------
+
+def _add_splits(m):
+    """(i, m - i) for i = 1 .. m-1."""
+    return zip(range(1, m), range(m - 1, 0, -1))
+
+
+def _lop_splits(m):
+    """(m - i, i) for i = 1 .. m//2: the left operand is never the smaller."""
+    return zip(range(m - 1, m - m // 2 - 1, -1), range(1, m // 2 + 1))
+
+
+def _mul_splits(m):
+    """(d, m // d) over the divisors 2 <= d <= m//2, ascending."""
+    return [(d, m // d) for d in mid_divisors(m)]
+
+
+def _pow_splits(m):
+    """(base, exponent) over exact powers, exponent ascending."""
+    return [(b, i) for i, b in exponent_candidates(m)]
+
+
+@dataclass(frozen=True)
+class Family:
+    """A gate family as ordered (gate, splits) rules on the root gate.
+
+    Rule order is stream order: trees rooted at an earlier gate come first,
+    and within a gate the splits come in the order splits(m) yields them.
+    The leaf 1 belongs to the first gate's class.
+    """
+
+    name: str
+    rules: tuple
+
+    @cached_property
+    def columns(self) -> tuple:
+        """Root classes as tables and cache files name them: 'all' for a
+        one-gate family, else the gates."""
+        if len(self.rules) == 1:
+            return (ROOT_ALL,)
+        return tuple(gate for gate, _ in self.rules)
+
+    def check_root(self, root: str) -> str:
+        """The normalized root filter; DomainError if it is not one of ours."""
+        root = normalize_root(root)
+        if root != ROOT_ALL and root not in self.columns:
+            raise DomainError(f"root {root!r} is not in family {self.name}")
+        return root
+
+
+_ADD, _MUL, _POW = ("+", _add_splits), ("*", _mul_splits), ("^", _pow_splits)
+
+FAMILIES = {
+    f.name: f
+    for f in (
+        Family("a", (_ADD,)),
+        Family("lop", (("+", _lop_splits),)),
+        Family("am", (_ADD, _MUL)),
+        Family("ame", (_ADD, _MUL, _POW)),
+    )
+}
+
+GATE_SETS = ("a", "am", "ame")
+
+
+def resolve_family(gates: str = "a", root: str = ROOT_ALL, lop: bool = False):
+    """(Family, normalized root) for a gate set, root filter and LOP flag.
+
+    Requests and the command line both go through here: the LOP restriction
+    needs the add-only gate set, and the root must be a root class of the
+    family ('all', or a gate of a family with more than one).
+    """
+    if gates not in GATE_SETS:
+        raise DomainError(f"gate set must be one of {GATE_SETS}, got {gates!r}")
+    if lop and gates != "a":
+        raise DomainError("the LOP restriction is defined for add-only trees")
+    family = FAMILIES["lop" if lop else gates]
+    return family, family.check_root(root)
+
+
 class CountTable:
     """Memo store for all four count families.
 
-    Reads of filled entries are plain dict lookups; fills are serialized by
-    a lock, so concurrent readers are safe and results are deterministic.
+    Per family it keeps one {n: count} column per root class and the totals.
+    Totals are only ever filled gap-free from 1, so their length is the fill
+    watermark.  Reads of filled entries are plain dict lookups; fills are
+    serialized by a lock, so concurrent readers are safe and results are
+    deterministic.
     """
 
     def __init__(self):
         self._lock = threading.RLock()
-        self._a = {1: 1}
-        self._lop = {1: 1}
-        self._am = {"+": {1: 1}, "*": {1: 0}}
-        self._ame = {"+": {1: 1}, "*": {1: 0}, "^": {1: 0}}
-        self._hi = {"a": 1, "lop": 1, "am": 1, "ame": 1}
+        self._cols = {
+            f.name: {c: {1: int(c == f.columns[0])} for c in f.columns}
+            for f in FAMILIES.values()
+        }
+        self._tot = {name: {1: 1} for name in FAMILIES}
 
-    # -- fills ----------------------------------------------------------
-
-    def _ensure_a(self, n):
-        if self._hi["a"] >= n:
-            return
+    def _fill(self, f, n):
         with self._lock:
-            t = self._a
-            for m in range(self._hi["a"] + 1, n + 1):
-                t[m] = sum(t[i] * t[m - i] for i in range(1, m))
-            self._hi["a"] = max(self._hi["a"], n)
+            tot = self._tot[f.name]
+            cols = [self._cols[f.name][c] for c in f.columns]
+            for m in range(len(tot) + 1, n + 1):
+                total = 0
+                for col, (_, splits) in zip(cols, f.rules):
+                    col[m] = c = sum(tot[a] * tot[b] for a, b in splits(m))
+                    total += c
+                tot[m] = total
 
-    def _ensure_lop(self, n):
-        if self._hi["lop"] >= n:
-            return
-        with self._lock:
-            t = self._lop
-            for m in range(self._hi["lop"] + 1, n + 1):
-                t[m] = sum(t[i] * t[m - i] for i in range(1, m // 2 + 1))
-            self._hi["lop"] = max(self._hi["lop"], n)
-
-    def _ensure_am(self, n):
-        if self._hi["am"] >= n:
-            return
-        with self._lock:
-            add, mul = self._am["+"], self._am["*"]
-            tot = lambda x: add[x] + mul[x]
-            for m in range(self._hi["am"] + 1, n + 1):
-                add[m] = sum(tot(i) * tot(m - i) for i in range(1, m))
-                mul[m] = sum(tot(d) * tot(m // d) for d in mid_divisors(m))
-            self._hi["am"] = max(self._hi["am"], n)
-
-    def _ensure_ame(self, n):
-        if self._hi["ame"] >= n:
-            return
-        with self._lock:
-            add, mul, pw = (self._ame[g] for g in "+*^")
-            tot = lambda x: add[x] + mul[x] + pw[x]
-            for m in range(self._hi["ame"] + 1, n + 1):
-                add[m] = sum(tot(i) * tot(m - i) for i in range(1, m))
-                mul[m] = sum(tot(d) * tot(m // d) for d in mid_divisors(m))
-                pw[m] = sum(tot(b) * tot(i) for i, b in exponent_candidates(m))
-            self._hi["ame"] = max(self._hi["ame"], n)
-
-    # -- queries --------------------------------------------------------
+    def count(self, family: str, n: int, root: str = ROOT_ALL) -> int:
+        """Trees of value n in the named family, optionally of one root class."""
+        f = FAMILIES.get(family)
+        if f is None:
+            raise DomainError(f"unknown count family {family!r}")
+        root = f.check_root(root)
+        tot = self._tot[family]
+        if len(tot) < require_int(n):
+            self._fill(f, n)
+        return tot[n] if root == ROOT_ALL else self._cols[family][root][n]
 
     def add_only(self, n):
-        self._ensure_a(n)
-        return self._a[n]
+        return self.count("a", n)
 
     def add_lop(self, n):
-        self._ensure_lop(n)
-        return self._lop[n]
+        return self.count("lop", n)
 
     def am(self, n, root=ROOT_ALL):
-        self._ensure_am(n)
-        root = normalize_root(root)
-        if root == ROOT_ALL:
-            return self._am["+"][n] + self._am["*"][n]
-        if root == "^":
-            raise DomainError("pow root is not in the {+, *} family")
-        return self._am[root][n]
+        return self.count("am", n, root)
 
     def ame(self, n, root=ROOT_ALL):
-        self._ensure_ame(n)
-        root = normalize_root(root)
-        if root == ROOT_ALL:
-            return sum(self._ame[g][n] for g in "+*^")
-        return self._ame[root][n]
+        return self.count("ame", n, root)
 
     # -- persistence hooks (see cache module) ----------------------------
 
     def entries(self):
         """Snapshot as (family, root, n, count) rows, deterministic order."""
-        rows = []
-        rows += [("a", "all", n, c) for n, c in sorted(self._a.items())]
-        rows += [("lop", "all", n, c) for n, c in sorted(self._lop.items())]
-        for root in "+*":
-            rows += [("am", root, n, c) for n, c in sorted(self._am[root].items())]
-        for root in "+*^":
-            rows += [("ame", root, n, c) for n, c in sorted(self._ame[root].items())]
-        return rows
+        return [
+            (name, root, n, c)
+            for name, cols in self._cols.items()
+            for root, col in cols.items()
+            for n, c in sorted(col.items())
+        ]
 
     def absorb(self, rows):
         """Install (family, root, n, count) rows; used by cache loading.
@@ -178,26 +226,16 @@ class CountTable:
         """
         with self._lock:
             for family, root, n, c in rows:
-                if family == "a":
-                    self._a.setdefault(n, c)
-                elif family == "lop":
-                    self._lop.setdefault(n, c)
-                elif family == "am":
-                    self._am[root].setdefault(n, c)
-                elif family == "ame":
-                    self._ame[root].setdefault(n, c)
-                else:
-                    raise DomainError(f"unknown count family {family!r}")
-            for fam, tabs in (
-                ("a", [self._a]),
-                ("lop", [self._lop]),
-                ("am", [self._am["+"], self._am["*"]]),
-                ("ame", [self._ame["+"], self._ame["*"], self._ame["^"]]),
-            ):
-                hi = self._hi[fam]
-                while all(hi + 1 in t for t in tabs):
-                    hi += 1
-                self._hi[fam] = hi
+                col = self._cols.get(family, {}).get(root)
+                if col is None:
+                    raise DomainError(f"unknown count column {family!r}/{root!r}")
+                col.setdefault(n, c)
+            for name, cols in self._cols.items():
+                tot = self._tot[name]
+                m = len(tot) + 1
+                while all(m in col for col in cols.values()):
+                    tot[m] = sum(col[m] for col in cols.values())
+                    m += 1
 
 
 _DEFAULT = CountTable()
@@ -208,23 +246,16 @@ def default_table() -> CountTable:
     return _DEFAULT
 
 
-def _check_n(n):
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"value must be a positive integer, got {n!r}")
-
-
 def count_add_only(n: int, table: CountTable | None = None) -> int:
     """Add-only trees for n; equals the (n-1)st Catalan number.
 
     count_add_only(3) == 2, count_add_only(5) == 14.
     """
-    _check_n(n)
     return (table or _DEFAULT).add_only(n)
 
 
 def count_add_lop(n: int, table: CountTable | None = None) -> int:
     """Add-only trees with left operand >= right at every addition node."""
-    _check_n(n)
     return (table or _DEFAULT).add_lop(n)
 
 
@@ -233,7 +264,6 @@ def count_am(n: int, root: str = ROOT_ALL, table: CountTable | None = None) -> i
 
     count_am(4, '+') == 5, count_am(4, '*') == 1, count_am(6) == 52.
     """
-    _check_n(n)
     return (table or _DEFAULT).am(n, root)
 
 
@@ -242,5 +272,4 @@ def count_ame(n: int, root: str = ROOT_ALL, table: CountTable | None = None) -> 
 
     count_ame(4, '^') == 1, count_ame(4) == 7, count_ame(6) == 58.
     """
-    _check_n(n)
     return (table or _DEFAULT).ame(n, root)

@@ -1,58 +1,85 @@
 """Exhaustive enumeration of formula trees by value, as lazy streams.
 
-Stream order is deterministic: addition splits by ascending left value with
-the left subtree stream outermost, multiplicative splits by ascending
-divisor, exponent splits by ascending exponent; for a full-universe request
-the root classes come in gate order add, mul, pow.
+Stream order is deterministic and read off the family description in
+``counting``: root gates in rule order (add, mul, pow), and within a gate
+the splits in the order the rule yields them, with the left subtree stream
+outermost.  So addition splits come by ascending left value (by descending
+left value under LOP), multiplicative splits by ascending divisor and
+exponent splits by ascending exponent.
 
 By default nothing is memoized (bounded memory, some recomputation).  With
 ``cached=True`` subtree lists are materialized in a per-call memo, which is
 the right trade for small n (say n <= 12); the memo is dropped when the
 stream is exhausted.
+
+A stream nests one generator per level of the tree it is building, and the
+first tree of value n is n - 1 levels deep, so values above
+MAX_STREAM_VALUE are refused with SizeGuard before the interpreter's
+recursion limit is reached.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
-from .counting import exponent_candidates, mid_divisors, normalize_root
-from .errors import DomainError
+from .counting import FAMILIES, ROOT_ALL, Family, resolve_family
+from .errors import DomainError, SizeGuard, require_int
 from .trees import to_postfix, to_prefix
 
-_GATE_SETS = ("a", "am", "ame")
+MAX_STREAM_VALUE = 500
+_LEAF = (1,)
 
 
-def _check_n(n):
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"value must be a positive integer, got {n!r}")
+def _trees(rules, m, top=None):
+    """Every tree of value m > 1, root rule drawn from top (default: rules).
+
+    Leaf operands come from a constant tuple, not a generator of their own.
+    """
+    for gate, splits in top or rules:
+        for lv, rv in splits(m):
+            for left in _trees(rules, lv) if lv > 1 else _LEAF:
+                for right in _trees(rules, rv) if rv > 1 else _LEAF:
+                    yield (gate, left, right)
 
 
-# -- add-only ------------------------------------------------------------
-
-def _add_gen(n):
-    if n == 1:
-        yield 1
-        return
-    for i in range(1, n):
-        for left in _add_gen(i):
-            for right in _add_gen(n - i):
-                yield ("+", left, right)
-
-
-def _add_list(n, memo):
-    out = memo.get(n)
-    if out is None:
-        if n == 1:
-            out = (1,)
-        else:
-            out = tuple(
-                ("+", left, right)
-                for i in range(1, n)
-                for left in _add_list(i, memo)
-                for right in _add_list(n - i, memo)
-            )
-        memo[n] = out
+def _tree_tuple(rules, m, memo, top=None):
+    """_trees(rules, m, top) as a tuple; unrestricted results go in memo."""
+    if top is None and m in memo:
+        return memo[m]
+    if m == 1:
+        out = _LEAF
+    else:
+        out = tuple(
+            (gate, left, right)
+            for gate, splits in top or rules
+            for lv, rv in splits(m)
+            for left in _tree_tuple(rules, lv, memo)
+            for right in _tree_tuple(rules, rv, memo)
+        )
+    if top is None:
+        memo[m] = out
     return out
+
+
+def stream(family: Family, n: int, root: str = ROOT_ALL, cached: bool = False):
+    """All trees of value n in a family, optionally of one root class."""
+    require_int(n)
+    root = family.check_root(root)
+    if n > MAX_STREAM_VALUE:
+        raise SizeGuard(f"value {n} > {MAX_STREAM_VALUE} would nest {n - 1} "
+                        "generators, past the interpreter's recursion limit")
+    # each split list is built once per stream, not once per generator
+    rules = tuple(
+        (gate, lru_cache(maxsize=256)(lambda m, s=splits: tuple(s(m))))
+        for gate, splits in family.rules
+    )
+    top = None if root == ROOT_ALL else tuple(r for r in rules if r[0] == root)
+    if n == 1:  # the leaf is charged to the first gate's class
+        return iter(_LEAF if not top or top[0] is rules[0] else ())
+    if cached:
+        return iter(_tree_tuple(rules, n, {}, top))
+    return _trees(rules, n, top)
 
 
 def enumerate_add(n: int, cached: bool = False):
@@ -60,36 +87,7 @@ def enumerate_add(n: int, cached: bool = False):
 
     list(enumerate_add(3)) == [('+', 1, ('+', 1, 1)), ('+', ('+', 1, 1), 1)]
     """
-    _check_n(n)
-    return iter(_add_list(n, {})) if cached else _add_gen(n)
-
-
-# -- add-only, LOP restricted ---------------------------------------------
-
-def _lop_gen(n):
-    if n == 1:
-        yield 1
-        return
-    for i in range(1, n // 2 + 1):
-        for left in _lop_gen(n - i):
-            for right in _lop_gen(i):
-                yield ("+", left, right)
-
-
-def _lop_list(n, memo):
-    out = memo.get(n)
-    if out is None:
-        if n == 1:
-            out = (1,)
-        else:
-            out = tuple(
-                ("+", left, right)
-                for i in range(1, n // 2 + 1)
-                for left in _lop_list(n - i, memo)
-                for right in _lop_list(i, memo)
-            )
-        memo[n] = out
-    return out
+    return stream(FAMILIES["a"], n, cached=cached)
 
 
 def enumerate_add_lop(n: int, cached: bool = False):
@@ -97,55 +95,7 @@ def enumerate_add_lop(n: int, cached: bool = False):
 
     list(enumerate_add_lop(3)) == [('+', ('+', 1, 1), 1)]
     """
-    _check_n(n)
-    return iter(_lop_list(n, {})) if cached else _lop_gen(n)
-
-
-# -- {+, *} ----------------------------------------------------------------
-
-def _am_gen(n, root):
-    if root == "+":
-        if n == 1:
-            yield 1
-            return
-        for i in range(1, n):
-            for left in _am_gen(i, "all"):
-                for right in _am_gen(n - i, "all"):
-                    yield ("+", left, right)
-    elif root == "*":
-        for d in mid_divisors(n):
-            for left in _am_gen(d, "all"):
-                for right in _am_gen(n // d, "all"):
-                    yield ("*", left, right)
-    else:
-        yield from _am_gen(n, "+")
-        yield from _am_gen(n, "*")
-
-
-def _am_list(n, root, memo):
-    out = memo.get((n, root))
-    if out is None:
-        if root == "+":
-            if n == 1:
-                out = (1,)
-            else:
-                out = tuple(
-                    ("+", left, right)
-                    for i in range(1, n)
-                    for left in _am_list(i, "all", memo)
-                    for right in _am_list(n - i, "all", memo)
-                )
-        elif root == "*":
-            out = tuple(
-                ("*", left, right)
-                for d in mid_divisors(n)
-                for left in _am_list(d, "all", memo)
-                for right in _am_list(n // d, "all", memo)
-            )
-        else:
-            out = _am_list(n, "+", memo) + _am_list(n, "*", memo)
-        memo[(n, root)] = out
-    return out
+    return stream(FAMILIES["lop"], n, cached=cached)
 
 
 def enumerate_am(n: int, root: str = "all", cached: bool = False):
@@ -153,75 +103,7 @@ def enumerate_am(n: int, root: str = "all", cached: bool = False):
 
     list(enumerate_am(4, '*')) == [('*', ('+', 1, 1), ('+', 1, 1))]
     """
-    _check_n(n)
-    root = normalize_root(root)
-    if root == "^":
-        raise DomainError("pow root is not in the {+, *} family")
-    return iter(_am_list(n, root, {})) if cached else _am_gen(n, root)
-
-
-# -- {+, *, ^}, strict ------------------------------------------------------
-
-def _ame_gen(n, root):
-    if root == "+":
-        if n == 1:
-            yield 1
-            return
-        for i in range(1, n):
-            for left in _ame_gen(i, "all"):
-                for right in _ame_gen(n - i, "all"):
-                    yield ("+", left, right)
-    elif root == "*":
-        for d in mid_divisors(n):
-            for left in _ame_gen(d, "all"):
-                for right in _ame_gen(n // d, "all"):
-                    yield ("*", left, right)
-    elif root == "^":
-        for i, b in exponent_candidates(n):
-            for base in _ame_gen(b, "all"):
-                for exp in _ame_gen(i, "all"):
-                    yield ("^", base, exp)
-    else:
-        yield from _ame_gen(n, "+")
-        yield from _ame_gen(n, "*")
-        yield from _ame_gen(n, "^")
-
-
-def _ame_list(n, root, memo):
-    out = memo.get((n, root))
-    if out is None:
-        if root == "+":
-            if n == 1:
-                out = (1,)
-            else:
-                out = tuple(
-                    ("+", left, right)
-                    for i in range(1, n)
-                    for left in _ame_list(i, "all", memo)
-                    for right in _ame_list(n - i, "all", memo)
-                )
-        elif root == "*":
-            out = tuple(
-                ("*", left, right)
-                for d in mid_divisors(n)
-                for left in _ame_list(d, "all", memo)
-                for right in _ame_list(n // d, "all", memo)
-            )
-        elif root == "^":
-            out = tuple(
-                ("^", base, exp)
-                for i, b in exponent_candidates(n)
-                for base in _ame_list(b, "all", memo)
-                for exp in _ame_list(i, "all", memo)
-            )
-        else:
-            out = (
-                _ame_list(n, "+", memo)
-                + _ame_list(n, "*", memo)
-                + _ame_list(n, "^", memo)
-            )
-        memo[(n, root)] = out
-    return out
+    return stream(FAMILIES["am"], n, root, cached)
 
 
 def enumerate_ame(n: int, root: str = "all", cached: bool = False):
@@ -229,45 +111,34 @@ def enumerate_ame(n: int, root: str = "all", cached: bool = False):
 
     list(enumerate_ame(4, '^')) == [('^', ('+', 1, 1), ('+', 1, 1))]
     """
-    _check_n(n)
-    root = normalize_root(root)
-    return iter(_ame_list(n, root, {})) if cached else _ame_gen(n, root)
+    return stream(FAMILIES["ame"], n, root, cached)
 
 
 # -- request form -----------------------------------------------------------
 
 @dataclass(frozen=True)
 class EnumerationRequest:
-    """What to enumerate: value, gate set, root filter, LOP restriction."""
+    """What to enumerate: value, gate set, root filter, LOP restriction.
+
+    The family is resolved (and the combination checked) on construction.
+    """
 
     n: int
     gates: str = "a"
     root: str = "all"
     lop: bool = False
+    family: Family = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_n(self.n)
-        if self.gates not in _GATE_SETS:
-            raise DomainError(f"gate set must be one of {_GATE_SETS}, got {self.gates!r}")
-        root = normalize_root(self.root)
+        require_int(self.n)
+        family, root = resolve_family(self.gates, self.root, self.lop)
         object.__setattr__(self, "root", root)
-        if root == "*" and self.gates == "a":
-            raise DomainError("mul root needs gate set am or ame")
-        if root == "^" and self.gates != "ame":
-            raise DomainError("pow root needs gate set ame")
-        if self.lop and self.gates != "a":
-            raise DomainError("the LOP restriction is defined for add-only trees")
+        object.__setattr__(self, "family", family)
 
 
 def enumerate_trees(request: EnumerationRequest, cached: bool = False):
-    """Dispatch a request to the matching stream."""
-    if request.lop:
-        return enumerate_add_lop(request.n, cached)
-    if request.gates == "a":
-        return enumerate_add(request.n, cached)
-    if request.gates == "am":
-        return enumerate_am(request.n, request.root, cached)
-    return enumerate_ame(request.n, request.root, cached)
+    """The stream a request names."""
+    return stream(request.family, request.n, request.root, cached)
 
 
 def enumerate_strings(request: EnumerationRequest, notation: str = "prefix",
@@ -276,10 +147,7 @@ def enumerate_strings(request: EnumerationRequest, notation: str = "prefix",
 
     list(enumerate_strings(EnumerationRequest(3))) == ['+1+11', '++111']
     """
-    if notation == "prefix":
-        render = to_prefix
-    elif notation == "postfix":
-        render = to_postfix
-    else:
+    render = {"prefix": to_prefix, "postfix": to_postfix}.get(notation)
+    if render is None:
         raise DomainError(f"notation must be prefix or postfix, got {notation!r}")
     return map(render, enumerate_trees(request, cached))

@@ -46,3 +46,11 @@ class InternalGapError(FormulaForgeError, RuntimeError):
 
 class CacheError(FormulaForgeError, ValueError):
     """Count-cache file is missing, corrupt, or version-incompatible."""
+
+
+def require_int(value, minimum: int = 1, name: str = "value") -> int:
+    """value itself if it is an int (bool excluded) >= minimum, else
+    DomainError: the one integer check behind every public entry point."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value

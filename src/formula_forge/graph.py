@@ -15,7 +15,7 @@ from enum import Enum
 
 from .counting import count_ame
 from .enumeration import enumerate_ame
-from .errors import DomainError, SizeGuard
+from .errors import SizeGuard, require_int
 from .trees import evaluate, is_strict, size, to_prefix
 
 MAX_GRAPH_VALUE = 9
@@ -154,8 +154,7 @@ def build_graph(n: int, force: bool = False) -> RewriteGraph:
     the CommAdd and AssocAdd labels.  Vertex counts grow like 4.13^n, so
     n > 9 is refused unless force=True.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"need a positive integer value, got {n!r}")
+    require_int(n)
     if n > MAX_GRAPH_VALUE and not force:
         raise SizeGuard(
             f"value {n} > {MAX_GRAPH_VALUE} means {count_ame(n)} vertices; "

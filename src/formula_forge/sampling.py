@@ -2,36 +2,22 @@
 
 Every random decision is a loaded-die roll whose weights are exact counts of
 the outcomes below each branch, so each tree of the target class comes out
-with probability exactly 1/count.  The randomness source is a seedable
-``random.Random``; a given seed reproduces the same trees on any platform.
+with probability exactly 1/count.  The branches are those of the family
+description in ``counting``: at each node one roll picks the root gate
+(skipped for a one-gate family or a forced root), one roll picks the split,
+and then the left subtree is drawn before the right.  The randomness source
+is a seedable ``random.Random``; a given seed reproduces the same trees on
+any platform.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
+from itertools import accumulate
 
-from .counting import (
-    count_add_lop,
-    count_add_only,
-    count_am,
-    count_ame,
-    exponent_candidates,
-    mid_divisors,
-    normalize_root,
-)
-from .errors import DomainError, NoMultiplicativeSplit
-
-RandomSource = random.Random
-
-
-def _rng(rng):
-    return rng if rng is not None else random.Random()
-
-
-def _check_n(n):
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"value must be a positive integer, got {n!r}")
-
+from .counting import FAMILIES, ROOT_ALL, Family, default_table
+from .errors import DomainError, NoMultiplicativeSplit, require_int
 
 def roll_loaded_die(weights, rng: random.Random) -> int:
     """1-based index drawn with probability weights[i-1] / sum(weights).
@@ -41,52 +27,56 @@ def roll_loaded_die(weights, rng: random.Random) -> int:
 
     roll_loaded_die([0, 7], rng) == 2 for any rng.
     """
-    total = 0
-    prefix = []
-    for w in weights:
-        if w < 0:
-            raise DomainError("weights must be nonnegative")
-        total += w
-        prefix.append(total)
-    if total <= 0:
+    weights = list(weights)
+    if any(w < 0 for w in weights):
+        raise DomainError("weights must be nonnegative")
+    prefix = list(accumulate(weights))
+    if not prefix or prefix[-1] <= 0:
         raise DomainError("need at least one positive weight")
-    r = rng.randint(1, total)
-    for i, p in enumerate(prefix):
-        if p >= r:
-            return i + 1
-    raise AssertionError("unreachable: prefix sums exhausted")
+    return bisect_left(prefix, rng.randint(1, prefix[-1])) + 1
+
+
+# the error a forced root raises on a value it cannot split
+_NO_SPLIT = {"*": (NoMultiplicativeSplit, "divisor"), "^": (DomainError, "exact-power")}
+
+
+def sample_from(family: Family, n: int, rng: random.Random | None = None,
+                root: str = ROOT_ALL):
+    """Uniform tree of value n in a family, optionally of one root class."""
+    require_int(n)
+    rng = rng if rng is not None else random.Random()
+    root = family.check_root(root)
+    table = default_table()
+    tot = [0] + [table.count(family.name, v) for v in range(1, n + 1)]
+    rules = family.rules
+
+    def rec(m, top):
+        if m == 1 and top[0] is rules[0]:
+            return 1
+        rule = top[0]
+        if len(top) > 1:
+            weights = [table.count(family.name, m, g) for g, _ in top]
+            rule = top[roll_loaded_die(weights, rng) - 1]
+        gate, splits = rule
+        pairs = list(splits(m))
+        if not pairs:
+            exc, what = _NO_SPLIT[gate]
+            raise exc(f"{m} has no {what} split")
+        a, b = pairs[roll_loaded_die([tot[a] * tot[b] for a, b in pairs], rng) - 1]
+        return (gate, rec(a, rules), rec(b, rules))
+
+    top = rules if root == ROOT_ALL else tuple(r for r in rules if r[0] == root)
+    return rec(n, top)
 
 
 def sample_add(n: int, rng: random.Random | None = None):
     """Uniform add-only tree for n (out of count_add_only(n) trees)."""
-    _check_n(n)
-    rng = _rng(rng)
-
-    def rec(m):
-        if m == 1:
-            return 1
-        weights = [count_add_only(i) * count_add_only(m - i) for i in range(1, m)]
-        j = roll_loaded_die(weights, rng)
-        return ("+", rec(j), rec(m - j))
-
-    return rec(n)
+    return sample_from(FAMILIES["a"], n, rng)
 
 
 def sample_add_lop(n: int, rng: random.Random | None = None):
     """Uniform LOP-restricted add-only tree: left value >= right value."""
-    _check_n(n)
-    rng = _rng(rng)
-
-    def rec(m):
-        if m == 1:
-            return 1
-        weights = [
-            count_add_lop(i) * count_add_lop(m - i) for i in range(1, m // 2 + 1)
-        ]
-        j = roll_loaded_die(weights, rng)
-        return ("+", rec(m - j), rec(j))
-
-    return rec(n)
+    return sample_from(FAMILIES["lop"], n, rng)
 
 
 def sample_am(n: int, rng: random.Random | None = None, root: str = "all"):
@@ -95,33 +85,7 @@ def sample_am(n: int, rng: random.Random | None = None, root: str = "all"):
     Raises NoMultiplicativeSplit when root='*' is forced on a value with no
     divisor in [2, n//2] (n = 1 or n prime).
     """
-    _check_n(n)
-    rng = _rng(rng)
-    root = normalize_root(root)
-    if root == "^":
-        raise DomainError("pow root is not in the {+, *} family")
-
-    def rec(m, want):
-        if want == "all":
-            if m == 1:
-                return 1
-            j = roll_loaded_die([count_am(m, "+"), count_am(m, "*")], rng)
-            return rec(m, "+" if j == 1 else "*")
-        if want == "+":
-            if m == 1:
-                return 1
-            weights = [count_am(i) * count_am(m - i) for i in range(1, m)]
-            j = roll_loaded_die(weights, rng)
-            return ("+", rec(j, "all"), rec(m - j, "all"))
-        divs = mid_divisors(m)
-        if not divs:
-            raise NoMultiplicativeSplit(f"{m} has no divisor split")
-        weights = [count_am(d) * count_am(m // d) for d in divs]
-        j = roll_loaded_die(weights, rng)
-        d = divs[j - 1]
-        return ("*", rec(d, "all"), rec(m // d, "all"))
-
-    return rec(n, root)
+    return sample_from(FAMILIES["am"], n, rng, root)
 
 
 def sample_ame(n: int, rng: random.Random | None = None, root: str = "all"):
@@ -129,38 +93,7 @@ def sample_ame(n: int, rng: random.Random | None = None, root: str = "all"):
 
     Extension beyond the {+, *} samplers: the root class is drawn from the
     exact (add, mul, pow)-rooted counts and the pow branch draws an exponent
-    split weighted by count_ame(base) * count_ame(exponent).
+    split weighted by count_ame(base) * count_ame(exponent).  Forcing
+    root='^' on a value that is not an exact power raises DomainError.
     """
-    _check_n(n)
-    rng = _rng(rng)
-    root = normalize_root(root)
-
-    def rec(m, want):
-        if want == "all":
-            if m == 1:
-                return 1
-            weights = [count_ame(m, g) for g in "+*^"]
-            want = "+*^"[roll_loaded_die(weights, rng) - 1]
-        if want == "+":
-            if m == 1:
-                return 1
-            weights = [count_ame(i) * count_ame(m - i) for i in range(1, m)]
-            j = roll_loaded_die(weights, rng)
-            return ("+", rec(j, "all"), rec(m - j, "all"))
-        if want == "*":
-            divs = mid_divisors(m)
-            if not divs:
-                raise NoMultiplicativeSplit(f"{m} has no divisor split")
-            weights = [count_ame(d) * count_ame(m // d) for d in divs]
-            j = roll_loaded_die(weights, rng)
-            d = divs[j - 1]
-            return ("*", rec(d, "all"), rec(m // d, "all"))
-        cands = list(exponent_candidates(m))
-        if not cands:
-            raise DomainError(f"{m} has no exact-power split")
-        weights = [count_ame(b) * count_ame(i) for i, b in cands]
-        j = roll_loaded_die(weights, rng)
-        i, b = cands[j - 1]
-        return ("^", rec(b, "all"), rec(i, "all"))
-
-    return rec(n, root)
+    return sample_from(FAMILIES["ame"], n, rng, root)

@@ -1,22 +1,31 @@
 """Shortest strict {+, *, ^} encoding of each integer, by dynamic programming.
 
-best(n) considers, in order: every additive split n = i + (n-i), every
-divisor split n = d * (n/d) with 2 <= d <= n//2, and every exact-root split
-n = b ** i with i >= 2.  A candidate replaces the incumbent only when it is
-strictly smaller, so ties resolve toward additive over multiplicative over
-exponential structure, and toward the earliest (smallest) split point.
+best(n) considers, in order: every additive split n = i + (n-i) with
+i <= n//2 (the rest mirror these), every divisor split n = d * (n/d) with
+2 <= d <= n//2, and every exact-root split n = b ** i with i >= 2; the
+splits are the rules of the family description in ``counting``.  A
+candidate replaces the incumbent only when it is strictly smaller, so ties
+resolve toward additive over multiplicative over exponential structure, and
+toward the earliest (smallest) split point.
 Witnesses put the smaller operand on the left for + and *, the base on the
 left for ^.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
-from .counting import exponent_candidates, mid_divisors
-from .errors import DomainError
+from .counting import FAMILIES
+from .errors import require_int
 from .trees import size
+
+# The {+, *, ^} rules with the additive splits cut to the half range
+# i <= m//2, which is the LOP family's additive rule.  Sizes are symmetric
+# under i <-> m - i, so the first strict minimum always lies there and the
+# witnesses are those of the full range.
+_RULES = FAMILIES["lop"].rules + FAMILIES["ame"].rules[1:]
 
 
 @dataclass(frozen=True)
@@ -32,38 +41,29 @@ class ShortestTable:
     def __init__(self):
         self._lock = threading.RLock()
         self._rows = {1: ShortestEntry(1, 1, 1)}
-        self._hi = 1
+        self._sizes = [0, 1]  # sizes[v] for v <= the fill watermark
 
     def entry(self, n: int) -> ShortestEntry:
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise DomainError(f"value must be a positive integer, got {n!r}")
+        require_int(n)
         with self._lock:
             self._ensure(n)
             return self._rows[n]
 
     def _ensure(self, n):
-        for m in range(self._hi + 1, n + 1):
-            best_size = None
-            best_tree = None
-            for i in range(1, m):
-                cand = self._rows[i].size + self._rows[m - i].size + 1
-                if best_size is None or cand < best_size:
-                    lo, hi = min(i, m - i), max(i, m - i)
-                    best_size = cand
-                    best_tree = ("+", self._rows[lo].witness, self._rows[hi].witness)
-            for d in mid_divisors(m):
-                cand = self._rows[d].size + self._rows[m // d].size + 1
-                if cand < best_size:
-                    best_size = cand
-                    best_tree = ("*", self._rows[d].witness, self._rows[m // d].witness)
-            for i, b in exponent_candidates(m):
-                cand = self._rows[b].size + self._rows[i].size + 1
-                if cand < best_size:
-                    best_size = cand
-                    best_tree = ("^", self._rows[b].witness, self._rows[i].witness)
-            self._rows[m] = ShortestEntry(m, best_size, best_tree)
-        if n > self._hi:
-            self._hi = n
+        rows, sizes = self._rows, self._sizes
+        for m in range(len(sizes), n + 1):
+            best = math.inf
+            for gate, splits in _RULES:
+                for a, b in splits(m):
+                    cand = sizes[a] + sizes[b]
+                    if cand < best:
+                        best, pick = cand, (gate, a, b)
+            gate, a, b = pick
+            if gate == "+":
+                a, b = b, a  # the half-range rule lists the larger operand first
+            sizes.append(best + 1)
+            witness = (gate, rows[a].witness, rows[b].witness)
+            rows[m] = ShortestEntry(m, best + 1, witness)
 
 
 _DEFAULT = ShortestTable()
@@ -76,7 +76,8 @@ def shortest(n: int, table: ShortestTable | None = None) -> ShortestEntry:
     """
     t = table if table is not None else _DEFAULT
     entry = t.entry(n)
-    assert size(entry.witness) == entry.size
+    if size(entry.witness) != entry.size:
+        raise AssertionError(f"witness for {n} does not have size {entry.size}")
     return entry
 
 

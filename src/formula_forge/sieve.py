@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, InternalGapError, LevelTooLarge
+from .errors import DomainError, InternalGapError, LevelTooLarge, require_int
 from .symexpr import ONE, Neg, Pow, SymExpr, X, sym_pow, sym_prod, sym_sum, sym_value
 
 MAX_LEVELS = 14
@@ -33,7 +33,7 @@ class SieveState:
         return len(self.integers)
 
     def encoding_of(self, v: int) -> SymExpr:
-        if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= self.covers:
+        if require_int(v) > self.covers:
             raise DomainError(f"value {v!r} outside covered range 1..{self.covers}")
         return self.integers[v - 1]
 
@@ -73,8 +73,7 @@ def multi_factor_products(state: SieveState, k: int, c: int) -> list:
     multi_factor_products at k=2 with primes 2,3,5,7 known and c=2 yields
     the values 10, 12, 14, 15 (and their encodings).
     """
-    if not isinstance(c, int) or isinstance(c, bool) or c < 2:
-        raise DomainError(f"need at least two factors, got {c!r}")
+    require_int(c, 2, "factor count")
     lo, hi = 2 ** (k + 1), 2 ** (k + 2)
     if state.covers < lo:
         raise DomainError(f"state covers {state.covers}, below range start {lo}")
@@ -153,8 +152,7 @@ def run_sieve(levels: int, force: bool = False) -> SieveState:
     run_sieve(3).prime_values() lists the 11 primes up to 32.
     Levels beyond 14 (coverage 65536) are refused unless force=True.
     """
-    if not isinstance(levels, int) or isinstance(levels, bool) or levels < 0:
-        raise DomainError(f"need a nonnegative level count, got {levels!r}")
+    require_int(levels, 0, "levels")
     if levels > MAX_LEVELS and not force:
         raise LevelTooLarge(f"levels {levels} > {MAX_LEVELS}; pass force to override")
     state = initial_state()
@@ -172,8 +170,7 @@ def scf_coarse(levels: int, force: bool = False) -> SieveState:
     dyadic state of equal coverage.  levels > 2 is refused unless
     force=True (level 3 already builds 65536 encodings).
     """
-    if not isinstance(levels, int) or isinstance(levels, bool) or levels < 0:
-        raise DomainError(f"need a nonnegative level count, got {levels!r}")
+    require_int(levels, 0, "levels")
     if levels > COARSE_MAX_LEVELS and not force:
         raise LevelTooLarge(
             f"coarse level {levels} > {COARSE_MAX_LEVELS}; pass force to override"
@@ -195,12 +192,8 @@ def rational_set(state: SieveState, exponent_bound: int, factor_bound: int) -> l
     rational_set(initial_state(), 1, 1) -> [1, x, x^(-1)]
     (values 1, 2, 1/2).
     """
-    if not isinstance(exponent_bound, int) or isinstance(exponent_bound, bool):
-        raise DomainError(f"bad exponent bound {exponent_bound!r}")
-    if not isinstance(factor_bound, int) or isinstance(factor_bound, bool):
-        raise DomainError(f"bad factor bound {factor_bound!r}")
-    if exponent_bound < 1 or factor_bound < 0:
-        raise DomainError("need exponent_bound >= 1 and factor_bound >= 0")
+    require_int(exponent_bound, 1, "exponent_bound")
+    require_int(factor_bound, 0, "factor_bound")
     if exponent_bound > state.covers:
         raise DomainError(
             f"exponent bound {exponent_bound} exceeds covered range {state.covers}"

@@ -102,6 +102,13 @@ def test_list_guard_on_huge_streams(capsys):
     assert len(out.splitlines()) == 2
 
 
+def test_list_guard_on_deep_streams(capsys):
+    code, out, err = run(capsys, "list", "2000", "--limit", "1")
+    assert code == 4
+    assert err.startswith("guard:")
+    assert out == ""
+
+
 # sample
 
 def test_sample_is_valid_and_seeded(capsys):
@@ -324,7 +331,13 @@ def test_env_cache_write_failure_is_only_a_warning(capsys, tmp_path, monkeypatch
 # usage plumbing
 
 def test_usage_errors_exit_two(capsys):
-    for argv in ([], ["list", "3", "--gates", "xyz"], ["nope"]):
+    for argv in (
+        [],
+        ["list", "3", "--gates", "xyz"],
+        ["nope"],
+        ["list", "5", "--limit", "-3"],
+        ["sample", "5", "--count", "-2"],
+    ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

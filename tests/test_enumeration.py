@@ -4,6 +4,7 @@ from conftest import brute_trees
 from formula_forge import (
     DomainError,
     EnumerationRequest,
+    SizeGuard,
     count_add_lop,
     count_add_only,
     count_am,
@@ -77,6 +78,8 @@ def test_cached_equals_streaming():
     for n in range(1, 8):
         assert list(enumerate_ame(n, cached=True)) == list(enumerate_ame(n))
         assert list(enumerate_am(n, cached=True)) == list(enumerate_am(n))
+        assert list(enumerate_add(n, cached=True)) == list(enumerate_add(n))
+        assert list(enumerate_add_lop(n, cached=True)) == list(enumerate_add_lop(n))
 
 
 def test_enumeration_order_is_add_mul_pow():
@@ -107,3 +110,15 @@ def test_request_dispatch():
     assert list(enumerate_trees(req)) == list(enumerate_ame(5, "^"))
     req = EnumerationRequest(5, lop=True)
     assert list(enumerate_trees(req)) == list(enumerate_add_lop(5))
+
+
+def test_deep_streams_are_refused():
+    # the first add-only tree of 2000 is a comb 1999 levels deep; streaming
+    # it would nest one generator per level
+    for enum in (enumerate_add, enumerate_add_lop, enumerate_am, enumerate_ame):
+        with pytest.raises(SizeGuard):
+            enum(2000)
+    with pytest.raises(SizeGuard):
+        enumerate_add(2000, cached=True)
+    first = next(enumerate_add(300))
+    assert evaluate(first) == 300
