@@ -10,40 +10,34 @@ encoder that peels factors of x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 
 from .errors import DomainError, LevelTooLarge, MagnitudeError, require_int
-from .symexpr import ONE, X, SymExpr, sym_pow, sym_prod, sym_sum, sym_value
+from .symexpr import ONE, X, Interned, SymExpr, node, sym_pow, sym_prod, sym_sum
 
 
-@dataclass(frozen=True)
-class GoodsteinForm:
+@node
+class GoodsteinForm(Interned):
     """Sum of x^e over `exponents`, strictly decreasing by value.
 
-    The empty form is 0; the form (ZERO,) is x^0 = 1.
+    The empty form is 0; the form (ZERO,) is x^0 = 1.  Forms are interned
+    like SymExpr nodes, so equal forms are the same object.
     """
 
     exponents: tuple
 
     def __str__(self):
-        if self is ZERO or not self.exponents:
-            return "0"
-        return str(gs_to_symexpr(self))
+        return "0" if self is ZERO else str(gs_to_symexpr(self))
 
 
 ZERO = GoodsteinForm(())
 GS_ONE = GoodsteinForm((ZERO,))
 
 
+@lru_cache(maxsize=None)
 def gs_value(f: GoodsteinForm) -> int:
-    # memoized on the instance: forms are immutable, and hashing the whole
-    # nested structure per lookup is what this avoids
-    v = f.__dict__.get("_value")
-    if v is None:
-        v = sum(2 ** gs_value(e) for e in f.exponents)
-        object.__setattr__(f, "_value", v)
-    return v
+    return sum(2 ** gs_value(e) for e in f.exponents)
 
 
 def encode_goodstein(n: int) -> GoodsteinForm:
@@ -56,52 +50,43 @@ def encode_goodstein(n: int) -> GoodsteinForm:
 
 @lru_cache(maxsize=None)
 def _encode(n):
-    if n == 0:
-        return ZERO
-    exps = []
-    k = 0
-    while n:
-        if n & 1:
-            exps.append(_encode(k))
-        n >>= 1
-        k += 1
-    return GoodsteinForm(tuple(reversed(exps)))
+    # one exponent per set bit of n, highest first; n = 0 gives ZERO
+    bits = reversed(range(n.bit_length()))
+    return GoodsteinForm(tuple(_encode(k) for k in bits if n >> k & 1))
 
 
-def _insert(digits, form):
-    """Insert into an ascending-by-value digit list, keeping order."""
-    v = gs_value(form)
-    k = 0
-    while k < len(digits) and gs_value(digits[k]) < v:
-        k += 1
-    digits.insert(k, form)
+def _normal(exponents) -> GoodsteinForm:
+    """Normal form of the sum of x^e over `exponents`, repeats allowed.
+
+    One carry pass from the smallest exponent up: x^e + x^e = x^(e + 1),
+    the carry re-entering the heap until all exponents are distinct.  The
+    heap holds the exponents' values, small integers (at most the bit length
+    of the sum); `form` maps a value to its form, built once per value.
+    """
+    heap = [gs_value(e) for e in exponents]
+    form = dict(zip(heap, exponents))
+    heapify(heap)
+    out = []
+    while heap:
+        v = heappop(heap)
+        if heap and heap[0] == v:
+            heappop(heap)
+            heappush(heap, v + 1)
+            if v + 1 not in form:
+                form[v + 1] = g_add(form[v], GS_ONE)
+        else:
+            out.append(form[v])
+    return GoodsteinForm(tuple(reversed(out)))
 
 
 def g_add(a: GoodsteinForm, b: GoodsteinForm) -> GoodsteinForm:
-    """Sum of two normal forms: merge exponents, carry on collision.
-
-    Equal exponents e merge as x^e + x^e = x^(e + 1), the carry re-entering
-    the merge until all exponents are distinct.
-    """
-    digits = sorted(a.exponents + b.exponents, key=gs_value)
-    out = []
-    while digits:
-        e = digits.pop(0)
-        if digits and gs_value(digits[0]) == gs_value(e):
-            digits.pop(0)
-            _insert(digits, g_add(e, GS_ONE))
-        else:
-            out.append(e)
-    return GoodsteinForm(tuple(reversed(out)))
+    """Sum of two normal forms: merge exponents, carry on collision."""
+    return _normal(a.exponents + b.exponents)
 
 
 def g_mul(a: GoodsteinForm, b: GoodsteinForm) -> GoodsteinForm:
     """Product of normal forms: x^e * x^f = x^(e + f), summed over digits."""
-    acc = ZERO
-    for e in a.exponents:
-        for f in b.exponents:
-            acc = g_add(acc, GoodsteinForm((g_add(e, f),)))
-    return acc
+    return _normal([g_add(e, f) for e in a.exponents for f in b.exponents])
 
 
 def g_pow(a: GoodsteinForm, b: GoodsteinForm, max_bits: int = 1 << 20) -> GoodsteinForm:
@@ -139,17 +124,9 @@ def gs_to_symexpr(f: GoodsteinForm) -> SymExpr:
 
     gs_to_symexpr(encode_goodstein(7)) renders as 'x^x + x + 1'.
     """
-    if not f.exponents:
+    if f is ZERO:
         raise DomainError("0 has no gate expression")
-    terms = []
-    for e in f.exponents:
-        v = gs_value(e)
-        if v == 0:
-            terms.append(ONE)
-        elif v == 1:
-            terms.append(X)
-        else:
-            terms.append(sym_pow(X, gs_to_symexpr(e)))
+    terms = [ONE if e is ZERO else sym_pow(X, gs_to_symexpr(e)) for e in f.exponents]
     return sym_sum(terms)
 
 

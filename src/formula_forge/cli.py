@@ -2,9 +2,11 @@
 
 One subcommand per capability; results go to stdout as single-line JSON
 (except `list`/`sample`, which stream one encoding per line, and
-`constant`, which defaults to CSV).  Exit codes: 0 success, 2 usage,
-3 domain error, 4 resource guard refused the request (pass --unsafe to
-override a guard where the flag is offered).
+`constant`, which defaults to CSV).  Exit codes: 0 success, 1 stdout
+closed early (a reader such as `head` stopped; nothing is printed on stderr
+and the cache is not written), 2 usage, 3 domain error, 4 resource guard
+refused the request (pass --unsafe to override a guard where the flag is
+offered).
 
 With FORMULA_FORGE_CACHE set, count tables are loaded from that path on
 startup and written back after a successful run, so repeated invocations
@@ -32,7 +34,6 @@ from .canonical import (
     g_mul,
     g_pow,
     goodstein_levels,
-    gs_to_symexpr,
     gs_value,
     horner_levels,
 )
@@ -128,9 +129,7 @@ def _cmd_shortest(args):
 
 
 def _gs_json(form):
-    if not form.exponents:
-        return {"value": "0", "text": "0"}
-    return {"value": str(gs_value(form)), "text": str(gs_to_symexpr(form))}
+    return {"value": str(gs_value(form)), "text": str(form)}
 
 
 def _emit_levels(t, exprs):
@@ -372,6 +371,12 @@ def main(argv=None) -> int:
         if cache_path and os.path.exists(cache_path):
             load_table(cache_path)
         code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+    except BrokenPipeError:
+        # the recipe of the `signal` docs: Python flushes stdout again at
+        # exit, so point it at devnull to keep that flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (LevelTooLarge, SizeGuard, MagnitudeError) as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return 4

@@ -61,8 +61,10 @@ class ShortestTable:
             gate, a, b = pick
             if gate == "+":
                 a, b = b, a  # the half-range rule lists the larger operand first
-            sizes.append(best + 1)
             witness = (gate, rows[a].witness, rows[b].witness)
+            if size(witness) != best + 1:
+                raise AssertionError(f"witness for {m} does not have size {best + 1}")
+            sizes.append(best + 1)
             rows[m] = ShortestEntry(m, best + 1, witness)
 
 
@@ -74,11 +76,7 @@ def shortest(n: int, table: ShortestTable | None = None) -> ShortestEntry:
 
     shortest(6) -> ShortestEntry(6, 9, ('*', ('+', 1, 1), ('+', 1, ('+', 1, 1))))
     """
-    t = table if table is not None else _DEFAULT
-    entry = t.entry(n)
-    if size(entry.witness) != entry.size:
-        raise AssertionError(f"witness for {n} does not have size {entry.size}")
-    return entry
+    return (table if table is not None else _DEFAULT).entry(n)
 
 
 def shortest_range(upto: int, table: ShortestTable | None = None):

@@ -2,10 +2,11 @@
 
 Encodings built from towers of x quickly describe numbers far too large to
 expand into raw formula trees, so this module keeps them symbolic: immutable
-nodes One, X, Sum, Prod, Pow, plus Neg strictly for reciprocal exponents.
+nodes ONE, X, Sum, Prod, Pow, plus Neg strictly for reciprocal exponents.
 Smart constructors flatten nested sums/products, drop unit factors, collapse
-trivial powers, and keep n-ary operands sorted by descending value, so two
-equal-shaped encodings compare equal structurally.
+trivial powers, and keep n-ary operands sorted by descending value.  Nodes
+are interned (hash-consed, as are the forms in ``canonical``): each distinct
+node is built once, so ``==`` and ``hash`` are identity and cost O(1).
 """
 
 from __future__ import annotations
@@ -16,44 +17,67 @@ from functools import lru_cache
 
 from .errors import DomainError
 
+_NODES = {}
+# `node` classes are immutable, compare by identity and take their fields
+# positionally through Interned.__new__
+node = dataclass(frozen=True, eq=False, init=False, slots=True)
 
-@dataclass(frozen=True)
-class SymExpr:
+
+class Interned:
+    """Hash-consing base: one instance per class and field values."""
+
+    __slots__ = ()
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        found = _NODES.get(key)
+        if found is None:
+            found = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, fields, strict=True):
+                object.__setattr__(found, name, value)
+            # setdefault is atomic, so racing threads still agree on one node
+            found = _NODES.setdefault(key, found)
+        return found
+
+    def __reduce__(self):  # copy, deepcopy and pickle rebuild through __new__
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+@node
+class SymExpr(Interned):
     def __str__(self):
         return render(self)
 
-
-@dataclass(frozen=True)
-class _One(SymExpr):
-    pass
+    def __lt__(self, other):  # the operand order's tie-break, for equal values
+        return render(self) < render(other)
 
 
-@dataclass(frozen=True)
-class _X(SymExpr):
-    pass
+@node
+class _Leaf(SymExpr):
+    name: str
 
 
-ONE = _One()
-X = _X()
+ONE = _Leaf("1")
+X = _Leaf("x")
 
 
-@dataclass(frozen=True)
+@node
 class Sum(SymExpr):
     terms: tuple
 
 
-@dataclass(frozen=True)
+@node
 class Prod(SymExpr):
     factors: tuple
 
 
-@dataclass(frozen=True)
+@node
 class Pow(SymExpr):
     base: SymExpr
     exponent: SymExpr
 
 
-@dataclass(frozen=True)
+@node
 class Neg(SymExpr):
     """Negated exponent; only valid underneath Pow."""
 
@@ -63,9 +87,9 @@ class Neg(SymExpr):
 @lru_cache(maxsize=None)
 def sym_value(e: SymExpr):
     """Numeric value at x = 2; an int, or a Fraction under Neg exponents."""
-    if e is ONE or isinstance(e, _One):
+    if e is ONE:
         return 1
-    if e is X or isinstance(e, _X):
+    if e is X:
         return 2
     if isinstance(e, Sum):
         return sum(sym_value(t) for t in e.terms)
@@ -91,7 +115,7 @@ def sym_value(e: SymExpr):
 
 
 def _sort_key(e):
-    return (-sym_value(e), render(e))
+    return (-sym_value(e), e)
 
 
 def sym_sum(terms) -> SymExpr:
@@ -115,7 +139,7 @@ def sym_prod(factors) -> SymExpr:
     for f in factors:
         if isinstance(f, Prod):
             flat.extend(f.factors)
-        elif isinstance(f, _One):
+        elif f is ONE:
             continue
         else:
             flat.append(f)
@@ -127,9 +151,9 @@ def sym_prod(factors) -> SymExpr:
 
 
 def sym_pow(base: SymExpr, exponent: SymExpr) -> SymExpr:
-    if isinstance(base, _One):
+    if base is ONE:
         return ONE
-    if isinstance(exponent, _One):
+    if exponent is ONE:
         return base
     return Pow(base, exponent)
 
@@ -160,10 +184,8 @@ def render(e: SymExpr) -> str:
     render(Pow(X, sym_sum([X, ONE]))) == 'x^(x + 1)'
     render(Pow(X, Neg(ONE))) == 'x^(-1)'
     """
-    if isinstance(e, _One):
-        return "1"
-    if isinstance(e, _X):
-        return "x"
+    if e is ONE or e is X:
+        return e.name
     if isinstance(e, Sum):
         return " + ".join(_wrap(t, _PREC_PROD) for t in e.terms)
     if isinstance(e, Prod):
@@ -181,9 +203,9 @@ def expand_x(e: SymExpr):
     The result is a strict tree whose evaluate() equals sym_value(e).
     Reciprocal exponents have no tree form and raise DomainError.
     """
-    if isinstance(e, _One):
+    if e is ONE:
         return 1
-    if isinstance(e, _X):
+    if e is X:
         return ("+", 1, 1)
     if isinstance(e, Sum):
         return _fold("+", [expand_x(t) for t in e.terms])

@@ -1,9 +1,13 @@
 """End-to-end command-line checks through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import formula_forge
 from formula_forge import parse_prefix, evaluate, is_strict
 from formula_forge.cache import ENV_VAR
 from formula_forge.cli import main
@@ -107,6 +111,24 @@ def test_list_guard_on_deep_streams(capsys):
     assert code == 4
     assert err.startswith("guard:")
     assert out == ""
+
+
+def test_list_into_a_closed_pipe_exits_one_quietly(tmp_path):
+    # the stream is about 1.8 MB, far past a pipe buffer, so the child is
+    # still writing when the reader stops after the first line
+    src = os.path.dirname(os.path.dirname(formula_forge.__file__))
+    cache = tmp_path / "counts.json"
+    env = {**os.environ, "PYTHONPATH": src, ENV_VAR: str(cache)}
+    argv = ["list", "12", "--gates", "am", "--notation", "prefix"]
+    proc = subprocess.Popen([sys.executable, "-m", "formula_forge.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert evaluate(parse_prefix(first.decode().strip())) == 12
+    assert err == b""
+    assert proc.returncode == 1
+    assert not cache.exists()
 
 
 # sample

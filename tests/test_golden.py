@@ -1,11 +1,13 @@
 """Golden digests of observable output: stream order, seeded samples, cache
-file bytes and shortest witnesses.
+file bytes, shortest witnesses, and the rendered tower encodings (Horner
+forms, sieve tables, level sets and Goodstein arithmetic).
 
 Each digest is a sha256 over a plain-text rendering of what the public API
-returns.  The expected values were recorded from the release whose
-per-family code this suite guards, so any change in order, in the
-seed-to-tree mapping, in the cache file format or in tie-breaking shows up
-here as a digest mismatch for one (family, root) pair.
+returns.  The expected values were recorded from the releases whose
+per-family code and non-interned symbolic nodes this suite guards, so any
+change in order, in the seed-to-tree mapping, in the cache file format or
+in tie-breaking shows up here as a digest mismatch for one (family, root)
+pair, or for one group of tower outputs.
 """
 
 import hashlib
@@ -14,22 +16,37 @@ import random
 import pytest
 
 from formula_forge import (
+    ONE,
+    X,
     CountTable,
     ShortestTable,
     count_add_lop,
     count_add_only,
     count_am,
     count_ame,
+    encode_goodstein,
+    encode_horner,
     enumerate_add,
     enumerate_add_lop,
     enumerate_am,
     enumerate_ame,
+    g_add,
+    g_mul,
+    g_pow,
+    goodstein_levels,
+    horner_levels,
+    rational_set,
+    run_sieve,
     sample_add,
     sample_add_lop,
     sample_am,
     sample_ame,
     save_table,
+    scf_coarse,
     shortest_range,
+    sym_pow,
+    sym_prod,
+    sym_sum,
     to_prefix,
 )
 
@@ -112,6 +129,35 @@ def shortest_digest(upto):
     )
 
 
+def horner_digest(ns):
+    return _sha(f"{n} {encode_horner(n)}" for n in ns)
+
+
+def _random_64_bit(count):
+    rng = random.Random(64)
+    return [rng.getrandbits(64) | 1 << 63 for _ in range(count)]
+
+
+def sieve_digest(state):
+    return _sha(
+        [f"{v} {e}" for v, e in enumerate(state.integers, 1)]
+        + [f"prime {p}" for p in state.primes]
+    )
+
+
+def goodstein_digest():
+    rng = random.Random(1000)
+    lines = []
+    for _ in range(300):
+        a, b = rng.randint(0, 10**6), rng.randint(0, 10**6)
+        fa, fb = encode_goodstein(a), encode_goodstein(b)
+        lines.append(f"{a} {b} {g_add(fa, fb)} {g_mul(fa, fb)}")
+    for a in range(13):
+        for b in range(13):
+            lines.append(f"{a}^{b} {g_pow(encode_goodstein(a), encode_goodstein(b))}")
+    return _sha(lines)
+
+
 STREAM_DIGESTS = {
     ("a", "all"): "d031d416d85a2164621876f14c0f5fa1efc7ece6ef4c73ea170286c7358cc5d7",
     ("lop", "all"): "47d2373890b722ef61d8222a8e65a16b2fbf59ebfe4c7a82899ff9cb959ba23a",
@@ -160,3 +206,40 @@ def test_cache_file_bytes(tmp_path):
 
 def test_shortest_witnesses():
     assert shortest_digest(SHORTEST_UPTO) == SHORTEST_DIGEST
+
+
+HORNER_UPTO = 5000
+HORNER_DIGEST = "1b2fc2063058d5a7b1622f0786f4b538ab4335063c96b39e5ff4832cd10bb91a"
+HORNER_64_BIT_DIGEST = "0cfea934f16550a86da69c43a0595e167f6183085fd2631d759b747d119a6534"
+SIEVE_11_DIGEST = "95c176488145b63842ba6f910368be735cb4b661aba6bdcbd041677178f30fd3"
+SCF_COARSE_2_DIGEST = "39c2f6bb4dc293b2a3a445719d2a7403f2665fe81ffb0780132c75ed4ea3c6a6"
+RATIONAL_DIGEST = "92fdc81add40e89f412c7d86f62cdfc91a0e55e27eb5bb679ba346b4a7e86edc"
+GOODSTEIN_LEVELS_2_DIGEST = "533b5efe1854a02f0f5a7e3c5f2e759acbf7e3a9582817fba5e1469ed6617247"
+HORNER_LEVELS_3_DIGEST = "947514e43016d92f555099b593c2558e3aa775aeffdf33e7720717e9eedf0567"
+GOODSTEIN_ARITHMETIC_DIGEST = "e9b46f8d19984f0b2e7c55f6ec707b5e797000ca393c43acdfbf81c898528897"
+
+
+def test_horner_encodings():
+    assert horner_digest(range(1, HORNER_UPTO + 1)) == HORNER_DIGEST
+    assert horner_digest(_random_64_bit(200)) == HORNER_64_BIT_DIGEST
+
+
+def test_sieve_tables():
+    assert sieve_digest(run_sieve(11)) == SIEVE_11_DIGEST
+    assert sieve_digest(scf_coarse(2)) == SCF_COARSE_2_DIGEST
+    assert _sha(str(e) for e in rational_set(run_sieve(2), 2, 2)) == RATIONAL_DIGEST
+
+
+def test_level_sets():
+    assert _sha(str(e) for e in goodstein_levels(2)) == GOODSTEIN_LEVELS_2_DIGEST
+    assert _sha(str(e) for e in horner_levels(3)) == HORNER_LEVELS_3_DIGEST
+
+
+def test_goodstein_arithmetic():
+    assert goodstein_digest() == GOODSTEIN_ARITHMETIC_DIGEST
+
+
+def test_equal_values_order_by_rendering():
+    # x^x and x*x tie at 4, x and x tie at 2: ties keep the rendered order
+    terms = [sym_pow(X, X), sym_prod([X, X]), X, X, ONE]
+    assert str(sym_sum(terms)) == "x*x + x^x + x + x + 1"
