@@ -1,9 +1,11 @@
 """Growth constants of the counting sequences.
 
 The number of strict trees of value n grows like C * rho^n / sqrt(n^3).
-The base rho comes from a functional fixed point computed over truncated
-power series at high working precision; the constant C falls out of a
-square-root factorization at the singularity.
+The base rho is 1/x at the fixed point of g(x) = 1/4 - S(x), where S is a
+list of exact integer coefficients built from the counts; g evaluates only
+the prefix of that list whose dropped terms are provably below the working
+precision.  The constant C falls out of a square-root factorization at the
+singularity.
 """
 
 import mpmath

@@ -9,7 +9,6 @@ of the counting sequences, and explore the one-step rewrite graph.
 from .asymptotics import (
     ConstantEstimate,
     RhoEstimate,
-    TruncatedSeries,
     constant_estimate,
     rho_estimate,
 )

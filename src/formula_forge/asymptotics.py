@@ -7,13 +7,27 @@ vanishes at the dominant singularity 1/rho.  Writing the discriminant as
     S(x) = sum_{2 <= d < T} C(d) * (f(x^d) - x^d)   [+ pow-rooted terms],
 
 the singularity is the fixed point of g(x) = 1/4 - S(x), found by direct
-iteration from a seed just below the true value.  Series are truncated at T
-terms; the fixed point is then polished until the residual |g(x) - x| drops
-below 2^-(precision_bits - 8), with 16 guard bits carried internally.
+iteration from a seed just below the true value; the fixed point is then
+polished until the residual |g(x) - x| drops below 2^-(precision_bits - 8),
+with 16 guard bits carried internally.
+
+S is one list of exact ints, s[j] the coefficient of x^j: s[d*n] gets
+C(d)*C(n) for 2 <= d, n < T, and for ame s[n] also gets the number of
+pow-rooted trees of value n, so the list has (T-1)^2 + 1 entries.  Almost
+all of them are far below the working precision, so g runs Horner over the
+shortest prefix whose dropped tail is provably below 2^-(precision_bits +
+16).  The bound needs |x| <= 1/4: every iterate is at most 1/4 because the
+seed is and S >= 0 on positive x, the iteration rejects an iterate that is
+not positive, and the `rho > 4` check rejects a fixed point outside
+(0, 1/4).  Then each dropped term s[j]*x^j is below 2^(bits(s[j]) - 2j), so
+the terms above degree k sum to less than len(s) * max_{j>k} of that, which
+is integer arithmetic on bit lengths.
 
 The leading constant comes from the square-root factorization of the
 discriminant at the singularity: C = sqrt(G(r)) / (4*sqrt(pi)) with
-G = (1 - 4h) * sum_j (x/r)^j truncated, h = x + S.
+G = (1 - 4h) * sum_j (x/r)^j truncated at T terms, h = x + S.  At x = r the
+geometric factor collapses, so G(r) = sum_{i<T} (T - i) * a_i * r^i with a
+the coefficients of 1 - 4h.
 """
 
 from __future__ import annotations
@@ -28,97 +42,6 @@ from .errors import DomainError, NegativeRadicand, NonConvergence, require_int
 _GUARD_BITS = 16
 _MAX_EXTRA_ITERATIONS = 64
 _SEEDS = {"am": "4.077", "ame": "4.131"}
-
-
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Power series known through degree order-1; higher terms unknown.
-
-    Binary operations truncate to the shorter operand.  Coefficients may be
-    exact ints or mpmath floats; evaluation is Horner at the ambient
-    mpmath precision.
-    """
-
-    coefficients: tuple
-    order: int
-
-    @classmethod
-    def from_coefficients(cls, coeffs, order=None):
-        coeffs = list(coeffs)
-        if order is None:
-            order = len(coeffs)
-        if order < 1:
-            raise DomainError("order must be at least 1")
-        coeffs = coeffs[:order] + [0] * (order - len(coeffs))
-        return cls(tuple(coeffs), order)
-
-    @classmethod
-    def zero(cls, order):
-        return cls.from_coefficients([], order)
-
-    def extend(self, order):
-        """Declare higher coefficients exactly zero (for polynomials)."""
-        if order < self.order:
-            raise DomainError("extend cannot lower the order; use truncate")
-        return TruncatedSeries(self.coefficients + (0,) * (order - self.order), order)
-
-    def truncate(self, order):
-        if order > self.order:
-            raise DomainError("truncate cannot raise the order; use extend")
-        return TruncatedSeries(self.coefficients[:order], order)
-
-    def __add__(self, other):
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(a + b for a, b in zip(self.coefficients, other.coefficients)), n
-        )
-
-    def __sub__(self, other):
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(a - b for a, b in zip(self.coefficients, other.coefficients)), n
-        )
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return TruncatedSeries(
-                tuple(c * other for c in self.coefficients), self.order
-            )
-        n = min(self.order, other.order)
-        out = [0] * n
-        for i, a in enumerate(self.coefficients[:n]):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coefficients[: n - i]):
-                if b != 0:
-                    out[i + j] += a * b
-        return TruncatedSeries(tuple(out), n)
-
-    __rmul__ = __mul__
-
-    def substitute_power(self, d):
-        """x -> x^d; exact, so the order grows to (order-1)*d + 1."""
-        require_int(d, 1, "power")
-        n = (self.order - 1) * d + 1
-        out = [0] * n
-        for i, c in enumerate(self.coefficients):
-            out[i * d] = c
-        return TruncatedSeries(tuple(out), n)
-
-    def scale_argument(self, r):
-        """x -> r*x, coefficient-wise c_i * r^i."""
-        out = []
-        p = 1
-        for c in self.coefficients:
-            out.append(c * p)
-            p = p * r
-        return TruncatedSeries(tuple(out), self.order)
-
-    def eval_at(self, x):
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
 
 
 @dataclass(frozen=True)
@@ -159,23 +82,40 @@ def _check_params(terms, iterations, precision_bits):
     require_int(precision_bits, 53, "precision_bits")
 
 
-def _substituted_sum(family, terms):
-    """S(x) as an exact integer series (the constant 1/4 is kept separate)."""
-    counts = count_am if family == "am" else count_ame
-    big = (terms - 1) * (terms - 1) + 1
-    f = TruncatedSeries.from_coefficients(
-        [0] + [counts(n) for n in range(1, terms)], terms
-    )
-    x_mon = TruncatedSeries.from_coefficients([0, 1], terms)
-    s = TruncatedSeries.zero(big)
+def _coefficients(family, terms):
+    """S(x) as exact ints, s[j] the coefficient of x^j (1/4 is kept apart)."""
+    count = count_am if family == "am" else count_ame
+    counts = [0] + [count(n) for n in range(1, terms)]
+    s = [0] * ((terms - 1) * (terms - 1) + 1)
     for d in range(2, terms):
-        s = s + counts(d) * (f - x_mon).substitute_power(d).extend(big)
+        for n in range(2, terms):
+            s[d * n] += counts[d] * counts[n]
     if family == "ame":
-        pow_rooted = TruncatedSeries.from_coefficients(
-            [0] * 4 + [count_ame(n, "^") for n in range(4, terms)], terms
-        )
-        s = s + pow_rooted.extend(big)
+        for n in range(4, terms):
+            s[n] += count_ame(n, "^")
     return s
+
+
+def _cut(s, precision_bits):
+    """The shortest prefix of s that is within 2^-(precision_bits + 16) of s
+    at every |x| <= 1/4.
+
+    There |s[j] * x^j| < 2^(bits(s[j]) - 2j), so the terms above the
+    prefix sum to less than len(s) < 2^bits(len(s)) times the largest such
+    power among them.
+    """
+    limit = -(precision_bits + _GUARD_BITS) - len(s).bit_length()
+    for j in range(len(s) - 1, -1, -1):
+        if s[j].bit_length() - 2 * j > limit:
+            return s[: j + 1]
+    return []
+
+
+def _horner(coefficients, x):
+    acc = 0
+    for c in reversed(coefficients):
+        acc = acc * x + c
+    return acc
 
 
 def _polish(g, x, threshold):
@@ -214,12 +154,12 @@ def rho_estimate(
     """
     family = _normalize_family(family)
     _check_params(terms, iterations, precision_bits)
-    s = _substituted_sum(family, terms)
+    s = _cut(_coefficients(family, terms), precision_bits)
     threshold = mpmath.mpf(2) ** -(precision_bits - 8)
     with mpmath.workprec(precision_bits + _GUARD_BITS):
 
         def g(x):
-            return mpmath.mpf(0.25) - s.eval_at(x)
+            return mpmath.mpf(0.25) - _horner(s, x)
 
         x = 1 / mpmath.mpf(_SEEDS[family])
         for _ in range(iterations):
@@ -257,20 +197,13 @@ def constant_estimate(
     Cam(n) / (C * rho^n / sqrt(n^3)) for n = 2..terms-1 are returned so the
     approach to 1 can be inspected.
     """
-    _check_params(terms, iterations, precision_bits)
     est = rho_estimate("am", terms, iterations, precision_bits)
-    s = _substituted_sum("am", terms).truncate(terms)
+    a = [-4 * c for c in _coefficients("am", terms)[:terms]]  # 1 - 4h
+    a[0] += 1
+    a[1] -= 4
     with mpmath.workprec(precision_bits + _GUARD_BITS):
         r = est.fixed_point  # singularity radius, 1/rho
-        coeffs = list(((-4) * s).coefficients)
-        coeffs[0] += 1
-        coeffs[1] -= 4
-        one_minus_4h = TruncatedSeries.from_coefficients(coeffs, terms)
-        q = 1 / r
-        geom = TruncatedSeries.from_coefficients(
-            [q**j for j in range(terms)], terms
-        )
-        radicand = (one_minus_4h * geom).scale_argument(r).eval_at(mpmath.mpf(1))
+        radicand = _horner([(terms - i) * c for i, c in enumerate(a)], r)
         if radicand < 0:
             raise NegativeRadicand(
                 f"G(r) = {mpmath.nstr(radicand, 8)} < 0; no real constant"

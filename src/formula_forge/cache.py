@@ -32,21 +32,28 @@ ENV_VAR = "FORMULA_FORGE_CACHE"
 
 
 def save_table(path: str, table: CountTable | None = None) -> int:
-    """Write every computed entry of the table; returns the row count."""
+    """Write every computed entry of the table; returns the row count.
+
+    Raises CacheError if the file cannot be written.
+    """
     t = table if table is not None else default_table()
     rows = [[fam, root, n, str(c)] for fam, root, n, c in t.entries()]
     payload = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "entries": rows}
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".counts-", suffix=".json", dir=directory)
     try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(prefix=".counts-", suffix=".json", dir=directory)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(payload, fh)
+                fh.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise CacheError(f"cannot write cache file {path}: {reason}") from exc
     return len(rows)
 
 

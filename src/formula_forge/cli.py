@@ -4,13 +4,13 @@ One subcommand per capability; results go to stdout as single-line JSON
 (except `list`/`sample`, which stream one encoding per line, and
 `constant`, which defaults to CSV).  Exit codes: 0 success, 1 stdout
 closed early (a reader such as `head` stopped; nothing is printed on stderr
-and the cache is not written), 2 usage, 3 domain error, 4 resource guard
-refused the request (pass --unsafe to override a guard where the flag is
-offered).
+and the cache is not written), 2 usage, 3 domain error or an output file
+that cannot be written, 4 resource guard refused the request (pass --unsafe
+to override a guard where the flag is offered).
 
 With FORMULA_FORGE_CACHE set, count tables are loaded from that path on
 startup and written back after a successful run, so repeated invocations
-share work.
+share work; a failed write-back is only a warning.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .canonical import (
 from .counting import FAMILIES, GATE_SETS, ROOT_ALL, default_table
 from .enumeration import EnumerationRequest, enumerate_trees
 from .errors import (
+    CacheError,
     FormulaForgeError,
     LevelTooLarge,
     MagnitudeError,
@@ -220,9 +221,12 @@ def _cmd_graph(args):
         print(g.to_dot())
         return 0
     if args.dot is not None:
-        with open(args.dot, "w") as fh:
-            fh.write(g.to_dot())
-            fh.write("\n")
+        try:
+            with open(args.dot, "w") as fh:
+                fh.write(g.to_dot())
+                fh.write("\n")
+        except OSError as exc:
+            raise FormulaForgeError(f"cannot write DOT file: {exc}") from exc
     _emit(g.stats())
     return 0
 
@@ -386,7 +390,7 @@ def main(argv=None) -> int:
     if code == 0 and cache_path:
         try:
             save_table(cache_path)
-        except OSError as exc:
+        except CacheError as exc:
             print(f"warning: could not write cache: {exc}", file=sys.stderr)
     return code
 

@@ -1,72 +1,53 @@
-"""Series arithmetic and the growth-base / leading-constant estimates."""
+"""The growth-base / leading-constant estimates and the cut of S."""
+
+from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formula_forge import (
     DomainError,
     NonConvergence,
-    TruncatedSeries,
     constant_estimate,
     count_am,
     rho_estimate,
 )
-from formula_forge.asymptotics import _polish
+from formula_forge.asymptotics import _coefficients, _cut, _polish
 
 
-# series plumbing
+# the cut of S
 
-def test_series_construction():
-    s = TruncatedSeries.from_coefficients([1, 2, 3], 5)
-    assert s.coefficients == (1, 2, 3, 0, 0)
-    assert s.order == 5
-    assert TruncatedSeries.from_coefficients([1, 2, 3], 2).coefficients == (1, 2)
-    assert TruncatedSeries.zero(3).coefficients == (0, 0, 0)
-    with pytest.raises(DomainError):
-        TruncatedSeries.from_coefficients([], 0)
+def _exact_value(coefficients, x):
+    """sum c_j x^j as a Fraction, splitting the list in halves."""
+    p, q = x.numerator, x.denominator
 
+    def scaled(cs):  # sum c_j p^j q^(len(cs) - 1 - j), an integer
+        if len(cs) == 1:
+            return cs[0]
+        m = len(cs) // 2
+        return scaled(cs[:m]) * q ** (len(cs) - m) + p**m * scaled(cs[m:])
 
-def test_series_extend_truncate():
-    s = TruncatedSeries.from_coefficients([1, 2], 2)
-    assert s.extend(4).coefficients == (1, 2, 0, 0)
-    assert s.extend(2) == s
-    assert s.truncate(1).coefficients == (1,)
-    with pytest.raises(DomainError):
-        s.extend(1)
-    with pytest.raises(DomainError):
-        s.truncate(3)
+    return Fraction(scaled(coefficients), q ** (len(coefficients) - 1))
 
 
-def test_series_ring_ops_truncate_to_shorter():
-    a = TruncatedSeries.from_coefficients([1, 1, 1, 1], 4)
-    b = TruncatedSeries.from_coefficients([1, 2], 2)
-    assert (a + b).coefficients == (2, 3)
-    assert (a - b).coefficients == (0, -1)
-    # (1 + x)^2 through degree 2
-    c = TruncatedSeries.from_coefficients([1, 1], 3)
-    assert (c * c).coefficients == (1, 2, 1)
-    # degree-2 information is honest: only terms below the order survive
-    d = TruncatedSeries.from_coefficients([1, 1, 1], 3)
-    assert (d * d).coefficients == (1, 2, 3)
-    assert (3 * b).coefficients == (3, 6)
-    assert (b * 3).coefficients == (3, 6)
-
-
-def test_series_substitution_and_scaling():
-    s = TruncatedSeries.from_coefficients([1, 2, 3], 3)
-    t = s.substitute_power(2)
-    assert t.order == 5
-    assert t.coefficients == (1, 0, 2, 0, 3)
-    assert s.substitute_power(1) == s
-    with pytest.raises(DomainError):
-        s.substitute_power(0)
-    assert s.scale_argument(2).coefficients == (1, 4, 12)
-
-
-def test_series_eval():
-    s = TruncatedSeries.from_coefficients([1, 2, 3], 3)
-    assert s.eval_at(10) == 321
-    assert s.eval_at(0) == 1
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(["am", "ame"]),
+    terms=st.integers(8, 150),
+    bits=st.integers(53, 400),
+    denominator=st.integers(4, 2**10),
+    data=st.data(),
+)
+def test_cut_drops_less_than_the_guard_bound(family, terms, bits, denominator, data):
+    numerator = data.draw(st.integers(1, denominator // 4), label="numerator")
+    x = Fraction(numerator, denominator)  # in (0, 1/4]
+    full = _coefficients(family, terms)
+    cut = _cut(full, bits)
+    assert cut == full[: len(cut)]
+    dropped = _exact_value(full, x) - _exact_value(cut, x)
+    assert 0 <= dropped < Fraction(1, 2 ** (bits + 16))
 
 
 # fixed-point polish failure modes

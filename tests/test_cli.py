@@ -306,6 +306,23 @@ def test_graph_dot_file(capsys, tmp_path):
     assert text.startswith('graph "G_3" {')
 
 
+def _run_child(tmp_path, *argv):
+    src = os.path.dirname(os.path.dirname(formula_forge.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop(ENV_VAR, None)
+    return subprocess.run([sys.executable, "-m", "formula_forge.cli", *argv],
+                          capture_output=True, text=True, env=env, cwd=tmp_path,
+                          timeout=60)
+
+
+def test_graph_dot_into_a_missing_directory(tmp_path):
+    proc = _run_child(tmp_path, "graph", "3", "--dot", str(tmp_path / "no" / "x.dot"))
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_graph_guard(capsys):
     code, _, _ = run(capsys, "graph", "10")
     assert code == 4
@@ -327,6 +344,15 @@ def test_cache_load_corrupt(capsys, tmp_path):
     code, _, err = run(capsys, "cache", "load", str(path))
     assert code == 3
     assert err.startswith("error:")
+
+
+def test_cache_save_into_a_missing_directory(tmp_path):
+    proc = _run_child(tmp_path, "cache", "save", str(tmp_path / "no" / "c.json"))
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not (tmp_path / "no").exists()
 
 
 def test_env_cache_round_trip(capsys, tmp_path, monkeypatch):
