@@ -27,7 +27,8 @@ The leading constant comes from the square-root factorization of the
 discriminant at the singularity: C = sqrt(G(r)) / (4*sqrt(pi)) with
 G = (1 - 4h) * sum_j (x/r)^j truncated at T terms, h = x + S.  At x = r the
 geometric factor collapses, so G(r) = sum_{i<T} (T - i) * a_i * r^i with a
-the coefficients of 1 - 4h.
+the coefficients of 1 - 4h; only the T lowest coefficients of S are built
+for it.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import mpmath
+from mpmath.libmp import fzero, from_int, mpf_add, mpf_mul, mpf_sub
 
 from .counting import count_am, count_ame
 from .errors import DomainError, NegativeRadicand, NonConvergence, require_int
@@ -82,16 +84,19 @@ def _check_params(terms, iterations, precision_bits):
     require_int(precision_bits, 53, "precision_bits")
 
 
-def _coefficients(family, terms):
-    """S(x) as exact ints, s[j] the coefficient of x^j (1/4 is kept apart)."""
+def _coefficients(family, terms, limit=None):
+    """S(x) as exact ints, s[j] the coefficient of x^j (1/4 is kept apart),
+    for j < limit; all (T-1)^2 + 1 of them by default."""
     count = count_am if family == "am" else count_ame
     counts = [0] + [count(n) for n in range(1, terms)]
-    s = [0] * ((terms - 1) * (terms - 1) + 1)
-    for d in range(2, terms):
-        for n in range(2, terms):
+    if limit is None:
+        limit = (terms - 1) * (terms - 1) + 1
+    s = [0] * limit
+    for d in range(2, min(terms, (limit - 1) // 2 + 1)):
+        for n in range(2, min(terms, (limit - 1) // d + 1)):
             s[d * n] += counts[d] * counts[n]
     if family == "ame":
-        for n in range(4, terms):
+        for n in range(4, min(terms, limit)):
             s[n] += count_ame(n, "^")
     return s
 
@@ -111,10 +116,23 @@ def _cut(s, precision_bits):
     return []
 
 
-def _horner(coefficients, x):
-    acc = 0
-    for c in reversed(coefficients):
-        acc = acc * x + c
+def _descending(coefficients):
+    """Exact ints as raw libmp values, highest degree first, for _horner."""
+    return [from_int(c) for c in reversed(coefficients)]
+
+
+def _horner(descending, x):
+    """The polynomial at the mpf x as a raw libmp value, at the working
+    precision.
+
+    Steps on the raw libmp values with the mpf_mul/mpf_add calls that
+    `acc * x + c` makes on mpf objects, so the result is bit-for-bit the
+    same without an mpf object per step.
+    """
+    prec, rnd = mpmath.mp._prec_rounding
+    x, acc = x._mpf_, fzero
+    for c in descending:
+        acc = mpf_add(mpf_mul(acc, x, prec, rnd), c, prec, rnd)
     return acc
 
 
@@ -154,12 +172,14 @@ def rho_estimate(
     """
     family = _normalize_family(family)
     _check_params(terms, iterations, precision_bits)
-    s = _cut(_coefficients(family, terms), precision_bits)
+    s = _descending(_cut(_coefficients(family, terms), precision_bits))
     threshold = mpmath.mpf(2) ** -(precision_bits - 8)
     with mpmath.workprec(precision_bits + _GUARD_BITS):
+        prec, rnd = mpmath.mp._prec_rounding
+        quarter = mpmath.mpf(0.25)._mpf_
 
         def g(x):
-            return mpmath.mpf(0.25) - _horner(s, x)
+            return mpmath.mp.make_mpf(mpf_sub(quarter, _horner(s, x), prec, rnd))
 
         x = 1 / mpmath.mpf(_SEEDS[family])
         for _ in range(iterations):
@@ -198,12 +218,13 @@ def constant_estimate(
     approach to 1 can be inspected.
     """
     est = rho_estimate("am", terms, iterations, precision_bits)
-    a = [-4 * c for c in _coefficients("am", terms)[:terms]]  # 1 - 4h
+    a = [-4 * c for c in _coefficients("am", terms, terms)]  # 1 - 4h
     a[0] += 1
     a[1] -= 4
     with mpmath.workprec(precision_bits + _GUARD_BITS):
         r = est.fixed_point  # singularity radius, 1/rho
-        radicand = _horner([(terms - i) * c for i, c in enumerate(a)], r)
+        weighted = _descending([(terms - i) * c for i, c in enumerate(a)])
+        radicand = mpmath.mp.make_mpf(_horner(weighted, r))
         if radicand < 0:
             raise NegativeRadicand(
                 f"G(r) = {mpmath.nstr(radicand, 8)} < 0; no real constant"

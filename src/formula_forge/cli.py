@@ -9,8 +9,13 @@ that cannot be written, 4 resource guard refused the request (pass --unsafe
 to override a guard where the flag is offered).
 
 With FORMULA_FORGE_CACHE set, count tables are loaded from that path on
-startup and written back after a successful run, so repeated invocations
-share work; a failed write-back is only a warning.
+startup and written back after a successful run that added rows (or when
+the file did not exist yet), so repeated invocations share work; a failed
+write-back is only a warning.
+
+Start-up imports only what the parser needs (counting, enumeration, trees,
+errors, cache); each subcommand imports its own modules when it runs, and
+only `rho` and `constant` import mpmath.
 """
 
 from __future__ import annotations
@@ -19,24 +24,10 @@ import argparse
 import itertools
 import json
 import os
-import random
 import sys
 
-import mpmath
-
 from . import __version__
-from .asymptotics import constant_estimate, rho_estimate
 from .cache import ENV_VAR, load_table, save_table
-from .canonical import (
-    encode_goodstein,
-    encode_horner,
-    g_add,
-    g_mul,
-    g_pow,
-    goodstein_levels,
-    gs_value,
-    horner_levels,
-)
 from .counting import FAMILIES, GATE_SETS, ROOT_ALL, default_table
 from .enumeration import EnumerationRequest, enumerate_trees
 from .errors import (
@@ -46,11 +37,6 @@ from .errors import (
     MagnitudeError,
     SizeGuard,
 )
-from .graph import build_graph
-from .sampling import sample_from
-from .shortest import shortest, shortest_range
-from .sieve import rational_set, run_sieve, scf_coarse
-from .symexpr import sym_value
 from .trees import to_brackets, to_postfix, to_prefix
 
 DEFAULT_LIST_LIMIT = 1_000_000
@@ -67,11 +53,15 @@ def _emit(obj):
 
 
 def _nstr(value, precision_bits):
+    import mpmath
+
     digits = max(17, precision_bits * 30103 // 100000 + 2)
     return mpmath.nstr(value, digits)
 
 
 def _expr_json(e):
+    from .symexpr import sym_value
+
     return {"value": str(sym_value(e)), "text": str(e)}
 
 
@@ -115,6 +105,10 @@ def _cmd_list(args):
 
 
 def _cmd_sample(args):
+    import random
+
+    from .sampling import sample_from
+
     request = _request(args)
     rng, render = random.Random(args.seed), _RENDER[args.notation]
     for _ in range(args.count):
@@ -123,6 +117,8 @@ def _cmd_sample(args):
 
 
 def _cmd_shortest(args):
+    from .shortest import shortest, shortest_range
+
     entries = shortest_range(args.upto) if args.upto is not None else [shortest(args.n)]
     for entry in entries:
         _emit({"n": entry.n, "size": entry.size, "witness": to_prefix(entry.witness)})
@@ -130,6 +126,8 @@ def _cmd_shortest(args):
 
 
 def _gs_json(form):
+    from .canonical import gs_value
+
     return {"value": str(gs_value(form)), "text": str(form)}
 
 
@@ -139,6 +137,8 @@ def _emit_levels(t, exprs):
 
 
 def _cmd_goodstein(args):
+    from .canonical import encode_goodstein, g_add, g_mul, g_pow, goodstein_levels
+
     if args.mode == "levels":
         return _emit_levels(args.t, goodstein_levels(args.t, force=args.unsafe))
     if args.mode == "encode":
@@ -155,6 +155,8 @@ def _cmd_goodstein(args):
 
 
 def _cmd_horner(args):
+    from .canonical import encode_horner, horner_levels
+
     if args.mode == "levels":
         return _emit_levels(args.t, horner_levels(args.t, force=args.unsafe))
     _emit({"n": str(args.a), **_expr_json(encode_horner(args.a))})
@@ -162,6 +164,8 @@ def _cmd_horner(args):
 
 
 def _cmd_sieve(args):
+    from .sieve import rational_set, run_sieve, scf_coarse
+
     if args.coarse:
         state = scf_coarse(args.levels, force=args.unsafe)
     else:
@@ -183,6 +187,8 @@ def _cmd_sieve(args):
 
 
 def _cmd_rho(args):
+    from .asymptotics import rho_estimate
+
     est = rho_estimate(args.gates, args.terms, args.iterations, args.precision_bits)
     _emit({
         "family": est.family,
@@ -198,6 +204,8 @@ def _cmd_rho(args):
 
 
 def _cmd_constant(args):
+    from .asymptotics import constant_estimate
+
     est = constant_estimate(args.terms, args.iterations, args.precision_bits)
     if args.json:
         _emit({
@@ -216,6 +224,8 @@ def _cmd_constant(args):
 
 
 def _cmd_graph(args):
+    from .graph import build_graph
+
     g = build_graph(args.n, force=args.unsafe)
     if args.dot == "-":
         print(g.to_dot())
@@ -371,9 +381,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _check_required(args, parser)
     cache_path = os.environ.get(ENV_VAR)
+    loaded = None  # rows read from the cache file, None if there was none
     try:
         if cache_path and os.path.exists(cache_path):
-            load_table(cache_path)
+            loaded = load_table(cache_path)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit
     except BrokenPipeError:
@@ -387,7 +398,7 @@ def main(argv=None) -> int:
     except FormulaForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    if code == 0 and cache_path:
+    if code == 0 and cache_path and (loaded is None or default_table().rows() > loaded):
         try:
             save_table(cache_path)
         except CacheError as exc:

@@ -218,6 +218,10 @@ class CountTable:
             for n, c in sorted(col.items())
         ]
 
+    def rows(self) -> int:
+        """Number of computed entries, the length of entries()."""
+        return sum(len(col) for cols in self._cols.values() for col in cols.values())
+
     def absorb(self, rows):
         """Install (family, root, n, count) rows; used by cache loading.
 

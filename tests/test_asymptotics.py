@@ -14,7 +14,7 @@ from formula_forge import (
     count_am,
     rho_estimate,
 )
-from formula_forge.asymptotics import _coefficients, _cut, _polish
+from formula_forge.asymptotics import _coefficients, _cut, _descending, _horner, _polish
 
 
 # the cut of S
@@ -48,6 +48,29 @@ def test_cut_drops_less_than_the_guard_bound(family, terms, bits, denominator, d
     assert cut == full[: len(cut)]
     dropped = _exact_value(full, x) - _exact_value(cut, x)
     assert 0 <= dropped < Fraction(1, 2 ** (bits + 16))
+
+
+@settings(max_examples=30, deadline=None)
+@given(family=st.sampled_from(["am", "ame"]), terms=st.integers(8, 60), data=st.data())
+def test_coefficients_below_a_degree_limit_are_a_prefix(family, terms, data):
+    full = _coefficients(family, terms)
+    limit = data.draw(st.integers(1, len(full)), label="limit")
+    assert _coefficients(family, terms, limit) == full[:limit]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    coefficients=st.lists(st.integers(-(2**200), 2**200), max_size=40),
+    bits=st.integers(53, 400),
+    x=st.floats(-1, 1),
+)
+def test_horner_on_raw_values_matches_mpf_arithmetic(coefficients, bits, x):
+    with mpmath.workprec(bits):
+        x = mpmath.mpf(x) / 3
+        acc = 0
+        for c in reversed(coefficients):
+            acc = acc * x + c
+        assert _horner(_descending(coefficients), x) == mpmath.mpf(acc)._mpf_
 
 
 # fixed-point polish failure modes

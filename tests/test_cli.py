@@ -376,6 +376,35 @@ def test_env_cache_write_failure_is_only_a_warning(capsys, tmp_path, monkeypatch
     assert json.loads(out)["total"] == "14"
 
 
+def _warm_cache_file(capsys, tmp_path, monkeypatch):
+    """A cache file holding every row of the default table, dated in 2001, so
+    a rewrite shows in st_mtime_ns; returns its path and its am watermark."""
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    path = tmp_path / "warm.json"
+    assert run_json(capsys, "cache", "save", str(path), "--warm", "20")["saved"] > 0
+    os.utime(path, ns=(10**18, 10**18))
+    monkeypatch.setenv(ENV_VAR, str(path))
+    rows = json.loads(path.read_text())["entries"]
+    return path, max(n for fam, _, n, _ in rows if fam == "am")
+
+
+def test_env_cache_left_as_is_when_no_row_is_added(capsys, tmp_path, monkeypatch):
+    path, _ = _warm_cache_file(capsys, tmp_path, monkeypatch)
+    before = path.read_bytes()
+    assert run_json(capsys, "count", "12", "--gates", "am")["total"] == "77504"
+    assert run_json(capsys, "goodstein", "add", "3", "4")["value"] == "7"
+    assert path.read_bytes() == before
+    assert path.stat().st_mtime_ns == 10**18
+
+
+def test_env_cache_rewritten_when_rows_are_added(capsys, tmp_path, monkeypatch):
+    path, watermark = _warm_cache_file(capsys, tmp_path, monkeypatch)
+    run_json(capsys, "count", str(watermark + 3), "--gates", "am")
+    assert path.stat().st_mtime_ns != 10**18
+    rows = json.loads(path.read_text())["entries"]
+    assert ["am", "*", watermark + 3, str(formula_forge.count_am(watermark + 3, "*"))] in rows
+
+
 # usage plumbing
 
 def test_usage_errors_exit_two(capsys):

@@ -1,0 +1,121 @@
+"""The package exports its names lazily: importing it or running a CLI
+command loads only the modules that are used, and mpmath only for the
+growth constants."""
+
+import importlib
+import inspect
+import os
+import subprocess
+import sys
+import textwrap
+
+import formula_forge
+from formula_forge.cache import ENV_VAR
+
+PUBLIC = """
+    CacheError ConstantEstimate CountTable DomainError EnumerationRequest
+    FormulaForgeError GS_ONE GoodsteinForm InternalGapError LevelTooLarge
+    MagnitudeError MalformedString Neg NegativeRadicand NoMultiplicativeSplit
+    NonConvergence ONE Pow Prod RewriteGraph RewriteRule RhoEstimate
+    ShortestEntry ShortestTable SieveState SizeGuard Sum SymExpr X ZERO
+    asymptotics build_graph cache canonical constant_estimate count_add_lop
+    count_add_only count_am count_ame counting default_table depth
+    encode_goodstein encode_horner enumerate_add enumerate_add_lop enumerate_am
+    enumerate_ame enumerate_strings enumerate_trees enumeration errors evaluate
+    expand_x from_brackets g_add g_mul g_pow goodstein_levels graph
+    gs_to_symexpr gs_value horner_levels initial_state is_leaf is_strict
+    leaf_count load_table multi_factor_products neighbors parse_postfix
+    parse_prefix prime_power_range rational_set render rho_estimate
+    roll_loaded_die run_sieve sample_add sample_add_lop sample_am sample_ame
+    sampling save_table scf_coarse shortest shortest_range sieve size sym_pow
+    sym_prod sym_sum sym_value symexpr to_brackets to_postfix to_prefix trees
+    validate zeta_step
+"""
+
+
+def _fresh(code):
+    """Run code in a new interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(formula_forge.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop(ENV_VAR, None)
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_loads_no_submodule_and_no_mpmath():
+    out = _fresh("""
+        import sys
+        import formula_forge
+        print(sorted(m for m in sys.modules
+                     if m == "mpmath" or m.startswith("formula_forge.")))
+    """)
+    assert out.strip() == "[]"
+
+
+def test_only_rho_and_constant_load_mpmath(tmp_path):
+    cache = tmp_path / "counts.json"
+    out = _fresh(f"""
+        import contextlib, io, sys
+        from formula_forge.cli import main
+
+        def run(*argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(list(argv)) == 0, argv
+            return "mpmath" in sys.modules
+
+        print(run("cache", "save", {str(cache)!r}, "--warm", "10"),
+              run("count", "6", "--gates", "am"),
+              run("list", "5", "--gates", "ame", "--limit", "3"),
+              run("sample", "9", "--seed", "1"),
+              run("shortest", "30"),
+              run("goodstein", "add", "3", "4"),
+              run("horner", "encode", "99"),
+              run("sieve", "--levels", "2"),
+              run("graph", "4"),
+              run("cache", "load", {str(cache)!r}),
+              run("rho", "--terms", "20", "--precision-bits", "53"))
+    """)
+    assert out.split() == ["False"] * 10 + ["True"]
+
+
+def test_every_export_is_its_home_object():
+    assert sorted(formula_forge.__all__) == sorted(PUBLIC.split())
+    for name in formula_forge.__all__:
+        value = getattr(formula_forge, name)
+        if inspect.ismodule(value):
+            assert value is importlib.import_module(f"formula_forge.{name}")
+        else:
+            home = importlib.import_module(f"formula_forge.{formula_forge._HOME[name]}")
+            assert value is getattr(home, name)
+    assert set(formula_forge.__all__) <= set(dir(formula_forge))
+
+
+def test_star_import():
+    namespace = {}
+    exec("from formula_forge import *", namespace)
+    assert set(formula_forge.__all__) <= set(namespace)
+    assert namespace["shortest"](6).size == 9
+    assert namespace["counting"].count_am(6) == 52
+
+
+def test_unknown_name_is_an_attribute_error():
+    assert not hasattr(formula_forge, "no_such_name")
+    assert not hasattr(formula_forge, "cli_helpers")
+
+
+def test_shortest_stays_the_function_after_its_module_loads():
+    out = _fresh("""
+        import formula_forge.shortest
+        from formula_forge import shortest
+        print(shortest(6).size)
+    """)
+    assert out.strip() == "9"
+    out = _fresh("""
+        import formula_forge as ff
+        ff.ShortestTable
+        from formula_forge.shortest import ShortestEntry
+        print(ff.shortest(6).size, list(ff.shortest_range(3))[-1].size)
+    """)
+    assert out.split() == ["9", "5"]
