@@ -78,7 +78,8 @@ def _validate(payload) -> list:
             raise CacheError(f"family {fam!r} cannot have root {root!r}")
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise CacheError(f"bad index {n!r}")
-        if not isinstance(count, str) or not count.isdigit():
+        # str.isdigit also admits non-ASCII digits such as '²', which int rejects
+        if not isinstance(count, str) or not (count.isascii() and count.isdigit()):
             raise CacheError(f"count must be a decimal string, got {count!r}")
         rows.append((fam, root, n, int(count)))
     return rows

@@ -186,18 +186,18 @@ def encode_horner(n: int) -> SymExpr:
     """Direct Horner encoding: peel the power of two, recurse on the rest.
 
     Even n = 2**a * b (b odd) becomes x^enc(a) or x^enc(a) * enc(b);
-    odd n becomes enc(n - 1) + 1.
+    odd n becomes enc(n - 1) + 1.  The peeling runs as a loop, so only the
+    exponents a (at most n.bit_length()) recurse.
 
     str(encode_horner(6)) == '(x + 1)*x'
     """
     require_int(n)
-    if n == 1:
-        return ONE
-    if n % 2:
-        return sym_sum([encode_horner(n - 1), ONE])
-    a = (n & -n).bit_length() - 1
-    b = n >> a
-    power = sym_pow(X, encode_horner(a))
-    if b == 1:
-        return power
-    return sym_prod([power, encode_horner(b)])
+    peeled = []  # a per step, with n = 2**a * b; a = 0 for odd n
+    while n > 1:
+        a = (n & -n).bit_length() - 1
+        peeled.append(a)
+        n = n >> a if a else n - 1
+    e = ONE
+    for a in reversed(peeled):  # sym_prod drops the unit factor when b == 1
+        e = sym_prod([sym_pow(X, encode_horner(a)), e]) if a else sym_sum([e, ONE])
+    return e

@@ -7,10 +7,11 @@ outermost.  So addition splits come by ascending left value (by descending
 left value under LOP), multiplicative splits by ascending divisor and
 exponent splits by ascending exponent.
 
-By default nothing is memoized (bounded memory, some recomputation).  With
-``cached=True`` subtree lists are materialized in a per-call memo, which is
-the right trade for small n (say n <= 12); the memo is dropped when the
-stream is exhausted.
+One generator builds every stream.  Operands of value at most MEMO_VALUE
+are read from a per-stream memo of tuples, which the stream fills the first
+time it needs each value; larger operands are generated lazily each time.
+The memo holds at most sum(count(v) for v <= MEMO_VALUE) trees: 10,226 for
+ame, 8,786 for am and 6,918 for a, and it is dropped with the stream.
 
 A stream nests one generator per level of the tree it is building, and the
 first tree of value n is n - 1 levels deep, so values above
@@ -21,97 +22,81 @@ recursion limit is reached.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .counting import FAMILIES, ROOT_ALL, Family, resolve_family
 from .errors import DomainError, SizeGuard, require_int
 from .trees import to_postfix, to_prefix
 
 MAX_STREAM_VALUE = 500
+MEMO_VALUE = 10
 _LEAF = (1,)
 
 
-def _trees(rules, m, top=None):
+def _trees(rules, m, memo, top=None):
     """Every tree of value m > 1, root rule drawn from top (default: rules).
 
-    Leaf operands come from a constant tuple, not a generator of their own.
+    memo maps values to the tuple of their trees; it starts as {1: (1,)}
+    and takes every value <= MEMO_VALUE the first time it is an operand.
     """
     for gate, splits in top or rules:
         for lv, rv in splits(m):
-            for left in _trees(rules, lv) if lv > 1 else _LEAF:
-                for right in _trees(rules, rv) if rv > 1 else _LEAF:
+            for left in memo.get(lv) or _operand(rules, lv, memo):
+                for right in memo.get(rv) or _operand(rules, rv, memo):
                     yield (gate, left, right)
 
 
-def _tree_tuple(rules, m, memo, top=None):
-    """_trees(rules, m, top) as a tuple; unrestricted results go in memo."""
-    if top is None and m in memo:
-        return memo[m]
-    if m == 1:
-        out = _LEAF
-    else:
-        out = tuple(
-            (gate, left, right)
-            for gate, splits in top or rules
-            for lv, rv in splits(m)
-            for left in _tree_tuple(rules, lv, memo)
-            for right in _tree_tuple(rules, rv, memo)
-        )
-    if top is None:
-        memo[m] = out
-    return out
+def _operand(rules, v, memo):
+    """Trees of a value not in memo: memoised up to MEMO_VALUE, else lazy."""
+    if v > MEMO_VALUE:
+        return _trees(rules, v, memo)
+    trees = memo[v] = tuple(_trees(rules, v, memo))
+    return trees
 
 
-def stream(family: Family, n: int, root: str = ROOT_ALL, cached: bool = False):
+def stream(family: Family, n: int, root: str = ROOT_ALL):
     """All trees of value n in a family, optionally of one root class."""
     require_int(n)
     root = family.check_root(root)
     if n > MAX_STREAM_VALUE:
         raise SizeGuard(f"value {n} > {MAX_STREAM_VALUE} would nest {n - 1} "
                         "generators, past the interpreter's recursion limit")
-    # each split list is built once per stream, not once per generator
-    rules = tuple(
-        (gate, lru_cache(maxsize=256)(lambda m, s=splits: tuple(s(m))))
-        for gate, splits in family.rules
-    )
+    rules = family.rules
     top = None if root == ROOT_ALL else tuple(r for r in rules if r[0] == root)
     if n == 1:  # the leaf is charged to the first gate's class
         return iter(_LEAF if not top or top[0] is rules[0] else ())
-    if cached:
-        return iter(_tree_tuple(rules, n, {}, top))
-    return _trees(rules, n, top)
+    return _trees(rules, n, {1: _LEAF}, top)
 
 
-def enumerate_add(n: int, cached: bool = False):
+def enumerate_add(n: int):
     """All add-only trees for n; length count_add_only(n).
 
     list(enumerate_add(3)) == [('+', 1, ('+', 1, 1)), ('+', ('+', 1, 1), 1)]
     """
-    return stream(FAMILIES["a"], n, cached=cached)
+    return stream(FAMILIES["a"], n)
 
 
-def enumerate_add_lop(n: int, cached: bool = False):
+def enumerate_add_lop(n: int):
     """Add-only trees whose every addition has left value >= right value.
 
     list(enumerate_add_lop(3)) == [('+', ('+', 1, 1), 1)]
     """
-    return stream(FAMILIES["lop"], n, cached=cached)
+    return stream(FAMILIES["lop"], n)
 
 
-def enumerate_am(n: int, root: str = "all", cached: bool = False):
+def enumerate_am(n: int, root: str = "all"):
     """All {+, *} trees for n, optionally only those with a given root gate.
 
     list(enumerate_am(4, '*')) == [('*', ('+', 1, 1), ('+', 1, 1))]
     """
-    return stream(FAMILIES["am"], n, root, cached)
+    return stream(FAMILIES["am"], n, root)
 
 
-def enumerate_ame(n: int, root: str = "all", cached: bool = False):
+def enumerate_ame(n: int, root: str = "all"):
     """All strict {+, *, ^} trees for n; exponent nodes are (^ base exp).
 
     list(enumerate_ame(4, '^')) == [('^', ('+', 1, 1), ('+', 1, 1))]
     """
-    return stream(FAMILIES["ame"], n, root, cached)
+    return stream(FAMILIES["ame"], n, root)
 
 
 # -- request form -----------------------------------------------------------
@@ -136,13 +121,12 @@ class EnumerationRequest:
         object.__setattr__(self, "family", family)
 
 
-def enumerate_trees(request: EnumerationRequest, cached: bool = False):
+def enumerate_trees(request: EnumerationRequest):
     """The stream a request names."""
-    return stream(request.family, request.n, request.root, cached)
+    return stream(request.family, request.n, request.root)
 
 
-def enumerate_strings(request: EnumerationRequest, notation: str = "prefix",
-                      cached: bool = False):
+def enumerate_strings(request: EnumerationRequest, notation: str = "prefix"):
     """The same stream rendered as prefix or postfix strings.
 
     list(enumerate_strings(EnumerationRequest(3))) == ['+1+11', '++111']
@@ -150,4 +134,4 @@ def enumerate_strings(request: EnumerationRequest, notation: str = "prefix",
     render = {"prefix": to_prefix, "postfix": to_postfix}.get(notation)
     if render is None:
         raise DomainError(f"notation must be prefix or postfix, got {notation!r}")
-    return map(render, enumerate_trees(request, cached))
+    return map(render, enumerate_trees(request))

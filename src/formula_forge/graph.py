@@ -160,7 +160,7 @@ def build_graph(n: int, force: bool = False) -> RewriteGraph:
             f"value {n} > {MAX_GRAPH_VALUE} means {count_ame(n)} vertices; "
             "pass force to override"
         )
-    vertices = tuple(enumerate_ame(n, cached=True))
+    vertices = tuple(enumerate_ame(n))
     vset = set(vertices)
     adj = {v: set() for v in vertices}
     labels = {}

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, SizeGuard
 
 _NODES = {}
 # `node` classes are immutable, compare by identity and take their fields
@@ -173,7 +173,7 @@ def _prec(e):
 
 
 def _wrap(e, minimum):
-    s = render(e)
+    s = _render(e)
     return f"({s})" if _prec(e) < minimum else s
 
 
@@ -183,7 +183,16 @@ def render(e: SymExpr) -> str:
     render(sym_sum([Pow(X, X), X, ONE])) == 'x^x + x + 1'
     render(Pow(X, sym_sum([X, ONE]))) == 'x^(x + 1)'
     render(Pow(X, Neg(ONE))) == 'x^(-1)'
+
+    Nesting past the interpreter's recursion limit raises SizeGuard.
     """
+    try:
+        return _render(e)
+    except RecursionError:
+        raise SizeGuard("expression nests too deeply to render") from None
+
+
+def _render(e):
     if e is ONE or e is X:
         return e.name
     if isinstance(e, Sum):

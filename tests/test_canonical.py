@@ -11,6 +11,7 @@ from formula_forge import (
     LevelTooLarge,
     MagnitudeError,
     ONE,
+    SizeGuard,
     X,
     ZERO,
     encode_goodstein,
@@ -22,6 +23,7 @@ from formula_forge import (
     gs_to_symexpr,
     gs_value,
     horner_levels,
+    render,
     sym_pow,
     sym_sum,
     sym_value,
@@ -244,6 +246,15 @@ def test_horner_encode_goldens():
 def test_horner_encode_round_trip():
     for n in range(1, 4097):
         assert sym_value(encode_horner(n)) == n
+
+
+def test_horner_encode_deep_operand():
+    # 2**k - 1 takes k odd and k even peeling steps: a 2,000-step chain here
+    n = 2**1000 - 1
+    e = encode_horner(n)
+    assert sym_value(e) == n
+    with pytest.raises(SizeGuard):
+        render(e)
 
 
 def test_horner_encode_rejects_bad_input():

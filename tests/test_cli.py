@@ -113,6 +113,14 @@ def test_list_guard_on_deep_streams(capsys):
     assert out == ""
 
 
+def test_list_at_the_stream_cap(capsys):
+    # value 500 streams: only the operands above MEMO_VALUE nest generators
+    code, out, _ = run(capsys, "list", "500", "--gates", "ame", "--notation", "prefix",
+                       "--limit", "1")
+    assert code == 0
+    assert evaluate(parse_prefix(out.strip())) == 500
+
+
 def test_list_into_a_closed_pipe_exits_one_quietly(tmp_path):
     # the stream is about 1.8 MB, far past a pipe buffer, so the child is
     # still writing when the reader stops after the first line
@@ -306,10 +314,12 @@ def test_graph_dot_file(capsys, tmp_path):
     assert text.startswith('graph "G_3" {')
 
 
-def _run_child(tmp_path, *argv):
+def _run_child(tmp_path, *argv, cache=None):
     src = os.path.dirname(os.path.dirname(formula_forge.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     env.pop(ENV_VAR, None)
+    if cache is not None:
+        env[ENV_VAR] = str(cache)
     return subprocess.run([sys.executable, "-m", "formula_forge.cli", *argv],
                           capture_output=True, text=True, env=env, cwd=tmp_path,
                           timeout=60)
@@ -319,6 +329,14 @@ def test_graph_dot_into_a_missing_directory(tmp_path):
     proc = _run_child(tmp_path, "graph", "3", "--dot", str(tmp_path / "no" / "x.dot"))
     assert proc.returncode == 3
     assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_horner_encode_too_deep_to_render(tmp_path):
+    proc = _run_child(tmp_path, "horner", "encode", str(2**128 - 1))
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("guard:")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
 
@@ -353,6 +371,33 @@ def test_cache_save_into_a_missing_directory(tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
     assert not (tmp_path / "no").exists()
+
+
+def _count_file(path, count):
+    path.write_text(json.dumps({"format": "formula-forge-counts", "version": 1,
+                                "entries": [["a", "all", 1, count]]}))
+
+
+def test_cache_count_with_a_superscript_digit(tmp_path):
+    # '²' passes str.isdigit, and int('²') raises ValueError
+    path = tmp_path / "counts.json"
+    _count_file(path, "\u00b2")
+    for proc in (_run_child(tmp_path, "cache", "load", str(path)),
+                 _run_child(tmp_path, "count", "3", cache=path)):
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("digit", ["\u0663", "\uff11"])
+def test_cache_count_with_non_ascii_decimal_digits(capsys, tmp_path, digit):
+    # Arabic-Indic three and fullwidth one: int() reads them, the format does not
+    path = tmp_path / "counts.json"
+    _count_file(path, digit)
+    code, out, err = run(capsys, "cache", "load", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("error:")
 
 
 def test_env_cache_round_trip(capsys, tmp_path, monkeypatch):

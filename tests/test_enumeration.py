@@ -74,14 +74,6 @@ def test_root_filters():
             assert all(t[0] == g for t in trees)
 
 
-def test_cached_equals_streaming():
-    for n in range(1, 8):
-        assert list(enumerate_ame(n, cached=True)) == list(enumerate_ame(n))
-        assert list(enumerate_am(n, cached=True)) == list(enumerate_am(n))
-        assert list(enumerate_add(n, cached=True)) == list(enumerate_add(n))
-        assert list(enumerate_add_lop(n, cached=True)) == list(enumerate_add_lop(n))
-
-
 def test_enumeration_order_is_add_mul_pow():
     trees = list(enumerate_ame(4))
     roots = [t[0] for t in trees]
@@ -118,7 +110,5 @@ def test_deep_streams_are_refused():
     for enum in (enumerate_add, enumerate_add_lop, enumerate_am, enumerate_ame):
         with pytest.raises(SizeGuard):
             enum(2000)
-    with pytest.raises(SizeGuard):
-        enumerate_add(2000, cached=True)
     first = next(enumerate_add(300))
     assert evaluate(first) == 300

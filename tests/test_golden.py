@@ -27,6 +27,7 @@ from formula_forge import (
     ONE,
     X,
     CountTable,
+    EnumerationRequest,
     NonConvergence,
     ShortestTable,
     constant_estimate,
@@ -40,6 +41,7 @@ from formula_forge import (
     enumerate_add_lop,
     enumerate_am,
     enumerate_ame,
+    enumerate_trees,
     g_add,
     g_mul,
     g_pow,
@@ -78,21 +80,38 @@ def _sha(lines):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def _stream(family, root, n, cached):
+def _stream(family, root, n, via_request=False):
+    if via_request:  # the path the CLI's list takes
+        gates, lop = ("a", True) if family == "lop" else (family, False)
+        return enumerate_trees(EnumerationRequest(n, gates, root, lop))
     if family == "a":
-        return enumerate_add(n, cached)
+        return enumerate_add(n)
     if family == "lop":
-        return enumerate_add_lop(n, cached)
+        return enumerate_add_lop(n)
     if family == "am":
-        return enumerate_am(n, root, cached)
-    return enumerate_ame(n, root, cached)
+        return enumerate_am(n, root)
+    return enumerate_ame(n, root)
 
 
-def stream_digest(family, root, cached):
+def _memo_prefix():
+    """to_prefix for streamed trees, memoised on the shared subtrees."""
+    memo = {1: "1"}
+
+    def render(tree):
+        text = memo.get(tree)
+        if text is None:
+            text = memo[tree] = tree[0] + render(tree[1]) + render(tree[2])
+        return text
+
+    return render
+
+
+def stream_digest(family, root, via_request=False, values=range(1, 10),
+                  render=to_prefix):
     lines = []
-    for n in range(1, 10):
+    for n in values:
         lines.append(f"n={n}")
-        lines.extend(to_prefix(t) for t in _stream(family, root, n, cached))
+        lines.extend(map(render, _stream(family, root, n, via_request)))
     return _sha(lines)
 
 
@@ -181,6 +200,20 @@ STREAM_DIGESTS = {
     ("ame", "^"): "f26ea25a312ae336159b0bdcc58d7cb0d00caf4a11742a158f675346cf8ff2bd",
 }
 
+# n = 11 and 12, recorded from the release whose default streams memoised
+# nothing and whose cached=True streams materialised every subtree list
+DEEP_STREAM_DIGESTS = {
+    ("a", "all"): "436217df43ba39e50f1cf48165eb9c0b1840ba12de644d59054e3a6a3e29108d",
+    ("lop", "all"): "c6834f4c68c0f1d46d63c03db2d95280fa9b40ee4291fa5dad7d3b13cbd482a8",
+    ("am", "all"): "a8e355d4036c5e08c645d4a73507eb6517ffd99c57a9194d21359a8fe9f61022",
+    ("am", "+"): "13f291d4fe564bb736afa096069d78a862782655b58e4cbbe843875443daaaf5",
+    ("am", "*"): "278ae99beb94d770c92c55bdd9104f65ee9c14054025562f2daee3dbc5a4ae76",
+    ("ame", "all"): "dc610424095986e181827a9be95040052c3b179a290836c6abe3ce9a77a19ee9",
+    ("ame", "+"): "f553c3a41cc0bf3c44536637110b102b346db9cd756f683e3dc43a6212d4315d",
+    ("ame", "*"): "1fc79c7811ca5eabd2608e1bec7348bdde7bed8f5c996759bf69eb3e26fb4644",
+    ("ame", "^"): "8ba4e65c4ecc3d0f188312194c7454c3dd77520197f7cd2144d0609cf0ca628e",
+}
+
 SAMPLE_DIGESTS = {
     ("a", "all"): "784aaddea3f9073b001ae7629258ba2a26e42a6d969c4f618cff427877ebd8de",
     ("lop", "all"): "18764fc56c604b1c6643135d366ec1c025688190adb4bbd15a9e1df07168e754",
@@ -201,9 +234,16 @@ SHORTEST_DIGEST = "bb6c43f9bbef1380cd5cec69c03452ec3ad6bc4622e05b8248500efec3482
 
 
 @pytest.mark.parametrize("family, root", FAMILY_ROOTS)
-@pytest.mark.parametrize("cached", [False, True])
-def test_stream_order(family, root, cached):
-    assert stream_digest(family, root, cached) == STREAM_DIGESTS[family, root]
+@pytest.mark.parametrize("via_request", [False, True])
+def test_stream_order(family, root, via_request):
+    assert stream_digest(family, root, via_request) == STREAM_DIGESTS[family, root]
+
+
+@pytest.mark.parametrize("family, root", FAMILY_ROOTS)
+def test_stream_order_past_memo(family, root):
+    # values 11 and 12 mix memoised operands (<= MEMO_VALUE) with lazy ones
+    digest = stream_digest(family, root, values=(11, 12), render=_memo_prefix())
+    assert digest == DEEP_STREAM_DIGESTS[family, root]
 
 
 @pytest.mark.parametrize("family, root", FAMILY_ROOTS)
