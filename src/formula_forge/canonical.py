@@ -79,8 +79,13 @@ def _normal(exponents) -> GoodsteinForm:
     return GoodsteinForm(tuple(reversed(out)))
 
 
+@lru_cache(maxsize=None)
 def g_add(a: GoodsteinForm, b: GoodsteinForm) -> GoodsteinForm:
-    """Sum of two normal forms: merge exponents, carry on collision."""
+    """Sum of two normal forms: merge exponents, carry on collision.
+
+    Memoised: forms are interned, so a key hashes in O(1), and g_mul and
+    the carries of _normal add the same small exponents over and over.
+    """
     return _normal(a.exponents + b.exponents)
 
 

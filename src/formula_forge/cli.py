@@ -28,7 +28,7 @@ import sys
 
 from . import __version__
 from .cache import ENV_VAR, load_table, save_table
-from .counting import FAMILIES, GATE_SETS, ROOT_ALL, default_table
+from .counting import FAMILIES, GATE_SETS, MAX_COUNT_VALUE, ROOT_ALL, default_table
 from .enumeration import EnumerationRequest, enumerate_trees
 from .errors import (
     CacheError,
@@ -70,8 +70,15 @@ def _request(args):
     return EnumerationRequest(n=args.n, gates=args.gates, root=args.root, lop=args.lop)
 
 
+def _check_size(n, cap, args):
+    """SizeGuard for a value above a command's cap, unless --unsafe."""
+    if n > cap and not args.unsafe:
+        raise SizeGuard(f"value {n} > {cap}; pass --unsafe to override")
+
+
 def _cmd_count(args):
     request = _request(args)
+    _check_size(args.n, MAX_COUNT_VALUE, args)
     family, root = request.family, request.root
     count = default_table().count
     out = {
@@ -107,9 +114,10 @@ def _cmd_list(args):
 def _cmd_sample(args):
     import random
 
-    from .sampling import sample_from
+    from .sampling import MAX_SAMPLE_VALUE, sample_from
 
     request = _request(args)
+    _check_size(args.n, MAX_SAMPLE_VALUE, args)
     rng, render = random.Random(args.seed), _RENDER[args.notation]
     for _ in range(args.count):
         print(render(sample_from(request.family, args.n, rng, request.root)))
@@ -117,8 +125,9 @@ def _cmd_sample(args):
 
 
 def _cmd_shortest(args):
-    from .shortest import shortest, shortest_range
+    from .shortest import MAX_SHORTEST_VALUE, shortest, shortest_range
 
+    _check_size(args.n if args.upto is None else args.upto, MAX_SHORTEST_VALUE, args)
     entries = shortest_range(args.upto) if args.upto is not None else [shortest(args.n)]
     for entry in entries:
         _emit({"n": entry.n, "size": entry.size, "witness": to_prefix(entry.witness)})
@@ -254,7 +263,7 @@ def _cmd_cache(args):
     return 0
 
 
-def _family_command(sub, name, help, func):
+def _family_command(sub, name, help, func, unsafe_help="allow n beyond the size guard"):
     """A subcommand on the trees of value n in the family --gates/--root/--lop name."""
     p = sub.add_parser(name, help=help)
     p.add_argument("n", type=int)
@@ -264,6 +273,7 @@ def _family_command(sub, name, help, func):
                    help="restrict the root gate (am/ame families)")
     p.add_argument("--lop", action="store_true",
                    help="left operand >= right (add-only family)")
+    p.add_argument("--unsafe", action="store_true", help=unsafe_help)
     p.set_defaults(func=func)
     return p
 
@@ -279,12 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     _family_command(sub, "count", "exact number of trees of value n", _cmd_count)
 
-    p = _family_command(sub, "list", "enumerate all trees of value n", _cmd_list)
+    p = _family_command(sub, "list", "enumerate all trees of value n", _cmd_list,
+                        f"allow streams beyond {DEFAULT_LIST_LIMIT} items")
     p.add_argument("--notation", choices=list(_RENDER), default="brackets")
     p.add_argument("--limit", type=int, default=None,
                    help="stop after this many encodings")
-    p.add_argument("--unsafe", action="store_true",
-                   help=f"allow streams beyond {DEFAULT_LIST_LIMIT} items")
 
     p = _family_command(sub, "sample", "uniform random trees of value n", _cmd_sample)
     p.add_argument("--count", type=int, default=1)
@@ -295,6 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int, nargs="?")
     p.add_argument("--upto", type=int, default=None,
                    help="all entries 1..N, one JSON line each")
+    p.add_argument("--unsafe", action="store_true",
+                   help="allow n or --upto beyond the size guard")
     p.set_defaults(func=_cmd_shortest)
 
     p = sub.add_parser("goodstein", help="hereditary base-x normal forms")

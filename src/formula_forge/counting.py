@@ -29,6 +29,9 @@ from math import isqrt
 from .errors import DomainError, require_int
 
 ROOT_ALL = "all"
+# the command line's cap on count values: a fresh am or ame fill to 2000
+# takes about 5 s on a 2-vCPU VM, and the cost grows about as n^3
+MAX_COUNT_VALUE = 2000
 _ROOT_NAMES = {
     "+": "+", "*": "*", "^": "^", "all": "all",
     "add": "+", "mul": "*", "pow": "^",
@@ -117,6 +120,13 @@ class Family:
             return (ROOT_ALL,)
         return tuple(gate for gate, _ in self.rules)
 
+    def row(self, tot, m: int) -> list:
+        """Counts of value m per root class, in rule order, from the totals
+        below m: the leaf for m = 1, else sum(tot[l] * tot[r]) per rule."""
+        if m == 1:
+            return [1] + [0] * (len(self.rules) - 1)
+        return [sum(tot[a] * tot[b] for a, b in splits(m)) for _, splits in self.rules]
+
     def check_root(self, root: str) -> str:
         """The normalized root filter; DomainError if it is not one of ours."""
         root = normalize_root(root)
@@ -158,7 +168,8 @@ def resolve_family(gates: str = "a", root: str = ROOT_ALL, lop: bool = False):
 class CountTable:
     """Memo store for all four count families.
 
-    Per family it keeps one {n: count} column per root class and the totals.
+    Per family it keeps one {n: count} column per root class and the totals;
+    across families, the product and power splits the sampler has walked.
     Totals are only ever filled gap-free from 1, so their length is the fill
     watermark.  Reads of filled entries are plain dict lookups; fills are
     serialized by a lock, so concurrent readers are safe and results are
@@ -168,21 +179,25 @@ class CountTable:
     def __init__(self):
         self._lock = threading.RLock()
         self._cols = {
-            f.name: {c: {1: int(c == f.columns[0])} for c in f.columns}
+            f.name: {c: {1: v} for c, v in zip(f.columns, f.row({}, 1))}
             for f in FAMILIES.values()
         }
         self._tot = {name: {1: 1} for name in FAMILIES}
+        # per family, its columns in rule order
+        self._rule_cols = {
+            name: tuple(cols.values()) for name, cols in self._cols.items()
+        }
+        self._kept = {}  # (splits, m) -> tuple of splits, see splits_of
 
     def _fill(self, f, n):
         with self._lock:
             tot = self._tot[f.name]
-            cols = [self._cols[f.name][c] for c in f.columns]
+            cols = self._rule_cols[f.name]
             for m in range(len(tot) + 1, n + 1):
-                total = 0
-                for col, (_, splits) in zip(cols, f.rules):
-                    col[m] = c = sum(tot[a] * tot[b] for a, b in splits(m))
-                    total += c
-                tot[m] = total
+                row = f.row(tot, m)
+                for col, c in zip(cols, row):
+                    col[m] = c
+                tot[m] = sum(row)
 
     def count(self, family: str, n: int, root: str = ROOT_ALL) -> int:
         """Trees of value n in the named family, optionally of one root class."""
@@ -194,6 +209,34 @@ class CountTable:
         if len(tot) < require_int(n):
             self._fill(f, n)
         return tot[n] if root == ROOT_ALL else self._cols[family][root][n]
+
+    def filled(self, family: Family, n: int):
+        """(totals, columns) of a family filled to n, as the table's own dicts.
+
+        totals maps each value to its count; columns holds one {value: count}
+        dict per rule of the family, in rule order (a one-gate family's one
+        column equals its totals).  Both are live: read them, never write.
+        """
+        tot = self._tot[family.name]
+        if len(tot) < n:
+            self._fill(family, n)
+        return tot, self._rule_cols[family.name]
+
+    def splits_of(self, rule, m):
+        """The splits of m under a (gate, splits) rule.
+
+        Product and power splits, O(d(m)) small pairs, are kept as a tuple
+        per (rule, m); the m - 1 sum splits are generated afresh each time,
+        since keeping them for every m would hold O(n^2) pairs.
+        """
+        gate, splits = rule
+        if gate == "+":
+            return splits(m)
+        key = (splits, m)
+        pairs = self._kept.get(key)
+        if pairs is None:
+            pairs = self._kept[key] = tuple(splits(m))
+        return pairs
 
     def add_only(self, n):
         return self.count("a", n)

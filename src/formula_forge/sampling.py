@@ -8,6 +8,14 @@ description in ``counting``: at each node one roll picks the root gate
 and then the left subtree is drawn before the right.  The randomness source
 is a seedable ``random.Random``; a given seed reproduces the same trees on
 any platform.
+
+Each roll draws one rng.randint(1, W) against a total the count table
+already holds: W is tot[m] for the root class, and the rule's column at m
+for the split.  The roll then walks the outcomes, subtracting each one's
+weight until the draw is used up; that picks the outcome prefix-sum
+inversion (``roll_loaded_die``) would, so no weight or prefix list is built.
+The table keeps the product and power splits per value; the m - 1 sum
+splits are walked afresh.
 """
 
 from __future__ import annotations
@@ -18,6 +26,11 @@ from itertools import accumulate
 
 from .counting import FAMILIES, ROOT_ALL, Family, default_table
 from .errors import DomainError, NoMultiplicativeSplit, require_int
+
+# the command line's cap on sampled values: the count fill it needs
+# dominates, about 6 s to 2000 for ame on a 2-vCPU VM
+MAX_SAMPLE_VALUE = 2000
+
 
 def roll_loaded_die(weights, rng: random.Random) -> int:
     """1-based index drawn with probability weights[i-1] / sum(weights).
@@ -47,25 +60,37 @@ def sample_from(family: Family, n: int, rng: random.Random | None = None,
     rng = rng if rng is not None else random.Random()
     root = family.check_root(root)
     table = default_table()
-    tot = [0] + [table.count(family.name, v) for v in range(1, n + 1)]
-    rules = family.rules
+    tot, cols = table.filled(family, n)
+    splits_of, randint = table.splits_of, rng.randint
+    # each rule with its column: the count of its trees, and so the total
+    # weight of its splits, at every value
+    rules = tuple(zip(family.rules, cols))
+    leaf = rules[0]
 
     def rec(m, top):
-        if m == 1 and top[0] is rules[0]:
+        if m == 1 and top[0] is leaf:
             return 1
-        rule = top[0]
+        entry = top[0]
         if len(top) > 1:
-            weights = [table.count(family.name, m, g) for g, _ in top]
-            rule = top[roll_loaded_die(weights, rng) - 1]
-        gate, splits = rule
-        pairs = list(splits(m))
-        if not pairs:
+            # every root class at once: the classes' counts sum to tot[m]
+            r = randint(1, tot[m])
+            for entry in top:
+                r -= entry[1][m]
+                if r <= 0:
+                    break
+        rule, col = entry
+        gate = rule[0]
+        if not col[m]:  # every split adds at least 1, so m has none
             exc, what = _NO_SPLIT[gate]
             raise exc(f"{m} has no {what} split")
-        a, b = pairs[roll_loaded_die([tot[a] * tot[b] for a, b in pairs], rng) - 1]
+        r = randint(1, col[m])
+        for a, b in splits_of(rule, m):
+            r -= tot[a] * tot[b]
+            if r <= 0:
+                break
         return (gate, rec(a, rules), rec(b, rules))
 
-    top = rules if root == ROOT_ALL else tuple(r for r in rules if r[0] == root)
+    top = rules if root == ROOT_ALL else tuple(e for e in rules if e[0][0] == root)
     return rec(n, top)
 
 

@@ -346,6 +346,35 @@ def test_graph_guard(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "100000", "--gates", "am"),
+    ("sample", "5000", "--gates", "ame"),
+    ("shortest", "200000"),
+])
+def test_size_guards(tmp_path, argv):
+    proc = _run_child(tmp_path, *argv)
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("guard:") and "--unsafe" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_unsafe_overrides_the_size_guards(capsys, monkeypatch):
+    from importlib import import_module
+
+    # the package binds the function shortest over its submodule's name
+    for module, cap in (("cli", "MAX_COUNT_VALUE"), ("sampling", "MAX_SAMPLE_VALUE"),
+                        ("shortest", "MAX_SHORTEST_VALUE")):
+        monkeypatch.setattr(import_module(f"formula_forge.{module}"), cap, 5)
+    for argv in (["count", "6"], ["sample", "6", "--seed", "1"], ["shortest", "6"],
+                 ["shortest", "--upto", "6"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "") and err.startswith("guard:")
+        code, out, _ = run(capsys, *argv, "--unsafe")
+        assert code == 0 and out
+    assert run(capsys, "count", "5")[0] == 0
+
+
 # cache
 
 def test_cache_save_load(capsys, tmp_path):
@@ -398,6 +427,21 @@ def test_cache_count_with_non_ascii_decimal_digits(capsys, tmp_path, digit):
     code, out, err = run(capsys, "cache", "load", str(path))
     assert (code, out) == (3, "")
     assert err.startswith("error:")
+
+
+def test_cache_with_a_wrong_count_is_rejected(tmp_path):
+    # am(2) is 1; with 999 there count 3 --gates am would print 1998
+    path = tmp_path / "counts.json"
+    rows = [["am", "+", 1, "1"], ["am", "*", 1, "0"], ["am", "+", 2, "999"], ["am", "*", 2, "0"]]
+    path.write_text(json.dumps({"format": "formula-forge-counts", "version": 1,
+                                "entries": rows}))
+    for proc in (_run_child(tmp_path, "cache", "load", str(path)),
+                 _run_child(tmp_path, "count", "3", "--gates", "am", cache=path)):
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+    assert json.loads(path.read_text())["entries"] == rows
 
 
 def test_env_cache_round_trip(capsys, tmp_path, monkeypatch):

@@ -1,7 +1,14 @@
+import json
+import os
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_trees, catalan
 from formula_forge import (
+    CacheError,
     CountTable,
     DomainError,
     count_add_lop,
@@ -9,7 +16,8 @@ from formula_forge import (
     count_am,
     count_ame,
 )
-from formula_forge.counting import exact_root, exponent_candidates, mid_divisors
+from formula_forge.cache import CHECK_EVERY, load_table, save_table
+from formula_forge.counting import FAMILIES, exact_root, exponent_candidates, mid_divisors
 
 
 def test_goldens():
@@ -101,3 +109,73 @@ def test_large_counts_are_big_ints():
     c = count_ame(120)
     assert c > 10**69
     assert isinstance(c, int)
+
+
+# -- cache files are checked for values, not only for shape ----------------
+
+
+def _filled_table(sizes):
+    table = CountTable()
+    for name, n in sizes.items():
+        table.count(name, n)
+    return table
+
+
+_SIZES = st.fixed_dictionaries({name: st.integers(1, 60) for name in FAMILIES})
+
+
+def _load_rows(rows):
+    """load_table on a file holding rows; the fresh table it loaded into."""
+    table = CountTable()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "counts.json")
+        with open(path, "w") as fh:
+            json.dump({"format": "formula-forge-counts", "version": 1,
+                       "entries": rows}, fh)
+        load_table(path, table)
+    return table
+
+
+def _saved_rows(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "counts.json")
+        save_table(path, table)
+        with open(path) as fh:
+            return json.load(fh)["entries"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes=_SIZES)
+def test_cache_save_load_round_trip(sizes):
+    table = _filled_table(sizes)
+    assert _load_rows(_saved_rows(table)).entries() == table.entries()
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=_SIZES, data=st.data())
+def test_cache_rejects_any_one_changed_count(sizes, data):
+    # every lower total is an operand of a family's top row, so no single
+    # change hides, whichever row and column it hits
+    rows = _saved_rows(_filled_table(sizes))
+    row = data.draw(st.sampled_from(rows))
+    count = int(row[3])
+    row[3] = str(data.draw(st.integers(0, 2 * count + 5).filter(lambda c: c != count)))
+    with pytest.raises(CacheError):
+        _load_rows(rows)
+
+
+def test_cache_rejects_counts_shifted_between_roots():
+    rows = _saved_rows(_filled_table({"am": 3 * CHECK_EVERY}))
+    m = 2 * CHECK_EVERY  # a sampled row, below the top; the total stays
+    for row in rows:
+        if row[0] == "am" and row[2] == m:
+            row[3] = str(int(row[3]) + (1 if row[1] == "+" else -1))
+    with pytest.raises(CacheError):
+        _load_rows(rows)
+
+
+def test_cache_rejects_conflicting_rows():
+    rows = _saved_rows(_filled_table({"a": 5}))
+    with pytest.raises(CacheError):
+        _load_rows(rows + [["a", "all", 3, "3"]])
+    assert _load_rows(rows + [["a", "all", 3, "2"]]).entries() == _load_rows(rows).entries()

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formula_forge import (
+    CountTable,
     DomainError,
     NoMultiplicativeSplit,
     count_add_lop,
@@ -20,7 +23,8 @@ from formula_forge import (
     sample_am,
     sample_ame,
 )
-from formula_forge.counting import exponent_candidates, mid_divisors
+from formula_forge.counting import FAMILIES, exponent_candidates, mid_divisors
+from formula_forge.sampling import sample_from
 from formula_forge.trees import evaluate, is_strict
 
 
@@ -198,3 +202,58 @@ def test_chi_square_uniformity_small():
         counts[sample_ame(n, rng)] += 1
     stat, p = chisquare(list(counts.values()))
     assert p > 0.001
+
+
+# -- the sampler against its first form: rebuilt weights at every roll -----
+
+_REFERENCE_COUNTS = CountTable()  # its own table, not the sampler's
+_NO_SPLIT = {"*": NoMultiplicativeSplit, "^": DomainError}
+
+
+def reference_sample(family, n, rng, root):
+    """sample_from as first written: at each node the weight list is rebuilt
+    from table lookups and rolled with roll_loaded_die."""
+    count, rules = _REFERENCE_COUNTS.count, family.rules
+
+    def rec(m, top):
+        if m == 1 and top[0] is rules[0]:
+            return 1
+        rule = top[0]
+        if len(top) > 1:
+            weights = [count(family.name, m, g) for g, _ in top]
+            rule = top[roll_loaded_die(weights, rng) - 1]
+        gate, splits = rule
+        pairs = list(splits(m))
+        if not pairs:
+            raise _NO_SPLIT[gate](f"{m} has no split")
+        weights = [count(family.name, a) * count(family.name, b) for a, b in pairs]
+        a, b = pairs[roll_loaded_die(weights, rng) - 1]
+        return (gate, rec(a, rules), rec(b, rules))
+
+    top = rules if root == "all" else tuple(r for r in rules if r[0] == root)
+    return rec(n, top)
+
+
+def _outcome(sampler, family, n, rng, root):
+    try:
+        return sampler(family, n, rng, root)
+    except (DomainError, NoMultiplicativeSplit) as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from([FAMILIES[name] for name in sorted(FAMILIES)]),
+    # exact powers and primes make forced * and ^ roots split or fail
+    n=st.integers(1, 120) | st.sampled_from([1, 2, 4, 7, 8, 16, 27, 64, 81, 97, 100]),
+    seed=st.integers(0, 2**32 - 1),
+    draws=st.integers(1, 3),
+    data=st.data(),
+)
+def test_sampler_matches_rebuilt_weight_rolls(family, n, seed, draws, data):
+    root = data.draw(st.sampled_from(sorted({"all", *family.columns})))
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    for _ in range(draws):
+        got = _outcome(sample_from, family, n, rng, root)
+        assert got == _outcome(reference_sample, family, n, reference_rng, root)
+    assert rng.getstate() == reference_rng.getstate()
