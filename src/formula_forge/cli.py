@@ -5,8 +5,8 @@ One subcommand per capability; results go to stdout as single-line JSON
 `constant`, which defaults to CSV).  Exit codes: 0 success, 1 stdout
 closed early (a reader such as `head` stopped; nothing is printed on stderr
 and the cache is not written), 2 usage, 3 domain error or an output file
-that cannot be written, 4 resource guard refused the request (pass --unsafe
-to override a guard where the flag is offered).
+that cannot be written, 4 resource guard refused the request (every
+subcommand takes --unsafe to override its guards).
 
 With FORMULA_FORGE_CACHE set, count tables are loaded from that path on
 startup and written back after a successful run that added rows (or when
@@ -40,6 +40,10 @@ from .errors import (
 from .trees import to_brackets, to_postfix, to_prefix
 
 DEFAULT_LIST_LIMIT = 1_000_000
+# on a 2-vCPU VM, --warm 1000 takes 2.1 s and 2000 20.5 s; --terms 1000
+# takes 4-5 s and 2000 44-47 s with a 678 MB peak
+MAX_WARM_VALUE = 1000
+MAX_TERMS = 1000
 _RENDER = {
     "brackets": lambda tree: json.dumps(to_brackets(tree)),
     "prefix": to_prefix,
@@ -196,6 +200,7 @@ def _cmd_sieve(args):
 
 
 def _cmd_rho(args):
+    _check_size(args.terms, MAX_TERMS, args)
     from .asymptotics import rho_estimate
 
     est = rho_estimate(args.gates, args.terms, args.iterations, args.precision_bits)
@@ -213,6 +218,7 @@ def _cmd_rho(args):
 
 
 def _cmd_constant(args):
+    _check_size(args.terms, MAX_TERMS, args)
     from .asymptotics import constant_estimate
 
     est = constant_estimate(args.terms, args.iterations, args.precision_bits)
@@ -252,6 +258,7 @@ def _cmd_graph(args):
 
 def _cmd_cache(args):
     if args.mode == "save":
+        _check_size(args.warm, MAX_WARM_VALUE, args)
         if args.warm:
             for name in FAMILIES:
                 default_table().count(name, args.warm)
@@ -263,7 +270,7 @@ def _cmd_cache(args):
     return 0
 
 
-def _family_command(sub, name, help, func, unsafe_help="allow n beyond the size guard"):
+def _family_command(sub, name, help, func):
     """A subcommand on the trees of value n in the family --gates/--root/--lop name."""
     p = sub.add_parser(name, help=help)
     p.add_argument("n", type=int)
@@ -273,7 +280,6 @@ def _family_command(sub, name, help, func, unsafe_help="allow n beyond the size 
                    help="restrict the root gate (am/ame families)")
     p.add_argument("--lop", action="store_true",
                    help="left operand >= right (add-only family)")
-    p.add_argument("--unsafe", action="store_true", help=unsafe_help)
     p.set_defaults(func=func)
     return p
 
@@ -289,8 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     _family_command(sub, "count", "exact number of trees of value n", _cmd_count)
 
-    p = _family_command(sub, "list", "enumerate all trees of value n", _cmd_list,
-                        f"allow streams beyond {DEFAULT_LIST_LIMIT} items")
+    p = _family_command(sub, "list", "enumerate all trees of value n", _cmd_list)
     p.add_argument("--notation", choices=list(_RENDER), default="brackets")
     p.add_argument("--limit", type=int, default=None,
                    help="stop after this many encodings")
@@ -304,8 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int, nargs="?")
     p.add_argument("--upto", type=int, default=None,
                    help="all entries 1..N, one JSON line each")
-    p.add_argument("--unsafe", action="store_true",
-                   help="allow n or --upto beyond the size guard")
     p.set_defaults(func=_cmd_shortest)
 
     p = sub.add_parser("goodstein", help="hereditary base-x normal forms")
@@ -315,14 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-t", type=int, default=1, help="level for mode=levels")
     p.add_argument("--max-bits", type=int, default=1 << 20,
                    help="bit budget for mode=pow")
-    p.add_argument("--unsafe", action="store_true")
     p.set_defaults(func=_cmd_goodstein)
 
     p = sub.add_parser("horner", help="Horner-style canonical encodings")
     p.add_argument("mode", choices=["levels", "encode"])
     p.add_argument("a", type=int, nargs="?")
     p.add_argument("-t", type=int, default=1, help="level for mode=levels")
-    p.add_argument("--unsafe", action="store_true")
     p.set_defaults(func=_cmd_horner)
 
     p = sub.add_parser("sieve", help="prime discovery by encoding completion")
@@ -335,29 +336,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include signed-exponent prime products")
     p.add_argument("--exponent-bound", type=int, default=1)
     p.add_argument("--factor-bound", type=int, default=1)
-    p.add_argument("--unsafe", action="store_true")
     p.set_defaults(func=_cmd_sieve)
 
-    p = sub.add_parser("rho", help="growth base of a counting sequence")
-    p.add_argument("--gates", choices=["am", "ame"], default="am")
-    p.add_argument("--terms", type=int, default=100)
-    p.add_argument("--iterations", type=int, default=20)
-    p.add_argument("--precision-bits", type=int, default=100)
-    p.set_defaults(func=_cmd_rho)
-
-    p = sub.add_parser("constant", help="leading constant of the {+, *} counts")
-    p.add_argument("--terms", type=int, default=100)
-    p.add_argument("--iterations", type=int, default=20)
-    p.add_argument("--precision-bits", type=int, default=100)
-    p.add_argument("--json", action="store_true",
-                   help="summary JSON instead of the n,ratio CSV")
-    p.set_defaults(func=_cmd_constant)
+    rho = sub.add_parser("rho", help="growth base of a counting sequence")
+    rho.add_argument("--gates", choices=["am", "ame"], default="am")
+    rho.set_defaults(func=_cmd_rho)
+    constant = sub.add_parser("constant", help="leading constant of the {+, *} counts")
+    constant.add_argument("--json", action="store_true",
+                          help="summary JSON instead of the n,ratio CSV")
+    constant.set_defaults(func=_cmd_constant)
+    for p in (rho, constant):  # --terms is capped at MAX_TERMS in both
+        p.add_argument("--terms", type=int, default=100)
+        p.add_argument("--iterations", type=int, default=20)
+        p.add_argument("--precision-bits", type=int, default=100)
 
     p = sub.add_parser("graph", help="one-step rewrite graph on trees of value n")
     p.add_argument("n", type=int)
     p.add_argument("--dot", metavar="PATH",
                    help="write Graphviz DOT here ('-' for stdout)")
-    p.add_argument("--unsafe", action="store_true")
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("cache", help="save or load the count cache")
@@ -367,6 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fill all families up to N before saving")
     p.set_defaults(func=_cmd_cache)
 
+    for p in sub.choices.values():
+        p.add_argument("--unsafe", action="store_true",
+                       help="allow a request beyond the size guard (exit 4)")
     return parser
 
 

@@ -11,7 +11,8 @@ gate:
 Each family is a ``Family`` of (gate, splits) rules; the trees of value m
 rooted at a gate number sum(count(l) * count(r)) over its splits (l, r).
 Counting, enumeration, sampling, the shortest-encoding DP, the cache layout
-and the CLI all read this one description.
+and the CLI all read this one description; ``CountTable.absorb`` checks
+every count row a table takes in, by the same ``Family.row`` fills use.
 
 Base case: the bare leaf counts as the single tree for n = 1 and is charged
 to the first gate's class (add); mul- and pow-rooted counts at n = 1 are
@@ -26,12 +27,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
 
-from .errors import DomainError, require_int
+from .errors import CacheError, DomainError, require_int
 
 ROOT_ALL = "all"
 # the command line's cap on count values: a fresh am or ame fill to 2000
 # takes about 5 s on a 2-vCPU VM, and the cost grows about as n^3
 MAX_COUNT_VALUE = 2000
+CHECK_EVERY = 16  # see CountTable.absorb
 _ROOT_NAMES = {
     "+": "+", "*": "*", "^": "^", "all": "all",
     "add": "+", "mul": "*", "pow": "^",
@@ -120,12 +122,12 @@ class Family:
             return (ROOT_ALL,)
         return tuple(gate for gate, _ in self.rules)
 
-    def row(self, tot, m: int) -> list:
-        """Counts of value m per root class, in rule order, from the totals
+    def row(self, tot, m: int, first: int = 0) -> list:
+        """Counts of value m per root class from rule first on, from the totals
         below m: the leaf for m = 1, else sum(tot[l] * tot[r]) per rule."""
         if m == 1:
-            return [1] + [0] * (len(self.rules) - 1)
-        return [sum(tot[a] * tot[b] for a, b in splits(m)) for _, splits in self.rules]
+            return ([1] + [0] * (len(self.rules) - 1))[first:]
+        return [sum(tot[a] * tot[b] for a, b in splits(m)) for _, splits in self.rules[first:]]
 
     def check_root(self, root: str) -> str:
         """The normalized root filter; DomainError if it is not one of ours."""
@@ -265,24 +267,46 @@ class CountTable:
         """Number of computed entries, the length of entries()."""
         return sum(len(col) for cols in self._cols.values() for col in cols.values())
 
-    def absorb(self, rows):
-        """Install (family, root, n, count) rows; used by cache loading.
+    def absorb(self, rows) -> int:
+        """Install (family, root, n, count) rows, all of them or none.
 
-        Only gap-free prefixes advance the fill watermark, so a sparse file
-        cannot make later fills read missing entries.
+        Raises CacheError, installing nothing, unless every row names a
+        column of the table, no row disagrees with the table or another row,
+        and per family the rows that extend the table's gap-free prefix
+        recompute from the merged totals: the new top row in full, as every
+        lower total is one of its operands, and every CHECK_EVERY-th row
+        above the old watermark but for its additive column, its total less
+        the others (2.6 ms, not 1.1 ms, on a file warmed to 300 with it).
+        Rows above a gap are dropped unchecked, since a fill would overwrite
+        them before any read.  Returns the number of rows kept.
         """
         with self._lock:
+            merged = {name: {c: dict(col) for c, col in cols.items()}
+                      for name, cols in self._cols.items()}
             for family, root, n, c in rows:
-                col = self._cols.get(family, {}).get(root)
-                if col is None:
-                    raise DomainError(f"unknown count column {family!r}/{root!r}")
-                col.setdefault(n, c)
-            for name, cols in self._cols.items():
-                tot = self._tot[name]
-                m = len(tot) + 1
-                while all(m in col for col in cols.values()):
-                    tot[m] = sum(col[m] for col in cols.values())
-                    m += 1
+                try:
+                    col = merged[family][root]
+                except (KeyError, TypeError):
+                    raise CacheError(f"unknown count column {family!r}/{root!r}") from None
+                if col.setdefault(n, c) != c:
+                    raise CacheError(f"conflicting rows for {family}/{root} at {n}")
+            totals = {}
+            for name, f in FAMILIES.items():
+                cols = list(merged[name].values())
+                low = top = len(self._tot[name])
+                while all(top + 1 in col for col in cols):
+                    top += 1
+                totals[name] = {m: sum(col[m] for col in cols) for m in range(low + 1, top + 1)}
+                tot = {**self._tot[name], **totals[name]}
+                sampled = range(low // CHECK_EVERY * CHECK_EVERY + CHECK_EVERY, top, CHECK_EVERY)
+                for m, first in [(top, 0), *((m, 1) for m in sampled)]:
+                    if m > low and f.row(tot, m, first) != [col[m] for col in cols[first:]]:
+                        raise CacheError(f"wrong {name} counts at {m}")
+            for name, cols in merged.items():
+                for root, col in cols.items():
+                    self._cols[name][root].update((m, col[m]) for m in totals[name])
+                self._tot[name].update(totals[name])
+            return sum(1 <= n <= len(self._tot[family]) for family, _, n, _ in rows)
 
 
 _DEFAULT = CountTable()

@@ -25,7 +25,7 @@ class LevelTooLarge(FormulaForgeError, ValueError):
 
 
 class SizeGuard(FormulaForgeError, ValueError):
-    """Graph construction requested beyond the configured size bound."""
+    """Request beyond a configured size bound, or nesting too deep to walk."""
 
 
 class MagnitudeError(FormulaForgeError, OverflowError):

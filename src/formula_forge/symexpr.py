@@ -210,18 +210,25 @@ def expand_x(e: SymExpr):
     """Rewrite into a raw formula tree, substituting x = (1 + 1).
 
     The result is a strict tree whose evaluate() equals sym_value(e).
-    Reciprocal exponents have no tree form and raise DomainError.
+    Reciprocal exponents (no tree form) raise DomainError, deep nesting SizeGuard.
     """
+    try:
+        return _expand_x(e)
+    except RecursionError:
+        raise SizeGuard("expression nests too deeply to expand") from None
+
+
+def _expand_x(e):
     if e is ONE:
         return 1
     if e is X:
         return ("+", 1, 1)
     if isinstance(e, Sum):
-        return _fold("+", [expand_x(t) for t in e.terms])
+        return _fold("+", [_expand_x(t) for t in e.terms])
     if isinstance(e, Prod):
-        return _fold("*", [expand_x(f) for f in e.factors])
+        return _fold("*", [_expand_x(f) for f in e.factors])
     if isinstance(e, Pow):
-        return ("^", expand_x(e.base), expand_x(e.exponent))
+        return ("^", _expand_x(e.base), _expand_x(e.exponent))
     raise DomainError(f"no tree form for {e!r}")
 
 

@@ -12,7 +12,7 @@ root-to-leaf path.  A tree is *strict* when no subterm is 1*f, f*1, f^1 or
 
 from __future__ import annotations
 
-from .errors import DomainError, MalformedString
+from .errors import DomainError, MalformedString, SizeGuard
 
 LEAF = 1
 ADD, MUL, POW = "+", "*", "^"
@@ -26,11 +26,18 @@ def is_leaf(tree) -> bool:
 
 
 def evaluate(tree) -> int:
-    """Value of the formula: exact big-int arithmetic over the gates."""
+    """Value of the formula, in exact big ints; SizeGuard on deep nesting."""
+    try:
+        return _evaluate(tree)
+    except RecursionError:
+        raise SizeGuard("tree nests too deeply to evaluate") from None
+
+
+def _evaluate(tree):
     if tree == 1:
         return 1
     gate, left, right = tree
-    a, b = evaluate(left), evaluate(right)
+    a, b = _evaluate(left), _evaluate(right)
     if gate == ADD:
         return a + b
     if gate == MUL:
@@ -109,7 +116,7 @@ def to_postfix(tree) -> str:
 
 
 def parse_prefix(text: str):
-    """Inverse of to_prefix.  Raises MalformedString on bad input."""
+    """Inverse of to_prefix.  MalformedString on bad input, SizeGuard on deep nesting."""
     pos = 0
     n = len(text)
 
@@ -127,7 +134,10 @@ def parse_prefix(text: str):
             return (ch, left, right)
         raise MalformedString(f"unknown symbol {ch!r} at position {pos - 1}")
 
-    tree = parse()
+    try:
+        tree = parse()
+    except RecursionError:
+        raise SizeGuard("prefix string nests too deeply to parse") from None
     if pos != n:
         raise MalformedString(f"{n - pos} leftover token(s) in {text!r}")
     return tree

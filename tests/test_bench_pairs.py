@@ -1,0 +1,47 @@
+"""The pair runner's summary of perfbench runs (tools/bench_pairs.py)."""
+
+import argparse
+import importlib.util
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "bench_pairs.py")
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def _run(wall, failed=0, attempted=10, correct=True):
+    return {"correct": correct, "attempted": attempted, "failed": failed,
+            "metrics": {"wall_s": {"value": wall, "unit": "s"}}}
+
+
+def test_workload_record():
+    seeds = [90917, 1, 2]
+    runs = {("parent", 90917): _run(2.0), ("change", 90917): _run(1.0, failed=1),
+            ("parent", 1): _run(4.0), ("change", 1): _run(5.0),
+            ("parent", 2): _run(3.0), ("change", 2): _run(3.0, correct=False)}
+    metrics = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.2}]
+    got = bench_pairs.workload_record(runs, seeds, {"90917": "parent"}, metrics)
+    assert got["pairs"] == 3
+    assert got["correct"] == {"parent": True, "change": False}
+    assert got["failed_ops"] == {"parent": [0, 30], "change": [1, 30]}
+    wall = got["metrics"]["wall_s"]
+    assert wall["parent"] == {"median": 3.0, "iqr": [2.5, 3.5]}
+    assert wall["change"] == {"median": 3.0, "iqr": [2.0, 4.0]}
+    assert wall["median_delta_pct"] == 0.0
+    assert wall["pairs_change_lower"] == 1
+    assert wall["pair_delta_pct"] == {"90917": -50.0, "1": 25.0, "2": 0.0}
+    assert wall["seed_90917"] == [2.0, 1.0]
+    assert wall["bound"] == 0.2
+    # per-layer metrics have no bound
+    layer = [{"name": "wall_s", "unit": "s", "better": "lower"}]
+    assert bench_pairs.workload_record(runs, seeds, {}, layer)["metrics"]["wall_s"]["bound"] is None
+
+
+def test_parse_pairs():
+    assert bench_pairs.parse_pairs("cli-mix=10") == ("cli-mix", 10)
+    for bad in ("cli-mix", "cli-mix=1", "cli-mix=x"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            bench_pairs.parse_pairs(bad)

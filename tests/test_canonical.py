@@ -16,6 +16,7 @@ from formula_forge import (
     ZERO,
     encode_goodstein,
     encode_horner,
+    expand_x,
     g_add,
     g_mul,
     g_pow,
@@ -255,6 +256,11 @@ def test_horner_encode_deep_operand():
     assert sym_value(e) == n
     with pytest.raises(SizeGuard):
         render(e)
+
+
+def test_horner_encode_deep_operand_is_too_deep_to_expand():
+    with pytest.raises(SizeGuard):
+        expand_x(encode_horner(2**1000 - 1))
 
 
 def test_horner_encode_rejects_bad_input():

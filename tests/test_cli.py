@@ -314,13 +314,19 @@ def test_graph_dot_file(capsys, tmp_path):
     assert text.startswith('graph "G_3" {')
 
 
-def _run_child(tmp_path, *argv, cache=None):
+# a CLI child whose --warm and --terms caps are cut to 8
+_CAPPED = ("import sys, formula_forge.cli as cli; cli.MAX_WARM_VALUE = cli.MAX_TERMS = 8; "
+           "sys.exit(cli.main(sys.argv[1:]))")
+
+
+def _run_child(tmp_path, *argv, cache=None, capped=False):
     src = os.path.dirname(os.path.dirname(formula_forge.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     env.pop(ENV_VAR, None)
     if cache is not None:
         env[ENV_VAR] = str(cache)
-    return subprocess.run([sys.executable, "-m", "formula_forge.cli", *argv],
+    entry = ["-c", _CAPPED] if capped else ["-m", "formula_forge.cli"]
+    return subprocess.run([sys.executable, *entry, *argv],
                           capture_output=True, text=True, env=env, cwd=tmp_path,
                           timeout=60)
 
@@ -357,6 +363,36 @@ def test_size_guards(tmp_path, argv):
     assert proc.stderr.startswith("guard:") and "--unsafe" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("cache", "save", "P.json", "--warm", "100000"),
+    ("rho", "--terms", "5000"),
+    ("constant", "--terms", "5000"),
+])
+def test_warm_and_terms_guards(tmp_path, argv):
+    proc = _run_child(tmp_path, *argv)
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("guard:") and "--unsafe" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not (tmp_path / "P.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("cache", "save", "P.json", "--warm", "9"),
+    ("rho", "--terms", "9"),
+    ("constant", "--terms", "9", "--json"),
+])
+def test_unsafe_overrides_the_warm_and_terms_guards(tmp_path, argv):
+    proc = _run_child(tmp_path, *argv, capped=True)
+    assert (proc.returncode, proc.stdout) == (4, "") and proc.stderr.startswith("guard:")
+    assert not (tmp_path / "P.json").exists()
+    proc = _run_child(tmp_path, *argv, "--unsafe", capped=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)
+    if argv[0] == "cache":
+        assert len(json.loads((tmp_path / "P.json").read_text())["entries"]) == 7 * 9
 
 
 def test_unsafe_overrides_the_size_guards(capsys, monkeypatch):

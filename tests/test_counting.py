@@ -16,8 +16,10 @@ from formula_forge import (
     count_am,
     count_ame,
 )
-from formula_forge.cache import CHECK_EVERY, load_table, save_table
-from formula_forge.counting import FAMILIES, exact_root, exponent_candidates, mid_divisors
+from formula_forge.cache import load_table, save_table
+from formula_forge.counting import (
+    CHECK_EVERY, FAMILIES, exact_root, exponent_candidates, mid_divisors,
+)
 
 
 def test_goldens():
@@ -179,3 +181,54 @@ def test_cache_rejects_conflicting_rows():
     with pytest.raises(CacheError):
         _load_rows(rows + [["a", "all", 3, "3"]])
     assert _load_rows(rows + [["a", "all", 3, "2"]]).entries() == _load_rows(rows).entries()
+
+
+def _load_rows_into(table, rows):
+    """load_table on a file holding rows, into the given table."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "counts.json")
+        with open(path, "w") as fh:
+            json.dump({"format": "formula-forge-counts", "version": 1,
+                       "entries": rows}, fh)
+        return load_table(path, table)
+
+
+def test_cache_rows_above_the_watermark_are_checked_against_the_table():
+    # the file alone has no row 1, so only the merged table shows its rows
+    # 11-20 as the next gap-free rows; the changed total at 15 is an operand
+    # of the new top row
+    rows = [row for row in _saved_rows(_filled_table({"am": 20}))
+            if row[0] == "am" and row[2] > 10]
+    for row in rows:
+        if row[1:3] == ["+", 15]:
+            row[3] = str(int(row[3]) + 1000)
+    table = _filled_table({"am": 10})
+    before = table.entries()
+    with pytest.raises(CacheError):
+        _load_rows_into(table, rows)
+    assert table.entries() == before
+    assert table.am(15) == count_am(15) == 3_712_128
+
+
+def test_cache_rows_above_a_gap_are_dropped():
+    # am rows 1-10 are right; the row at 50 is wrong, but with 11-49 missing
+    # no fill reads it first, so it is not kept, saved or counted
+    rows = [row for row in _saved_rows(_filled_table({"am": 10})) if row[0] == "am"]
+    bad = ["am", "+", 50, str(count_am(50, "+") + 7)]
+    table = CountTable()
+    assert _load_rows_into(table, rows + [bad]) == len(rows)
+    assert table.entries() == _filled_table({"am": 10}).entries()
+    assert table.am(50, "+") == count_am(50, "+")
+
+
+def test_cache_conflicting_with_the_table_is_rejected_whole():
+    # the file's am rows are right and its one a row agrees with nothing in
+    # the file, but the table already holds a(3) = 2: nothing is installed
+    rows = [row for row in _saved_rows(_filled_table({"am": 8})) if row[0] == "am"]
+    table = _filled_table({"a": 5})
+    before = table.entries()
+    with pytest.raises(CacheError):
+        _load_rows_into(table, rows + [["a", "all", 3, "3"]])
+    assert table.entries() == before
+    assert _load_rows_into(table, rows + [["a", "all", 3, "2"]]) == len(rows) + 1
+    assert table.entries() == _filled_table({"a": 5, "am": 8}).entries()

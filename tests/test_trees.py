@@ -3,6 +3,7 @@ import pytest
 from formula_forge import (
     DomainError,
     MalformedString,
+    SizeGuard,
     depth,
     evaluate,
     from_brackets,
@@ -108,3 +109,18 @@ def test_brackets():
 def test_leaf_helpers():
     assert is_leaf(1)
     assert not is_leaf(("+", 1, 1))
+
+
+def test_nesting_past_the_recursion_limit_is_a_size_guard():
+    text = "+1" * 1500 + "1"
+    with pytest.raises(SizeGuard):
+        parse_prefix(text)
+    with pytest.raises(SizeGuard):
+        parse_postfix(text[::-1])
+    tree = 1
+    for _ in range(1500):
+        tree = ("+", 1, tree)
+    with pytest.raises(SizeGuard):
+        evaluate(tree)
+    shallow = "+1" * 500 + "1"
+    assert evaluate(parse_prefix(shallow)) == 501
