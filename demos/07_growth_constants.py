@@ -4,8 +4,9 @@ The number of strict trees of value n grows like C * rho^n / sqrt(n^3).
 The base rho is 1/x at the fixed point of g(x) = 1/4 - S(x), where S is a
 list of exact integer coefficients built from the counts; g evaluates only
 the prefix of that list whose dropped terms are provably below the working
-precision.  The constant C falls out of a square-root factorization at the
-singularity.
+precision.  A few plain steps of g are followed by Newton steps on
+x + S(x) - 1/4, which certify the point to the requested precision.  The
+constant C falls out of a square-root factorization at the singularity.
 """
 
 import mpmath
@@ -18,7 +19,7 @@ for family in ("am", "ame"):
     print(f"{family:>3}: rho = {mpmath.nstr(est.rho, 20)}")
     print(f"     fixed point 1/rho = {mpmath.nstr(est.fixed_point, 20)}")
     print(f"     residual {mpmath.nstr(est.residual, 3)} after "
-          f"{est.iterations}+{est.extra_iterations} iterations")
+          f"{est.iterations} iterations + {est.extra_iterations} Newton step(s)")
 print()
 
 # Truncation order barely matters: the series sees the singularity early.

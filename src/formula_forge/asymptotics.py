@@ -6,22 +6,36 @@ vanishes at the dominant singularity 1/rho.  Writing the discriminant as
 
     S(x) = sum_{2 <= d < T} C(d) * (f(x^d) - x^d)   [+ pow-rooted terms],
 
-the singularity is the fixed point of g(x) = 1/4 - S(x), found by direct
-iteration from a seed just below the true value; the fixed point is then
-polished until the residual |g(x) - x| drops below 2^-(precision_bits - 8),
-with 16 guard bits carried internally.
+the singularity is the fixed point of g(x) = 1/4 - S(x), the root of
+F(x) = x + S(x) - 1/4.  The requested number of plain steps x <- g(x) run
+first, from a seed just below the true value; Newton steps on F, with
+F'(x) = 1 + S'(x), then polish the point until the residual |g(x) - x|
+drops below 2^-(precision_bits - 8), with 16 guard bits carried internally.
+The residual certifies the point: F' >= 1 on (0, 1/4], so the fixed point
+is within the residual of x.  Newton doubles the correct bits per step
+(Pivoteau, Salvy & Soria, "Algorithms for combinatorial structures:
+well-founded systems and Newton iterations", JCTA 2012), where the plain
+steps gain a constant few; at most 64 Newton steps are taken, and each
+must shrink the residual.
 
 S is one list of exact ints, s[j] the coefficient of x^j: s[d*n] gets
 C(d)*C(n) for 2 <= d, n < T, and for ame s[n] also gets the number of
 pow-rooted trees of value n, so the list has (T-1)^2 + 1 entries.  Almost
 all of them are far below the working precision, so g runs Horner over the
 shortest prefix whose dropped tail is provably below 2^-(precision_bits +
-16).  The bound needs |x| <= 1/4: every iterate is at most 1/4 because the
-seed is and S >= 0 on positive x, the iteration rejects an iterate that is
-not positive, and the `rho > 4` check rejects a fixed point outside
-(0, 1/4).  Then each dropped term s[j]*x^j is below 2^(bits(s[j]) - 2j), so
-the terms above degree k sum to less than len(s) * max_{j>k} of that, which
-is integer arithmetic on bit lengths.
+16).  The bound needs |x| <= 1/4: every plain iterate is at most 1/4
+because the seed is and S >= 0 on positive x, and the iteration rejects an
+iterate that is not positive.  Newton keeps the point there too: F is
+increasing and convex on (0, 1/4] (S has no negative coefficient), so a
+step from above the root stays above it, one from below lands above it,
+and none passes 1/4 because the step is at most 1/4 - x when S and S' are
+nonnegative.  Rounding could still break that, so the polish rejects a
+Newton iterate outside (0, 1/4], and the `rho > 4` check rejects a fixed
+point outside (0, 1/4).  Then each dropped term s[j]*x^j is below
+2^(bits(s[j]) - 2j), so the terms above degree k sum to less than
+len(s) * max_{j>k} of that, which is integer arithmetic on bit lengths.
+The derivative S' runs over the same cut; it only steers the steps, and
+the certificate is always checked on g itself.
 
 The leading constant comes from the square-root factorization of the
 discriminant at the singularity: C = sqrt(G(r)) / (4*sqrt(pi)) with
@@ -36,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import mpmath
-from mpmath.libmp import fzero, from_int, mpf_add, mpf_mul, mpf_sub
+from mpmath.libmp import fone, fzero, from_int, mpf_add, mpf_mul, mpf_sub
 
 from .counting import count_am, count_ame
 from .errors import DomainError, NegativeRadicand, NonConvergence, require_int
@@ -136,8 +150,14 @@ def _horner(descending, x):
     return acc
 
 
-def _polish(g, x, threshold):
-    """Iterate g until |g(x) - x| < threshold; returns (x, residual, steps)."""
+def _polish(g, slope, x, threshold):
+    """Newton steps on F(x) = x - g(x) until |g(x) - x| < threshold; returns
+    (x, residual, steps).  slope(x) is F'(x).
+
+    NonConvergence if an iterate leaves (0, 1/4], where the cut of S is
+    bounded, if the residual does not shrink, or after
+    _MAX_EXTRA_ITERATIONS steps.
+    """
     gx = g(x)
     residual = abs(gx - x)
     steps = 0
@@ -145,9 +165,11 @@ def _polish(g, x, threshold):
         if steps >= _MAX_EXTRA_ITERATIONS:
             raise NonConvergence(
                 f"residual {mpmath.nstr(residual, 6)} still above threshold after "
-                f"{_MAX_EXTRA_ITERATIONS} extra iterations"
+                f"{_MAX_EXTRA_ITERATIONS} Newton steps"
             )
-        x = gx
+        x -= (x - gx) / slope(x)
+        if not 0 < x <= 0.25:
+            raise NonConvergence(f"Newton iterate left (0, 1/4]: {mpmath.nstr(x, 6)}")
         gx = g(x)
         new_residual = abs(gx - x)
         if new_residual >= residual:
@@ -166,13 +188,19 @@ def rho_estimate(
     """Growth base of the family's counting sequence, rho = 1/fixed point.
 
     rho_estimate('am').rho is about 4.0766; rho_estimate('ame').rho about
-    4.1307.  The requested iterations run first; if the residual has not yet
-    certified to 2^-(precision_bits - 8), up to 64 more are spent, and
-    NonConvergence is raised if that still fails.
+    4.1307.  The requested iterations of g run first; if the residual has
+    not yet certified to 2^-(precision_bits - 8), Newton steps on
+    F(x) = x + S(x) - 1/4 polish the point, at most 64 of them, and
+    extra_iterations counts them (1-3 at 100-300 bits).
+    NonConvergence is raised if an iterate escapes (0, 1) in the plain
+    steps or leaves (0, 1/4] in the Newton steps, if a Newton step does not
+    shrink the residual, if 64 steps do not certify it, or if rho <= 4.
     """
     family = _normalize_family(family)
     _check_params(terms, iterations, precision_bits)
-    s = _descending(_cut(_coefficients(family, terms), precision_bits))
+    cut = _cut(_coefficients(family, terms), precision_bits)
+    s = _descending(cut)
+    ds = _descending([j * c for j, c in enumerate(cut)][1:])  # S'
     threshold = mpmath.mpf(2) ** -(precision_bits - 8)
     with mpmath.workprec(precision_bits + _GUARD_BITS):
         prec, rnd = mpmath.mp._prec_rounding
@@ -181,12 +209,15 @@ def rho_estimate(
         def g(x):
             return mpmath.mp.make_mpf(mpf_sub(quarter, _horner(s, x), prec, rnd))
 
+        def slope(x):  # F'(x) = 1 + S'(x)
+            return mpmath.mp.make_mpf(mpf_add(fone, _horner(ds, x), prec, rnd))
+
         x = 1 / mpmath.mpf(_SEEDS[family])
         for _ in range(iterations):
             x = g(x)
             if not 0 < x < 1:
                 raise NonConvergence(f"iterate escaped (0, 1): {mpmath.nstr(x, 6)}")
-        x, residual, extra = _polish(g, x, threshold)
+        x, residual, extra = _polish(g, slope, x, threshold)
     with mpmath.workprec(precision_bits):
         rho = 1 / x
         fixed_point = +x

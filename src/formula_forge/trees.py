@@ -49,36 +49,71 @@ def _evaluate(tree):
 
 def size(tree) -> int:
     """Node count; odd, equal to 2*leaf_count(tree) - 1."""
+    try:
+        return _size(tree)
+    except RecursionError:
+        raise SizeGuard("tree nests too deeply to measure") from None
+
+
+def _size(tree):
     if tree == 1:
         return 1
-    return 1 + size(tree[1]) + size(tree[2])
+    return 1 + _size(tree[1]) + _size(tree[2])
 
 
 def depth(tree) -> int:
     """Longest root-to-leaf path; 0 for the bare leaf."""
+    try:
+        return _depth(tree)
+    except RecursionError:
+        raise SizeGuard("tree nests too deeply to measure") from None
+
+
+def _depth(tree):
     if tree == 1:
         return 0
-    return 1 + max(depth(tree[1]), depth(tree[2]))
+    return 1 + max(_depth(tree[1]), _depth(tree[2]))
 
 
 def leaf_count(tree) -> int:
+    try:
+        return _leaf_count(tree)
+    except RecursionError:
+        raise SizeGuard("tree nests too deeply to measure") from None
+
+
+def _leaf_count(tree):
     if tree == 1:
         return 1
-    return leaf_count(tree[1]) + leaf_count(tree[2])
+    return _leaf_count(tree[1]) + _leaf_count(tree[2])
 
 
 def is_strict(tree) -> bool:
     """True when no subterm is 1*f, f*1, f^1 or 1^f."""
+    try:
+        return _is_strict(tree)
+    except RecursionError:
+        raise SizeGuard("tree nests too deeply to check") from None
+
+
+def _is_strict(tree):
     if tree == 1:
         return True
     gate, left, right = tree
     if gate in (MUL, POW) and (left == 1 or right == 1):
         return False
-    return is_strict(left) and is_strict(right)
+    return _is_strict(left) and _is_strict(right)
 
 
 def validate(tree) -> None:
     """Raise DomainError unless tree is a well-formed formula tree."""
+    try:
+        _validate(tree)
+    except RecursionError:
+        raise SizeGuard("tree nests too deeply to check") from None
+
+
+def _validate(tree):
     if tree == 1:
         return
     if (
@@ -87,8 +122,8 @@ def validate(tree) -> None:
         or tree[0] not in GATES
     ):
         raise DomainError(f"not a formula tree: {tree!r}")
-    validate(tree[1])
-    validate(tree[2])
+    _validate(tree[1])
+    _validate(tree[2])
 
 
 def to_prefix(tree) -> str:
@@ -106,7 +141,10 @@ def to_prefix(tree) -> str:
             walk(t[1])
             walk(t[2])
 
-    walk(tree)
+    try:
+        walk(tree)
+    except RecursionError:
+        raise SizeGuard("tree nests too deeply to print") from None
     return "".join(parts)
 
 
@@ -150,15 +188,29 @@ def parse_postfix(text: str):
 
 def to_brackets(tree):
     """Nested-list form for JSON: ('+', 1, 1) -> ['+', 1, 1]."""
+    try:
+        return _to_brackets(tree)
+    except RecursionError:
+        raise SizeGuard("tree nests too deeply to print") from None
+
+
+def _to_brackets(tree):
     if tree == 1:
         return 1
-    return [tree[0], to_brackets(tree[1]), to_brackets(tree[2])]
+    return [tree[0], _to_brackets(tree[1]), _to_brackets(tree[2])]
 
 
 def from_brackets(obj):
     """Inverse of to_brackets; accepts lists or tuples, validates shape."""
+    try:
+        return _from_brackets(obj)
+    except RecursionError:
+        raise SizeGuard("bracket form nests too deeply to read") from None
+
+
+def _from_brackets(obj):
     if obj == 1:
         return 1
     if isinstance(obj, (list, tuple)) and len(obj) == 3 and obj[0] in GATES:
-        return (obj[0], from_brackets(obj[1]), from_brackets(obj[2]))
+        return (obj[0], _from_brackets(obj[1]), _from_brackets(obj[2]))
     raise DomainError(f"not a bracket-form tree: {obj!r}")

@@ -73,16 +73,42 @@ def test_horner_on_raw_values_matches_mpf_arithmetic(coefficients, bits, x):
         assert _horner(_descending(coefficients), x) == mpmath.mpf(acc)._mpf_
 
 
-# fixed-point polish failure modes
+# Newton polish failure modes
 
 def test_polish_detects_stall():
-    with pytest.raises(NonConvergence):
-        _polish(lambda x: x + 1, mpmath.mpf(0), mpmath.mpf("1e-20"))
+    # F(x) = x - g(x) = 1/128 everywhere: each step moves x, not F
+    with pytest.raises(NonConvergence, match="stopped shrinking"):
+        _polish(lambda x: x - mpmath.mpf(2) ** -7, lambda x: 1,
+                mpmath.mpf(3) / 16, mpmath.mpf("1e-20"))
 
 
 def test_polish_gives_up_after_budget():
-    with pytest.raises(NonConvergence):
-        _polish(lambda x: x * mpmath.mpf("0.99"), mpmath.mpf(1), mpmath.mpf("1e-40"))
+    # F(x) = x with a slope of 100: each step only takes off 1% of x
+    with pytest.raises(NonConvergence, match="after 64 Newton steps"):
+        _polish(lambda x: 0 * x, lambda x: 100, mpmath.mpf(0.25), mpmath.mpf("1e-40"))
+
+
+@pytest.mark.parametrize("g, slope", [
+    (lambda x: x + mpmath.mpf(1) / 8, lambda x: 1),  # to 5/16, above 1/4
+    (lambda x: 0 * x, lambda x: mpmath.mpf(0.5)),  # to -3/16
+])
+def test_polish_rejects_an_iterate_outside_the_quarter(g, slope):
+    with pytest.raises(NonConvergence, match=r"left \(0, 1/4\]"):
+        _polish(g, slope, mpmath.mpf(3) / 16, mpmath.mpf("1e-20"))
+
+
+@pytest.mark.parametrize("bits", [100, 200, 300])
+@pytest.mark.parametrize("terms", [60, 100, 150])
+@pytest.mark.parametrize("family", ["am", "ame"])
+def test_fixed_point_certifies_exactly(family, terms, bits):
+    # x + S_cut(x) - 1/4, in exact rationals at the returned fixed point
+    est = rho_estimate(family, terms, 20, bits)
+    sign, man, exp, _ = est.fixed_point._mpf_
+    x = Fraction(-man if sign else man) * Fraction(2) ** exp
+    assert 0 < x <= Fraction(1, 4)
+    cut = _cut(_coefficients(family, terms), bits)
+    f = x + _exact_value(cut, x) - Fraction(1, 4)
+    assert abs(f) < Fraction(1, 2 ** (bits - 8))
 
 
 # growth base

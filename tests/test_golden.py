@@ -1,21 +1,22 @@
 """Golden digests of observable output: stream order, seeded samples, cache
-file bytes, shortest witnesses, the rendered tower encodings (Horner
-forms, sieve tables, level sets and Goodstein arithmetic) and the growth
-constants (every field of rho_estimate, constant_estimate's scalars and
-its ratios to within 2 ulp).
+file bytes, shortest witnesses and the rendered tower encodings (Horner
+forms, sieve tables, level sets and Goodstein arithmetic), and a golden
+record of the growth constants (every field of rho_estimate and
+constant_estimate).
 
 Each digest is a sha256 over a plain-text rendering of what the public API
 returns.  The expected values were recorded from the releases whose
 per-family code and non-interned symbolic nodes this suite guards, so any
 change in order, in the seed-to-tree mapping, in the cache file format or
 in tie-breaking shows up here as a digest mismatch for one (family, root)
-pair, or for one group of tower outputs.  The growth constants were
-recorded from the release that evaluated S through a dense truncated
-series class.
+pair, or for one group of tower outputs.  The growth constants are exact
+values in golden_growth.json, checked within the bounds their certificate
+allows (see GROWTH below).
 """
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -28,7 +29,6 @@ from formula_forge import (
     X,
     CountTable,
     EnumerationRequest,
-    NonConvergence,
     ShortestTable,
     constant_estimate,
     count_add_lop,
@@ -296,102 +296,145 @@ def test_equal_values_order_by_rendering():
     assert str(sym_sum(terms)) == "x*x + x^x + x + x + 1"
 
 
-def _exact(value):
-    """repr of a field, mpf values as their exact (sign, man, exp, bc)."""
-    return repr(value._mpf_) if isinstance(value, mpmath.mpf) else repr(value)
+# Growth constants, each mpf as [signed mantissa, exponent], value =
+# mantissa * 2^exponent, and each rho cell's polish step count.  They were
+# recorded from the release that polished the fixed point with up to 64
+# plain steps of g.  The Newton polish lands on a different point inside the
+# same certificate, so the fixed point, rho, G, C and the ratios are checked
+# against the record within bounds derived from that certificate (see
+# _fixed_point_gap), the residual against the certificate itself, and every
+# field bit for bit where the plain steps alone certified (no polish step on
+# either side).
+GROWTH = json.loads((Path(__file__).parent / "golden_growth.json").read_text())
+# Newton steps after the 20 plain ones, by precision
+NEWTON_STEPS = {53: 0, 100: 1, 200: 2, 256: 2}
+RHO_CELLS = [
+    (family, int(terms), int(bits))
+    for family, terms, bits in (cell.split(",") for cell in GROWTH["rho"])
+]
+CONSTANT_CELLS = [
+    (int(terms), int(bits))
+    for terms, bits in (cell.split(",") for cell in GROWTH["constant"])
+]
 
 
-RHO_FIELDS = (
-    "family", "rho", "fixed_point", "terms", "iterations",
-    "extra_iterations", "precision_bits", "residual",
-)
-
-RHO_DIGESTS = {
-    ("am", 8, 53): "42ff2e3c4e7abaaa13f3011a9f980c75b6e0713b9a26f8e24e16e3e55480a339",
-    ("am", 8, 100): "ba24bc0781e6739ee27066838ca714aef9498b6dd2e2d98454d2bf5de40a85bc",
-    ("am", 8, 200): "6e44c2d68b836a441677091db948a25265bacffcdece6ced4ea6dbabc16cf60f",
-    ("am", 8, 256): "149968bdc5662e112a842ab8a6b11b2f517ce9dad258e8bf18e8919a519f9091",
-    ("am", 40, 53): "2239263dbf2cc08ad9afbe612a7ae850e2501f111dea4b816be8a340ddde23be",
-    ("am", 40, 100): "2231438674235f4ec72fd9730e562fc21221d89e2728dfe4a7d38e26df9f0747",
-    ("am", 40, 200): "6773d8ec6ca288ef82d57acb5abd08c6f3eeebea1c894045c0e3fb974dad84ec",
-    ("am", 40, 256): "59bd249f32f0fc9e7c3dfc1526912a37af2d322934219e583d206407e0402fdf",
-    ("am", 60, 53): "12f1a873956c293c23e56f1de16ad8e5a76015ea40b3d9d8194184fe8b6c8510",
-    ("am", 60, 100): "d6b648a988a1179612e7528f83f3aa7600c92ee9b7f3c8fe8c1a0d9d41cb6340",
-    ("am", 60, 200): "c12b73c3ed80d1a9b32963666f9f5c9ad81e7f9ffc77b69d4b0ba079a02a5650",
-    ("am", 60, 256): "491069cde4612d1902722c747d4f40cf4d40bd325bed03681783d36f5041a922",
-    ("am", 100, 53): "e9625c02776646ce5861c05976df00b1776391b490536667fa3bd9c102863f51",
-    ("am", 100, 100): "0b577175b1f733fe0d5bae77550c4878eea531609bcccfb6afb4c3fccd506162",
-    ("am", 100, 200): "b5942dc54d9ac7794be96cd283e8622466e19dd60b0ae2778fab56b60a5714fd",
-    ("am", 100, 256): "fa07b83cccc901a1caae99901be08c49a5b2b8b28c1c5baa394a67dda5668311",
-    ("am", 150, 53): "ca69a8ab5d6b59789b46f004478d3151502253a6151f43912461f9e5ddb029cf",
-    ("am", 150, 100): "fd20cc0e50d412ba92e4d1f1d0fdf7824db59f28be677f631006c7ecacd40fa7",
-    ("am", 150, 200): "883d29c0e506392dcf12733c288c6f2b20715e7ae2c3245d434be8a682468775",
-    ("am", 150, 256): "c0ff2ebf8bcf4b929eb56baf88eda8e1db1b8442183566ebb32fb4afd2944620",
-    ("ame", 8, 53): "444d030c53b14083b2857502b23dd084e85c2f55db7f68f4f4cdd91ab7410eac",
-    ("ame", 8, 100): "fbef4809fa9249788baccf53a7b11a490d3f17b00c5f7562df0ab7f2b8ce0901",
-    ("ame", 8, 200): "c88831fa6d581f6e779587cb9f8aa070135cbb7353d3d3aee4c652330b901313",
-    ("ame", 8, 256): "24a7e97aca3ed3682d2e4505416d0a40141b6321f2199234637242e93447bcfb",
-    ("ame", 40, 53): "1df9d37f759047d9603b78f3faeecea21515ca48e37f6372e1242e2e2f946c9e",
-    ("ame", 40, 100): "33876336a1b2ebe9489d3288e9e414f1a7ace51b67a27d1f85a2f3d75a6bfdb9",
-    ("ame", 40, 200): "67df3032f64143f140ad01c741c8b711012837add90aca1118d0a77f68649bbf",
-    ("ame", 40, 256): "6e4c44c711acc9c57f58a3da7c9d6695a09e728b7ed69e187b606fa28a65b1e8",
-    ("ame", 60, 53): "5b1c35d699ea3bb3223d0573c17b80deda5d643ac2d4945f7ba78464b88079d5",
-    ("ame", 60, 100): "8dfc85c37457713607ba87d81a49bd570e3ef9699d4f28f5613c1e4ba9140dec",
-    ("ame", 60, 200): "872ca5b29fe024c5c0d4837bf53ebe3fa61b789ddde5e169a5c299aae4930338",
-    ("ame", 60, 256): "4936201008f4ff640c9993e1717de183d4b6a2fa89045c8914351c85d014dd18",
-    ("ame", 100, 53): "f4b5f8cbfe4147a1eb426a3518bdf82539f90e2ad9513cfa2d4313910e73c372",
-    ("ame", 100, 100): "a7f18ec597a77086b4444ba9807bdd2b90d776013e243d9a2e76951a05b43477",
-    ("ame", 100, 200): "07857279fe036c8eaf1d63b58d36ac9818e6088e49a7ce6ff8342ca4b1f0697a",
-    ("ame", 100, 256): "ea69a1f3d73d75a8513753b1877fab5954f2614bffa0efe3024bcee16453103c",
-    ("ame", 150, 53): "e7f6f6e223c98a2a3efa133761897a631d9f830a764cb59fb4bf9b827a1a1dc4",
-    ("ame", 150, 100): "3f9cb46233ffe3493ee81457b8c785177017cf24e8fa6151d64c5dd403e5ed55",
-    ("ame", 150, 200): "1b4e3ef388f2e819c5420b8eef7e08b59c3971c5319c5b1ff323393303d94fab",
-    ("ame", 150, 256): "469083f556a35d730184b2ba5ae029dfaa88f96f65e99ef7e9635ac7d9b97357",
-}
-CONSTANT_DIGESTS = {
-    (8, 53): "b8def7b163e6fd63dcdeb342062fa04e1896a1d43fb8a7f350344976991bad86",
-    (8, 100): "e3e980f637149c39af573513e967f94bbe658a6a4ae758c1c094ab5e7d61df1e",
-    (8, 200): "747646d2922c9b8396236fc5067c89529aa9f7ad56a130eced10ddef6e91badc",
-    (40, 53): "54085e72b1bc839b46b34ebcb0caa83e512c0ceb0fa2c0ffb8ca7d2292df90e0",
-    (40, 100): "a8e6e602b2a5f0d243051a45c2999d0af127d12f13729add2d035244326c1eb1",
-    (40, 200): "7755480878e58fb1a3e4fdbe7f9cfde18d5e4f42758d01f5824d4635f98d0b54",
-    (60, 53): "7d985a74c97c961edd6891bab9cfd30e63950fa1b82c9aa7c29126700b7c488f",
-    (60, 100): "a1a7ba079b5cb45214970cf968a65707ede034476476d80d88c9923afe5d9ed3",
-    (60, 200): "8ba333b615fe32e2a1d1cf721b5f35fa3ab00e4205d584eaa8e4862a7fb8d9c9",
-    (100, 53): "b92fd2f104f8e85a3e573c3a8f5504926e918d86299f13eac0332218d2aa0d35",
-    (100, 100): "9f451f0f014d2cc38b876bde1d8b804a80606546f29fabbfa8a443b585ece3b3",
-    (100, 200): "ee5bf026d900ff1cf3693a9607378f16a6f918811df85a5560994ae2727aad67",
-}
-# each ratio as [signed mantissa, exponent], value = mantissa * 2^exponent
-CONSTANT_RATIOS = json.loads(
-    (Path(__file__).parent / "golden_constant_ratios.json").read_text()
-)
+def _fraction(value):
+    """An mpf, or a recorded [mantissa, exponent] pair, as an exact Fraction."""
+    if isinstance(value, mpmath.mpf):
+        sign, man, exp, _ = value._mpf_
+        value = [-man if sign else man, exp]
+    man, exp = value
+    return man * Fraction(2) ** exp
 
 
-@pytest.mark.parametrize("family, terms, bits", list(RHO_DIGESTS))
+def _ulp(pair, bits):
+    """One unit in the last place of a bits-bit float near the recorded pair."""
+    man, exp = pair
+    return Fraction(2) ** (exp + abs(man).bit_length() - bits)
+
+
+def _sqrt_below(q):
+    """A Fraction no larger than sqrt(q), for q > 0, within 2^-64 of it."""
+    return Fraction(math.isqrt(math.floor(q * 2**128)), 2**64)
+
+
+def _fixed_point_gap(bits):
+    """How far the recorded and the new unrounded fixed point may lie apart.
+
+    Each side certified |g(x) - x| < 2^-(bits - 8) at bits + 16 working bits.
+    F(x) = x - g(x) has F' = 1 + S' >= 1 on (0, 1/4], so each side is within
+    its residual of the one fixed point of its cut (the cut is the same on
+    both sides), and the two lie within twice that.  2^-bits more covers the
+    rounding of S in the certificate (under 2 * len(cut) ulps at bits + 16
+    working bits, with S < 1/4).
+    """
+    return 2 * Fraction(1, 2 ** (bits - 8)) + Fraction(1, 2**bits)
+
+
+def _assert_within(got, pinned, bound):
+    assert abs(_fraction(got) - _fraction(pinned)) <= bound
+
+
+def _check_rho(est, pinned, bits):
+    """The fixed point and rho = 1/x against the record; returns the bounds
+    on how far each returned value may move.  Each bound adds 2 ulp for the
+    rounding to bits on both sides (either may sit across a power of two)."""
+    gap = _fixed_point_gap(bits)
+    dx = gap + 2 * _ulp(pinned["fixed_point"], bits)
+    _assert_within(est.fixed_point, pinned["fixed_point"], dx)
+    # |1/a - 1/b| = |a - b| / (ab), a and b the unrounded fixed points
+    x_low = min(_fraction(est.fixed_point), _fraction(pinned["fixed_point"])) - dx
+    drho = gap / x_low**2 + 2 * _ulp(pinned["rho"], bits)
+    _assert_within(est.rho, pinned["rho"], drho)
+    return dx, drho
+
+
+@pytest.mark.parametrize("family, terms, bits", RHO_CELLS)
 def test_rho_estimate_fields(family, terms, bits):
     est = rho_estimate(family, terms, 20, bits)
-    digest = _sha(_exact(getattr(est, f)) for f in RHO_FIELDS)
-    assert digest == RHO_DIGESTS[family, terms, bits]
+    pinned = GROWTH["rho"][f"{family},{terms},{bits}"]
+    assert (est.family, est.terms, est.iterations, est.precision_bits) == (
+        family, terms, 20, bits,
+    )
+    assert est.extra_iterations == NEWTON_STEPS[bits]
+    assert _fraction(est.residual) < Fraction(1, 2 ** (bits - 8))
+    if pinned["extra_iterations"] == 0:
+        for field in ("fixed_point", "rho", "residual"):
+            assert _fraction(getattr(est, field)) == _fraction(pinned[field])
+    _check_rho(est, pinned, bits)
 
 
-def _fraction(mpf_value):
-    sign, man, exp, _ = mpf_value._mpf_
-    return Fraction(-man if sign else man) * Fraction(2) ** exp
-
-
-@pytest.mark.parametrize("terms, bits", list(CONSTANT_DIGESTS))
+@pytest.mark.parametrize("terms, bits", CONSTANT_CELLS)
 def test_constant_estimate(terms, bits):
     est = constant_estimate(terms, 20, bits)
-    digest = _sha(_exact(v) for v in (est.rho, est.constant, est.radicand))
-    assert digest == CONSTANT_DIGESTS[terms, bits]
-    expected = CONSTANT_RATIOS[f"{terms},{bits}"]
-    assert len(est.ratios) == len(expected)
-    for got, (man, exp) in zip(est.ratios, expected):
-        ulp = Fraction(2) ** (exp + abs(man).bit_length() - bits)
-        assert abs(_fraction(got) - man * Fraction(2) ** exp) <= 2 * ulp
+    pinned = GROWTH["constant"][f"{terms},{bits}"]
+    pinned_rho = GROWTH["rho"][f"am,{terms},{bits}"]
+    assert (est.terms, est.iterations, est.precision_bits) == (terms, 20, bits)
+    assert len(est.ratios) == len(pinned["ratios"]) == terms - 2
+    if pinned_rho["extra_iterations"] == 0:
+        got = [est.rho, est.constant, est.radicand, *est.ratios]
+        want = [pinned["rho"], pinned["constant"], pinned["radicand"], *pinned["ratios"]]
+        assert [_fraction(v) for v in got] == [_fraction(v) for v in want]
+    # constant_estimate evaluates G at rho_estimate's returned fixed point
+    r = rho_estimate("am", terms, 20, bits)
+    assert est.rho == r.rho and pinned["rho"] == pinned_rho["rho"]
+    dx, drho = _check_rho(r, pinned_rho, bits)
+
+    # G(r) = sum_{i<T} (T - i) a_i r^i with a = 1 - 4(x + S), S the sum of
+    # count(d) count(n) x^(dn) over 2 <= d, n.  Every a_i past a_0 is
+    # negative, so sum i (T - i) |a_i| r^(i-1) at the larger of the two
+    # fixed points bounds |G'| between them.
+    a = [1, -4] + [0] * (terms - 2)
+    for d in range(2, terms):
+        for n in range(2, (terms - 1) // d + 1):
+            a[d * n] -= 4 * count_am(d) * count_am(n)
+    r_high = max(_fraction(r.fixed_point), _fraction(pinned_rho["fixed_point"]))
+    slope = sum(i * (terms - i) * -c * r_high ** (i - 1) for i, c in enumerate(a) if i)
+    dg = slope * dx
+    _assert_within(est.radicand, pinned["radicand"], dg + 2 * _ulp(pinned["radicand"], bits))
+
+    # C = sqrt(G) / (4 sqrt(pi)), and sqrt moves by at most dG / (2 sqrt(G_low))
+    g_low = _fraction(pinned["radicand"]) - dg - 2 * _ulp(pinned["radicand"], bits)
+    dc = dg / (8 * _sqrt_below(g_low) * Fraction(177, 100))  # sqrt(pi) > 1.77
+    dc += 2 * _ulp(pinned["constant"], bits)
+    _assert_within(est.constant, pinned["constant"], dc)
+
+    # ratio_n = count(n) / (C rho^n n^-1.5) moves by a relative u / (1 - u)
+    # at most, u = dC / C_low + n drho / rho_low
+    c_low = _fraction(pinned["constant"]) - dc
+    rho_low = _fraction(pinned["rho"]) - drho
+    for n, (got, want) in enumerate(zip(est.ratios, pinned["ratios"]), start=2):
+        u = dc / c_low + n * drho / rho_low
+        bound = abs(_fraction(want)) * u / (1 - u) + 2 * _ulp(want, bits)
+        _assert_within(got, want, bound)
 
 
-def test_ame_at_300_bits_does_not_converge():
-    with pytest.raises(NonConvergence):
-        rho_estimate("ame", 60, 20, 300)
+def test_ame_at_300_bits_certifies():
+    # once beyond the 64 steps of the plain polish; each certificate bounds
+    # its fixed point's distance to the true one by its threshold
+    for terms in (60, 100, 150):
+        at_300 = rho_estimate("ame", terms, 20, 300)
+        at_256 = rho_estimate("ame", terms, 20, 256)
+        assert at_300.residual < mpmath.mpf(2) ** -(300 - 8)
+        gap = abs(_fraction(at_300.fixed_point) - _fraction(at_256.fixed_point))
+        assert gap < Fraction(1, 2 ** (256 - 8)) + Fraction(1, 2 ** (300 - 8))

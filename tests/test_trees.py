@@ -124,3 +124,15 @@ def test_nesting_past_the_recursion_limit_is_a_size_guard():
         evaluate(tree)
     shallow = "+1" * 500 + "1"
     assert evaluate(parse_prefix(shallow)) == 501
+
+
+@pytest.mark.parametrize("walk", [
+    to_prefix, to_postfix, size, depth, leaf_count, is_strict, validate,
+    to_brackets, from_brackets,
+])
+def test_every_walker_refuses_a_tree_past_the_recursion_limit(walk):
+    tree, brackets = 1, 1
+    for _ in range(1500):
+        tree, brackets = ("+", 1, tree), ["+", 1, brackets]
+    with pytest.raises(SizeGuard):
+        walk(brackets if walk is from_brackets else tree)
