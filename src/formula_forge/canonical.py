@@ -14,10 +14,9 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 
 from .errors import DomainError, LevelTooLarge, MagnitudeError, require_int
-from .symexpr import ONE, X, Interned, SymExpr, node, sym_pow, sym_prod, sym_sum
+from .symexpr import ONE, X, Interned, SymExpr, sym_pow, sym_prod, sym_sum
 
 
-@node
 class GoodsteinForm(Interned):
     """Sum of x^e over `exponents`, strictly decreasing by value.
 
@@ -25,7 +24,7 @@ class GoodsteinForm(Interned):
     like SymExpr nodes, so equal forms are the same object.
     """
 
-    exponents: tuple
+    __slots__ = ("exponents",)
 
     def __str__(self):
         return "0" if self is ZERO else str(gs_to_symexpr(self))

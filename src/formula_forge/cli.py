@@ -8,14 +8,17 @@ and the cache is not written), 2 usage, 3 domain error or an output file
 that cannot be written, 4 resource guard refused the request (every
 subcommand takes --unsafe to override its guards).
 
-With FORMULA_FORGE_CACHE set, count tables are loaded from that path on
-startup and written back after a successful run that added rows (or when
-the file did not exist yet), so repeated invocations share work; a failed
-write-back is only a warning.
+With FORMULA_FORGE_CACHE set, a command that reads the count table
+(`count`, `sample`, `cache`, `rho`, `constant`, and `list` without --limit or
+--unsafe) loads the tables from that path first and writes them back after
+a successful run that added rows (or when the file did not exist yet), so
+repeated invocations share work; a failed write-back is only a warning.
+Every other command leaves the file alone: it neither reads nor creates it.
 
-Start-up imports only what the parser needs (counting, enumeration, trees,
-errors, cache); each subcommand imports its own modules when it runs, and
-only `rho` and `constant` import mpmath.
+Start-up imports only what the parser needs (counting and errors, neither
+of which imports `dataclasses`); each subcommand imports its own modules
+when it runs, the `cache` module only with the count table, and only `rho`
+and `constant` import mpmath.
 """
 
 from __future__ import annotations
@@ -27,28 +30,24 @@ import os
 import sys
 
 from . import __version__
-from .cache import ENV_VAR, load_table, save_table
-from .counting import FAMILIES, GATE_SETS, MAX_COUNT_VALUE, ROOT_ALL, default_table
-from .enumeration import EnumerationRequest, enumerate_trees
+from .counting import (
+    FAMILIES, GATE_SETS, MAX_COUNT_VALUE, ROOT_ALL, default_table, resolve_family,
+)
 from .errors import (
     CacheError,
     FormulaForgeError,
     LevelTooLarge,
     MagnitudeError,
     SizeGuard,
+    require_int,
 )
-from .trees import to_brackets, to_postfix, to_prefix
 
 DEFAULT_LIST_LIMIT = 1_000_000
 # on a 2-vCPU VM, --warm 1000 takes 2.1 s and 2000 20.5 s; --terms 1000
 # takes 4-5 s and 2000 44-47 s with a 678 MB peak
 MAX_WARM_VALUE = 1000
 MAX_TERMS = 1000
-_RENDER = {
-    "brackets": lambda tree: json.dumps(to_brackets(tree)),
-    "prefix": to_prefix,
-    "postfix": to_postfix,
-}
+_NOTATIONS = ("brackets", "prefix", "postfix")
 _ROOT_WORDS = {"+": "add", "*": "mul", "^": "pow"}
 
 
@@ -69,9 +68,18 @@ def _expr_json(e):
     return {"value": str(sym_value(e)), "text": str(e)}
 
 
+def _renderer(notation):
+    from .trees import to_brackets, to_postfix, to_prefix
+
+    if notation == "brackets":
+        return lambda tree: json.dumps(to_brackets(tree))
+    return to_prefix if notation == "prefix" else to_postfix
+
+
 def _request(args):
-    """The family request behind --gates/--root/--lop; checks the combination."""
-    return EnumerationRequest(n=args.n, gates=args.gates, root=args.root, lop=args.lop)
+    """(family, root) behind n and --gates/--root/--lop; checks the combination."""
+    require_int(args.n)
+    return resolve_family(args.gates, args.root, args.lop)
 
 
 def _check_size(n, cap, args):
@@ -81,9 +89,8 @@ def _check_size(n, cap, args):
 
 
 def _cmd_count(args):
-    request = _request(args)
+    family, root = _request(args)
     _check_size(args.n, MAX_COUNT_VALUE, args)
-    family, root = request.family, request.root
     count = default_table().count
     out = {
         "n": args.n,
@@ -101,16 +108,18 @@ def _cmd_count(args):
 
 
 def _cmd_list(args):
-    request = _request(args)
-    if args.limit is None and not args.unsafe:
-        total = default_table().count(request.family.name, args.n, request.root)
+    from .enumeration import stream
+
+    family, root = _request(args)
+    if _reads_counts(args):  # no --limit or --unsafe: size the stream first
+        total = default_table().count(family.name, args.n, root)
         if total > DEFAULT_LIST_LIMIT:
             raise SizeGuard(
                 f"{total} encodings (> {DEFAULT_LIST_LIMIT}); "
                 "pass --limit or --unsafe"
             )
-    render = _RENDER[args.notation]
-    for tree in itertools.islice(enumerate_trees(request), args.limit):
+    render = _renderer(args.notation)
+    for tree in itertools.islice(stream(family, args.n, root), args.limit):
         print(render(tree))
     return 0
 
@@ -120,16 +129,17 @@ def _cmd_sample(args):
 
     from .sampling import MAX_SAMPLE_VALUE, sample_from
 
-    request = _request(args)
+    family, root = _request(args)
     _check_size(args.n, MAX_SAMPLE_VALUE, args)
-    rng, render = random.Random(args.seed), _RENDER[args.notation]
+    rng, render = random.Random(args.seed), _renderer(args.notation)
     for _ in range(args.count):
-        print(render(sample_from(request.family, args.n, rng, request.root)))
+        print(render(sample_from(family, args.n, rng, root)))
     return 0
 
 
 def _cmd_shortest(args):
     from .shortest import MAX_SHORTEST_VALUE, shortest, shortest_range
+    from .trees import to_prefix
 
     _check_size(args.n if args.upto is None else args.upto, MAX_SHORTEST_VALUE, args)
     entries = shortest_range(args.upto) if args.upto is not None else [shortest(args.n)]
@@ -257,6 +267,8 @@ def _cmd_graph(args):
 
 
 def _cmd_cache(args):
+    from .cache import load_table, save_table
+
     if args.mode == "save":
         _check_size(args.warm, MAX_WARM_VALUE, args)
         if args.warm:
@@ -296,14 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
     _family_command(sub, "count", "exact number of trees of value n", _cmd_count)
 
     p = _family_command(sub, "list", "enumerate all trees of value n", _cmd_list)
-    p.add_argument("--notation", choices=list(_RENDER), default="brackets")
+    p.add_argument("--notation", choices=_NOTATIONS, default="brackets")
     p.add_argument("--limit", type=int, default=None,
                    help="stop after this many encodings")
 
     p = _family_command(sub, "sample", "uniform random trees of value n", _cmd_sample)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--notation", choices=list(_RENDER), default="brackets")
+    p.add_argument("--notation", choices=_NOTATIONS, default="brackets")
 
     p = sub.add_parser("shortest", help="minimal strict encoding of n")
     p.add_argument("n", type=int, nargs="?")
@@ -386,11 +398,23 @@ def _check_required(args, parser):
         args.t = args.a if args.a is not None else args.t
 
 
+def _reads_counts(args):
+    """Whether the command reads the count table, so loads and saves the cache;
+    `list` reads it only to size a stream that has no --limit or --unsafe."""
+    if args.command == "list":
+        return args.limit is None and not args.unsafe
+    return args.command in ("count", "sample", "cache", "rho", "constant")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _check_required(args, parser)
-    cache_path = os.environ.get(ENV_VAR)
+    cache_path = None
+    if _reads_counts(args):
+        from .cache import ENV_VAR, load_table, save_table
+
+        cache_path = os.environ.get(ENV_VAR)
     loaded = None  # rows read from the cache file, None if there was none
     try:
         if cache_path and os.path.exists(cache_path):

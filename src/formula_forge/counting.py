@@ -23,11 +23,9 @@ deep recursion never occurs.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from functools import cached_property
 from math import isqrt
 
-from .errors import CacheError, DomainError, require_int
+from .errors import CacheError, DomainError, Record, require_int
 
 ROOT_ALL = "all"
 # the command line's cap on count values: a fresh am or ame fill to 2000
@@ -102,25 +100,22 @@ def _pow_splits(m):
     return [(b, i) for i, b in exponent_candidates(m)]
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """A gate family as ordered (gate, splits) rules on the root gate.
 
     Rule order is stream order: trees rooted at an earlier gate come first,
     and within a gate the splits come in the order splits(m) yields them.
-    The leaf 1 belongs to the first gate's class.
+    The leaf 1 belongs to the first gate's class.  `columns` names the root
+    classes as tables and cache files do: 'all' for a one-gate family, else
+    the gates.
     """
 
-    name: str
-    rules: tuple
+    __slots__ = ("name", "rules", "columns")
+    __match_args__ = ("name", "rules")
 
-    @cached_property
-    def columns(self) -> tuple:
-        """Root classes as tables and cache files name them: 'all' for a
-        one-gate family, else the gates."""
-        if len(self.rules) == 1:
-            return (ROOT_ALL,)
-        return tuple(gate for gate, _ in self.rules)
+    def __init__(self, name: str, rules: tuple):
+        columns = (ROOT_ALL,) if len(rules) == 1 else tuple(gate for gate, _ in rules)
+        self._init(name=name, rules=rules, columns=columns)
 
     def row(self, tot, m: int, first: int = 0) -> list:
         """Counts of value m per root class from rule first on, from the totals

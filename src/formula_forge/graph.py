@@ -10,12 +10,11 @@ rule; edges keep the full label set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .counting import count_ame
 from .enumeration import enumerate_ame
-from .errors import SizeGuard, require_int
+from .errors import Record, SizeGuard, require_int
 from .trees import evaluate, is_strict, size, to_prefix
 
 MAX_GRAPH_VALUE = 9
@@ -90,12 +89,15 @@ def neighbors(tree) -> set:
     return out
 
 
-@dataclass(frozen=True)
-class RewriteGraph:
-    n: int
-    vertices: tuple
-    adjacency: dict  # tree -> tuple of adjacent trees, prefix-sorted
-    edge_labels: dict  # sorted (prefix, prefix) pair -> tuple of rule names
+class RewriteGraph(Record):
+    """The vertices, adjacency (tree -> tuple of adjacent trees, prefix-sorted)
+    and edge labels (sorted (prefix, prefix) pair -> tuple of rule names) of
+    the graph on value n.  Compared by value; unhashable, as its dicts are."""
+
+    __slots__ = __match_args__ = ("n", "vertices", "adjacency", "edge_labels")
+
+    def __init__(self, n: int, vertices: tuple, adjacency: dict, edge_labels: dict):
+        self._init(n=n, vertices=vertices, adjacency=adjacency, edge_labels=edge_labels)
 
     @property
     def edge_count(self) -> int:

@@ -11,22 +11,31 @@ node is built once, so ``==`` and ``hash`` are identity and cost O(1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, SizeGuard
+from .errors import DomainError, Record, SizeGuard
 
 _NODES = {}
-# `node` classes are immutable, compare by identity and take their fields
-# positionally through Interned.__new__
-node = dataclass(frozen=True, eq=False, init=False, slots=True)
 
 
-class Interned:
-    """Hash-consing base: one instance per class and field values."""
+class Interned(Record):
+    """Hash-consing base: one instance per class and field values.
+
+    A subclass lists its fields in __slots__ and takes them positionally;
+    __match_args__ collects them along the class chain.  Nodes are immutable
+    and compare and hash by identity.  Copies are the node itself, and a
+    pickle holds the node's DAG as a flat post-order list, so neither walks
+    a deep node recursively.
+    """
 
     __slots__ = ()
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ += cls.__dict__.get("__slots__", ())
 
     def __new__(cls, *fields):
         key = (cls, *fields)
@@ -39,12 +48,51 @@ class Interned:
             found = _NODES.setdefault(key, found)
         return found
 
-    def __reduce__(self):  # copy, deepcopy and pickle rebuild through __new__
-        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        return _rebuild, (_flatten(self),)
 
 
-@node
+def _flatten(root):
+    """root's distinct nodes in post-order, with an explicit stack, as
+    (class, fields) pairs that give a node field as its index in the list
+    and a tuple field as a tuple of indices."""
+    index, flat, stack = {}, [], [root]
+    while stack:
+        e = stack.pop()
+        if e in index:
+            continue
+        fields = e._values()
+        kids = [k for v in fields for k in (v if isinstance(v, tuple) else (v,))
+                if isinstance(k, Interned) and k not in index]
+        if kids:
+            stack += [e, *kids]
+            continue
+        index[e] = len(flat)
+        flat.append((type(e), tuple(tuple(index[k] for k in v) if isinstance(v, tuple)
+                                    else index[v] if isinstance(v, Interned) else v
+                                    for v in fields)))
+    return flat
+
+
+def _rebuild(flat):
+    """The last node of a _flatten list, interned afresh."""
+    nodes = []
+    for cls, fields in flat:
+        nodes.append(cls(*(tuple(nodes[i] for i in v) if isinstance(v, tuple)
+                           else nodes[v] if isinstance(v, int) else v
+                           for v in fields)))
+    return nodes[-1]
+
+
 class SymExpr(Interned):
+    __slots__ = ()
+
     def __str__(self):
         return render(self)
 
@@ -52,36 +100,30 @@ class SymExpr(Interned):
         return render(self) < render(other)
 
 
-@node
 class _Leaf(SymExpr):
-    name: str
+    __slots__ = ("name",)
 
 
 ONE = _Leaf("1")
 X = _Leaf("x")
 
 
-@node
 class Sum(SymExpr):
-    terms: tuple
+    __slots__ = ("terms",)
 
 
-@node
 class Prod(SymExpr):
-    factors: tuple
+    __slots__ = ("factors",)
 
 
-@node
 class Pow(SymExpr):
-    base: SymExpr
-    exponent: SymExpr
+    __slots__ = ("base", "exponent")
 
 
-@node
 class Neg(SymExpr):
     """Negated exponent; only valid underneath Pow."""
 
-    inner: SymExpr
+    __slots__ = ("inner",)
 
 
 @lru_cache(maxsize=None)

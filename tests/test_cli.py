@@ -513,6 +513,29 @@ def _warm_cache_file(capsys, tmp_path, monkeypatch):
     return path, max(n for fam, _, n, _ in rows if fam == "am")
 
 
+def test_env_cache_is_touched_only_by_commands_that_read_counts(capsys, tmp_path,
+                                                               monkeypatch):
+    others = [("goodstein", "add", "3", "4"), ("list", "5", "--limit", "3"), ("graph", "4")]
+    path = tmp_path / "corrupt.json"
+    path.write_bytes(b'{"format": "formula-forge-counts", "version": 1, "entries": [[')
+    before = path.read_bytes()
+    monkeypatch.setenv(ENV_VAR, str(path))
+    for argv in others:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out
+    code, out, err = run(capsys, "count", "3")
+    assert code == 3 and out == "" and err.startswith("error:")
+    assert path.read_bytes() == before
+    missing = tmp_path / "missing.json"
+    monkeypatch.setenv(ENV_VAR, str(missing))
+    for argv in others:
+        assert run(capsys, *argv)[0] == 0, argv
+    assert not missing.exists()
+    assert run(capsys, "list", "5")[0] == 0
+    assert missing.exists()
+
+
 def test_env_cache_left_as_is_when_no_row_is_added(capsys, tmp_path, monkeypatch):
     path, _ = _warm_cache_file(capsys, tmp_path, monkeypatch)
     before = path.read_bytes()

@@ -18,7 +18,7 @@ from formula_forge import (
 )
 from formula_forge.cache import load_table, save_table
 from formula_forge.counting import (
-    CHECK_EVERY, FAMILIES, exact_root, exponent_candidates, mid_divisors,
+    CHECK_EVERY, FAMILIES, Family, exact_root, exponent_candidates, mid_divisors,
 )
 
 
@@ -74,6 +74,25 @@ def test_bad_arguments():
         count_am(6, "^")
     with pytest.raises(DomainError):
         count_ame(6, "%")
+
+
+def test_family_is_an_immutable_value():
+    am = FAMILIES["am"]
+    twin = Family("am", am.rules)
+    assert twin == am and twin is not am and hash(twin) == hash(am)
+    assert twin != Family("a", am.rules)
+    assert twin != Family("am", am.rules[:1])
+    assert twin != ("am", am.rules)
+    assert len({twin, am, FAMILIES["a"]}) == 2
+    assert am.columns == ("+", "*") and FAMILIES["lop"].columns == ("all",)
+    assert repr(FAMILIES["a"]) == f"Family(name='a', rules={FAMILIES['a'].rules!r})"
+    for field in ("name", "rules", "columns"):
+        with pytest.raises(AttributeError):
+            setattr(am, field, None)
+        with pytest.raises(AttributeError):
+            delattr(am, field)
+    with pytest.raises(AttributeError):
+        am.extra = 1
 
 
 def test_fresh_table_matches_default():

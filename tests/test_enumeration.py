@@ -97,6 +97,26 @@ def test_request_validation():
         enumerate_strings(EnumerationRequest(3), "infix")
 
 
+def test_request_is_an_immutable_value():
+    req = EnumerationRequest(5, gates="am", root="mul")
+    same = EnumerationRequest(n=5, gates="am", root="*")
+    assert req == same and hash(req) == hash(same)
+    assert req.root == "*" and req.family.name == "am"
+    for other in (EnumerationRequest(6, "am", "*"), EnumerationRequest(5, "ame", "*"),
+                  EnumerationRequest(5, "am"), EnumerationRequest(5, lop=True)):
+        assert req != other
+    assert EnumerationRequest(5) != EnumerationRequest(5, lop=True)
+    assert req != (5, "am", "*", False)
+    assert len({req, same, EnumerationRequest(5)}) == 2
+    assert repr(req) == "EnumerationRequest(n=5, gates='am', root='*', lop=False)"
+    for field in ("n", "gates", "root", "lop", "family"):
+        with pytest.raises(AttributeError):
+            setattr(req, field, None)
+        with pytest.raises(AttributeError):
+            delattr(req, field)
+    assert req == same
+
+
 def test_request_dispatch():
     req = EnumerationRequest(5, gates="ame", root="pow")
     assert list(enumerate_trees(req)) == list(enumerate_ame(5, "^"))

@@ -4,6 +4,7 @@ import pytest
 
 from formula_forge import (
     DomainError,
+    RewriteGraph,
     RewriteRule,
     SizeGuard,
     build_graph,
@@ -23,6 +24,21 @@ def test_smallest_interesting_graph():
     assert len(g.components()) == 1
     (labels,) = g.edge_labels.values()
     assert labels == ("AssocAdd", "CommAdd")
+
+
+def test_graph_compares_by_value_and_is_unhashable():
+    g = build_graph(4)
+    assert g == build_graph(4) and g is not build_graph(4)
+    assert g != build_graph(3)
+    assert g != RewriteGraph(g.n, g.vertices, {}, g.edge_labels)
+    assert g != RewriteGraph(g.n, g.vertices, g.adjacency, {})
+    assert g == RewriteGraph(n=g.n, vertices=g.vertices, adjacency=dict(g.adjacency),
+                             edge_labels=dict(g.edge_labels))
+    assert repr(build_graph(3)).startswith("RewriteGraph(n=3, vertices=((")
+    with pytest.raises(TypeError):
+        hash(g)
+    with pytest.raises(AttributeError):
+        g.n = 5
 
 
 def test_value_four_graph():

@@ -19,6 +19,7 @@ from formula_forge import (
     ZERO,
     GoodsteinForm,
     Neg,
+    SizeGuard,
     Pow,
     Prod,
     Sum,
@@ -77,6 +78,20 @@ def test_copies_return_the_interned_node(node):
     assert copy.copy(node) is node
     assert copy.deepcopy(node) is node
     assert pickle.loads(pickle.dumps(node)) is node
+
+
+def test_deep_nodes_copy_pickle_and_repr_without_recursing():
+    # over 1,900 levels of alternating Prod and Sum, past the recursion limit
+    deep = encode_horner(2**1000 - 1)
+    with pytest.raises(SizeGuard):
+        repr(deep)
+    assert copy.copy(deep) is deep
+    assert copy.deepcopy([deep, deep]) == [deep, deep]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(deep, protocol)) is deep
+    forms = [encode_goodstein(2**2000 - 1), ZERO]
+    restored = pickle.loads(pickle.dumps(forms))
+    assert all(a is b for a, b in zip(restored, forms, strict=True))
 
 
 def test_arithmetic_on_hand_built_forms():

@@ -80,6 +80,36 @@ def test_only_rho_and_constant_load_mpmath(tmp_path):
     assert out.split() == ["False"] * 10 + ["True"]
 
 
+def test_cli_start_up_loads_only_what_the_parser_needs(tmp_path):
+    cache = tmp_path / "counts.json"
+    out = _fresh(f"""
+        import contextlib, io, sys
+        import formula_forge.cli
+        print(sorted(m for m in ("dataclasses", "inspect", "formula_forge.enumeration",
+                                 "formula_forge.trees", "formula_forge.cache")
+                     if m in sys.modules))
+        from formula_forge.cli import main
+
+        def run(*argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(list(argv)) == 0, argv
+            return "dataclasses" in sys.modules
+
+        print(run("cache", "save", {str(cache)!r}, "--warm", "8"),
+              run("count", "6", "--gates", "am"),
+              run("list", "5", "--gates", "ame"),
+              run("list", "5", "--gates", "ame", "--limit", "3"),
+              run("sample", "9", "--seed", "1"),
+              run("goodstein", "add", "3", "4"),
+              run("horner", "encode", "99"),
+              run("graph", "4"),
+              run("cache", "load", {str(cache)!r}))
+    """)
+    loaded, ran = out.splitlines()
+    assert loaded == "[]"
+    assert ran.split() == ["False"] * 9
+
+
 def test_every_export_is_its_home_object():
     assert sorted(formula_forge.__all__) == sorted(PUBLIC.split())
     for name in formula_forge.__all__:
