@@ -3,17 +3,22 @@
 A normal form here is a sum of distinct powers x^e with the exponents e
 themselves in normal form, exponents strictly decreasing.  Values never
 appear explicitly: addition, multiplication, and exponentiation are carried
-out on the forms, and produce the normal form of the result.  The Horner
-side builds level lists of even/odd/power shorthand expressions and a direct
-encoder that peels factors of x.
+out on the forms, and produce the normal form of the result.  A sum or a
+product counts how often each exponent value occurs (for a product, each
+sum of an exponent of one factor and one of the other), then carries the
+counts upward as binary addition does: two copies of x^v make x^(v + 1).
+The work of a product is one step per pair of exponents, capped by
+MAX_MUL_PAIRS unless force=True; powers square through the same product.
+
+The Horner side builds level lists of even/odd/power shorthand expressions
+and a direct encoder that peels factors of x.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
 
-from .errors import DomainError, LevelTooLarge, MagnitudeError, require_int
+from .errors import DomainError, LevelTooLarge, MagnitudeError, SizeGuard, require_int
 from .symexpr import ONE, X, Interned, SymExpr, sym_pow, sym_prod, sym_sum
 
 
@@ -32,6 +37,11 @@ class GoodsteinForm(Interned):
 
 ZERO = GoodsteinForm(())
 GS_ONE = GoodsteinForm((ZERO,))
+
+# exponent pairs that one g_mul, or all the multiplies of one g_pow, may
+# take: about 0.3 s of work on a 2-vCPU VM.  The square of 2^1000 - 1 and
+# 3 ** 2000 take about 10^6 pairs each, the square of 2^2000 - 1 4 * 10^6
+MAX_MUL_PAIRS = 1 << 21
 
 
 @lru_cache(maxsize=None)
@@ -54,51 +64,78 @@ def _encode(n):
     return GoodsteinForm(tuple(_encode(k) for k in bits if n >> k & 1))
 
 
-def _normal(exponents) -> GoodsteinForm:
-    """Normal form of the sum of x^e over `exponents`, repeats allowed.
+def _normal(counts: dict) -> GoodsteinForm:
+    """Normal form of the sum of counts[v] copies of x^v over the values v.
 
-    One carry pass from the smallest exponent up: x^e + x^e = x^(e + 1),
-    the carry re-entering the heap until all exponents are distinct.  The
-    heap holds the exponents' values, small integers (at most the bit length
-    of the sum); `form` maps a value to its form, built once per value.
+    Binary addition with a carry (Knuth, TAOCP vol. 2, 4.3.1), run on the
+    multiplicities: sweeping up from the smallest value, c copies of x^v
+    leave c mod 2 at v and carry c // 2 to v + 1.  The values are exponent
+    values, small integers (at most the bit length of the sum); the sum
+    itself is never formed.  Only the values that survive get a form, each
+    from the memoised _encode, so equal exponents are the same object.
     """
-    heap = [gs_value(e) for e in exponents]
-    form = dict(zip(heap, exponents))
-    heapify(heap)
-    out = []
-    while heap:
-        v = heappop(heap)
-        if heap and heap[0] == v:
-            heappop(heap)
-            heappush(heap, v + 1)
-            if v + 1 not in form:
-                form[v + 1] = g_add(form[v], GS_ONE)
-        else:
-            out.append(form[v])
-    return GoodsteinForm(tuple(reversed(out)))
+    survivors = []
+    c = v = 0  # c copies of x^v still to place
+    for w in sorted(counts):
+        while c and v < w:
+            if c & 1:
+                survivors.append(v)
+            c >>= 1
+            v += 1
+        c += counts[w]
+        v = w
+    while c:
+        if c & 1:
+            survivors.append(v)
+        c >>= 1
+        v += 1
+    return GoodsteinForm(tuple(map(_encode, reversed(survivors))))
 
 
-@lru_cache(maxsize=None)
+def _check_pairs(pairs, force):
+    if pairs > MAX_MUL_PAIRS and not force:
+        raise SizeGuard(
+            f"more than {MAX_MUL_PAIRS} exponent pairs to multiply; pass force to override"
+        )
+
+
 def g_add(a: GoodsteinForm, b: GoodsteinForm) -> GoodsteinForm:
-    """Sum of two normal forms: merge exponents, carry on collision.
+    """Sum of two normal forms: count the exponent values, carry on collision."""
+    counts = {}
+    for e in a.exponents + b.exponents:
+        v = gs_value(e)
+        counts[v] = counts.get(v, 0) + 1
+    return _normal(counts)
 
-    Memoised: forms are interned, so a key hashes in O(1), and g_mul and
-    the carries of _normal add the same small exponents over and over.
+
+def g_mul(a: GoodsteinForm, b: GoodsteinForm, force: bool = False) -> GoodsteinForm:
+    """Product of normal forms: x^e * x^f = x^(e + f), summed over digits.
+
+    Counts each sum of an exponent value of a and one of b, then carries.
+    The work is one step per pair of exponents, popcount(a) * popcount(b);
+    above MAX_MUL_PAIRS pairs SizeGuard is raised before any of it, unless
+    force=True.
     """
-    return _normal(a.exponents + b.exponents)
+    _check_pairs(len(a.exponents) * len(b.exponents), force)
+    ws = [gs_value(f) for f in b.exponents]
+    counts = {}
+    for e in a.exponents:
+        v = gs_value(e)
+        for w in ws:
+            s = v + w
+            counts[s] = counts.get(s, 0) + 1
+    return _normal(counts)
 
 
-def g_mul(a: GoodsteinForm, b: GoodsteinForm) -> GoodsteinForm:
-    """Product of normal forms: x^e * x^f = x^(e + f), summed over digits."""
-    return _normal([g_add(e, f) for e in a.exponents for f in b.exponents])
-
-
-def g_pow(a: GoodsteinForm, b: GoodsteinForm, max_bits: int = 1 << 20) -> GoodsteinForm:
+def g_pow(a: GoodsteinForm, b: GoodsteinForm, max_bits: int = 1 << 20,
+          force: bool = False) -> GoodsteinForm:
     """a ** b on normal forms, by squaring along the binary digits of b.
 
     The result of a tower exponentiation can dwarf memory; when the value of
     a**b would exceed max_bits bits, MagnitudeError is raised before any
-    work is done.
+    work is done.  The exponent pairs of all the multiplies count against
+    MAX_MUL_PAIRS as g_mul's do: SizeGuard is raised before the multiply
+    that would pass it, unless force=True.
     """
     va, vb = gs_value(a), gs_value(b)
     if vb == 0:
@@ -113,13 +150,19 @@ def g_pow(a: GoodsteinForm, b: GoodsteinForm, max_bits: int = 1 << 20) -> Goodst
             f" (> max_bits = {max_bits})"
         )
     positions = {gs_value(e) for e in b.exponents}
+    top = max(positions)
+    pairs = 0
     result = GS_ONE
     square = a
-    for k in range(max(positions) + 1):
+    for k in range(top + 1):
         if k in positions:
-            result = g_mul(result, square)
-        if k < max(positions):
-            square = g_mul(square, square)
+            pairs += len(result.exponents) * len(square.exponents)
+            _check_pairs(pairs, force)
+            result = g_mul(result, square, force=True)
+        if k < top:
+            pairs += len(square.exponents) ** 2
+            _check_pairs(pairs, force)
+            square = g_mul(square, square, force=True)
     return result
 
 

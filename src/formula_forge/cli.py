@@ -170,9 +170,11 @@ def _cmd_goodstein(args):
         return 0
     fa, fb = encode_goodstein(args.a), encode_goodstein(args.b)
     if args.mode == "pow":
-        result = g_pow(fa, fb, max_bits=args.max_bits)
+        result = g_pow(fa, fb, max_bits=args.max_bits, force=args.unsafe)
+    elif args.mode == "mul":
+        result = g_mul(fa, fb, force=args.unsafe)
     else:
-        result = (g_add if args.mode == "add" else g_mul)(fa, fb)
+        result = g_add(fa, fb)
     _emit({"op": args.mode, "a": str(args.a), "b": str(args.b), **_gs_json(result)})
     return 0
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .counting import count_ame
 from .enumeration import enumerate_ame
 from .errors import Record, SizeGuard, require_int
 from .trees import evaluate, is_strict, size, to_prefix
@@ -158,10 +157,7 @@ def build_graph(n: int, force: bool = False) -> RewriteGraph:
     """
     require_int(n)
     if n > MAX_GRAPH_VALUE and not force:
-        raise SizeGuard(
-            f"value {n} > {MAX_GRAPH_VALUE} means {count_ame(n)} vertices; "
-            "pass force to override"
-        )
+        raise SizeGuard(f"value {n} > {MAX_GRAPH_VALUE}; pass force to override")
     vertices = tuple(enumerate_ame(n))
     vset = set(vertices)
     adj = {v: set() for v in vertices}

@@ -11,7 +11,6 @@ node is built once, so ``==`` and ``hash`` are identity and cost O(1).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, Record, SizeGuard
@@ -146,12 +145,16 @@ def sym_value(e: SymExpr):
         if isinstance(x, int) and x >= 0:
             return b**x
         if x < 0:
+            from fractions import Fraction  # only Neg exponents need it
+
             return Fraction(1, b ** int(-x))
         raise DomainError(f"unsupported exponent value {x!r}")
     if isinstance(e, Neg):
         v = sym_value(e.inner)
         if not (isinstance(v, int) and v >= 1):
             raise DomainError("Neg wraps positive integer exponents only")
+        from fractions import Fraction
+
         return Fraction(-v)
     raise DomainError(f"not a symbolic expression: {e!r}")
 

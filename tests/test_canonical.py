@@ -1,8 +1,12 @@
 """Hereditary base-x normal forms, their arithmetic, and the level lists."""
 
 import random
+from functools import lru_cache
+from heapq import heapify, heappop, heappush
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formula_forge import (
     DomainError,
@@ -14,6 +18,7 @@ from formula_forge import (
     SizeGuard,
     X,
     ZERO,
+    canonical,
     encode_goodstein,
     encode_horner,
     expand_x,
@@ -120,6 +125,78 @@ def test_add_identity_and_carry_chain():
     assert g_add(ZERO, f) == f
     # 63 + 1 carries through six positions
     assert g_add(encode_goodstein(63), GS_ONE) == encode_goodstein(64)
+
+
+# the heap carry that the multiplicity carry replaced, kept here as an
+# oracle: same forms, reached by a different route
+
+def heap_normal(exponents):
+    heap = [gs_value(e) for e in exponents]
+    form = dict(zip(heap, exponents))
+    heapify(heap)
+    out = []
+    while heap:
+        v = heappop(heap)
+        if heap and heap[0] == v:
+            heappop(heap)
+            heappush(heap, v + 1)
+            if v + 1 not in form:
+                form[v + 1] = heap_add(form[v], GS_ONE)
+        else:
+            out.append(form[v])
+    return GoodsteinForm(tuple(reversed(out)))
+
+
+@lru_cache(maxsize=None)
+def heap_add(a, b):
+    return heap_normal(a.exponents + b.exponents)
+
+
+def heap_mul(a, b):
+    return heap_normal([heap_add(e, f) for e in a.exponents for f in b.exponents])
+
+
+# operands up to about 300 bits: small-biased integers, dense random bit
+# strings, and runs of ones, whose products carry the longest
+OPERANDS = st.one_of(
+    st.integers(0, 2**300),
+    st.binary(max_size=38).map(lambda raw: int.from_bytes(raw, "big")),
+    st.integers(0, 300).map(lambda k: 2**k - 1),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=OPERANDS, b=OPERANDS)
+def test_add_mul_match_the_heap_carry(a, b):
+    fa, fb = encode_goodstein(a), encode_goodstein(b)
+    assert g_add(fa, fb) is heap_add(fa, fb)
+    assert g_mul(fa, fb) is heap_mul(fa, fb)
+
+
+def test_carry_runs_past_the_largest_count():
+    # 2^k copies of x^0 carry k places up; 3 copies leave x^1 + x^0
+    assert canonical._normal({0: 2**40}) is encode_goodstein(2**40)
+    assert canonical._normal({5: 3, 7: 1}) is encode_goodstein(3 * 32 + 128)
+    assert canonical._normal({}) is ZERO
+
+
+def test_mul_pair_guard():
+    cap = canonical.MAX_MUL_PAIRS
+    wide = encode_goodstein(2 ** (cap // 1000 + 1) - 1)  # popcount cap // 1000 + 1
+    narrow = encode_goodstein(2**1000 - 1)  # popcount 1000
+    with pytest.raises(SizeGuard, match=str(cap)):
+        g_mul(wide, narrow)
+    assert gs_value(g_mul(wide, narrow, force=True)) == gs_value(wide) * gs_value(narrow)
+    assert gs_value(g_mul(narrow, narrow)) == gs_value(narrow) ** 2
+
+
+def test_pow_pair_guard_counts_every_multiply():
+    # each multiply of 3 ** 3000 stays under the cap; together they pass it
+    three, big = encode_goodstein(3), encode_goodstein(3000)
+    with pytest.raises(SizeGuard, match=str(canonical.MAX_MUL_PAIRS)):
+        g_pow(three, big)
+    assert g_pow(three, big, force=True) is encode_goodstein(3**3000)
+    assert g_pow(three, encode_goodstein(2000)) is encode_goodstein(3**2000)
 
 
 def test_pow_exhaustive_small():

@@ -339,6 +339,23 @@ def test_graph_dot_into_a_missing_directory(tmp_path):
     assert proc.stdout == ""
 
 
+def test_goodstein_mul_past_the_pair_cap(tmp_path):
+    a = str(2**2000 - 1)
+    proc = _run_child(tmp_path, "goodstein", "mul", a, a)
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("guard:")
+    assert proc.stdout == ""
+    proc = _run_child(tmp_path, "goodstein", "mul", a, a, "--unsafe")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value"] == str((2**2000 - 1) ** 2)
+
+
+def test_goodstein_pow_under_the_pair_cap(tmp_path):
+    proc = _run_child(tmp_path, "goodstein", "pow", "3", "2000")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value"] == str(3**2000)
+
+
 def test_horner_encode_too_deep_to_render(tmp_path):
     proc = _run_child(tmp_path, "horner", "encode", str(2**128 - 1))
     assert proc.returncode == 4

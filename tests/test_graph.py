@@ -9,6 +9,7 @@ from formula_forge import (
     SizeGuard,
     build_graph,
     count_ame,
+    default_table,
     evaluate,
     is_strict,
     neighbors,
@@ -148,3 +149,13 @@ def test_guards():
     for bad in (0, -1, True, "5", 2.5):
         with pytest.raises(DomainError):
             build_graph(bad)
+
+
+def test_guard_refuses_before_any_count():
+    def ame_rows():
+        return sum(1 for row in default_table().entries() if row[0] == "ame")
+
+    before = ame_rows()
+    with pytest.raises(SizeGuard, match=r"value 1200 > 9;"):
+        build_graph(1200)
+    assert ame_rows() == before

@@ -110,6 +110,25 @@ def test_cli_start_up_loads_only_what_the_parser_needs(tmp_path):
     assert ran.split() == ["False"] * 9
 
 
+def test_tower_commands_load_no_fractions():
+    # Fraction is needed only for Neg exponents, as in sieve --rationals
+    out = _fresh("""
+        import contextlib, io, sys
+        from formula_forge.cli import main
+
+        def run(*argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(list(argv)) == 0, argv
+            return "fractions" in sys.modules
+
+        print(run("goodstein", "mul", "1000003", "999983"),
+              run("horner", "encode", "99"),
+              run("sieve", "--levels", "3"),
+              run("sieve", "--levels", "3", "--rationals"))
+    """)
+    assert out.split() == ["False"] * 3 + ["True"]
+
+
 def test_every_export_is_its_home_object():
     assert sorted(formula_forge.__all__) == sorted(PUBLIC.split())
     for name in formula_forge.__all__:
