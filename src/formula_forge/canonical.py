@@ -8,7 +8,8 @@ product counts how often each exponent value occurs (for a product, each
 sum of an exponent of one factor and one of the other), then carries the
 counts upward as binary addition does: two copies of x^v make x^(v + 1).
 The work of a product is one step per pair of exponents, capped by
-MAX_MUL_PAIRS unless force=True; powers square through the same product.
+MAX_MUL_PAIRS; powers square through the same product, and their result is
+capped at MAX_POW_BITS bits.  force=True lifts these caps and the level caps.
 
 The Horner side builds level lists of even/odd/power shorthand expressions
 and a direct encoder that peels factors of x.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import DomainError, LevelTooLarge, MagnitudeError, SizeGuard, require_int
+from .errors import DomainError, LevelTooLarge, MagnitudeError, check_cap, require_int
 from .symexpr import ONE, X, Interned, SymExpr, sym_pow, sym_prod, sym_sum
 
 
@@ -42,6 +43,12 @@ GS_ONE = GoodsteinForm((ZERO,))
 # take: about 0.3 s of work on a 2-vCPU VM.  The square of 2^1000 - 1 and
 # 3 ** 2000 take about 10^6 pairs each, the square of 2^2000 - 1 4 * 10^6
 MAX_MUL_PAIRS = 1 << 21
+# bits of a g_pow result: str() of a 2^20-bit value takes 1.8 s on a 2-vCPU VM
+MAX_POW_BITS = 1 << 20
+# level sets: goodstein level 3 would hold 2^256 - 1 expressions, and
+# horner level 5 runs past two minutes (level 4 holds 385 expressions)
+MAX_GOODSTEIN_LEVEL = 2
+MAX_HORNER_LEVEL = 3
 
 
 @lru_cache(maxsize=None)
@@ -92,13 +99,6 @@ def _normal(counts: dict) -> GoodsteinForm:
     return GoodsteinForm(tuple(map(_encode, reversed(survivors))))
 
 
-def _check_pairs(pairs, force):
-    if pairs > MAX_MUL_PAIRS and not force:
-        raise SizeGuard(
-            f"more than {MAX_MUL_PAIRS} exponent pairs to multiply; pass force to override"
-        )
-
-
 def g_add(a: GoodsteinForm, b: GoodsteinForm) -> GoodsteinForm:
     """Sum of two normal forms: count the exponent values, carry on collision."""
     counts = {}
@@ -116,7 +116,8 @@ def g_mul(a: GoodsteinForm, b: GoodsteinForm, force: bool = False) -> GoodsteinF
     above MAX_MUL_PAIRS pairs SizeGuard is raised before any of it, unless
     force=True.
     """
-    _check_pairs(len(a.exponents) * len(b.exponents), force)
+    pairs = len(a.exponents) * len(b.exponents)
+    check_cap(pairs, MAX_MUL_PAIRS, f"{pairs} exponent pairs to multiply", force)
     ws = [gs_value(f) for f in b.exponents]
     counts = {}
     for e in a.exponents:
@@ -127,28 +128,22 @@ def g_mul(a: GoodsteinForm, b: GoodsteinForm, force: bool = False) -> GoodsteinF
     return _normal(counts)
 
 
-def g_pow(a: GoodsteinForm, b: GoodsteinForm, max_bits: int = 1 << 20,
-          force: bool = False) -> GoodsteinForm:
+def g_pow(a: GoodsteinForm, b: GoodsteinForm, force: bool = False) -> GoodsteinForm:
     """a ** b on normal forms, by squaring along the binary digits of b.
 
     The result of a tower exponentiation can dwarf memory; when the value of
-    a**b would exceed max_bits bits, MagnitudeError is raised before any
+    a**b would exceed MAX_POW_BITS bits, MagnitudeError is raised before any
     work is done.  The exponent pairs of all the multiplies count against
     MAX_MUL_PAIRS as g_mul's do: SizeGuard is raised before the multiply
-    that would pass it, unless force=True.
+    that would pass it.  force=True overrides both caps.
     """
     va, vb = gs_value(a), gs_value(b)
-    if vb == 0:
+    if vb == 0 or va == 1:
         return GS_ONE
     if va == 0:
         return ZERO
-    if va == 1:
-        return GS_ONE
-    if vb * (va.bit_length() - 1) + 1 > max_bits:
-        raise MagnitudeError(
-            f"result needs about {vb * (va.bit_length() - 1) + 1} bits"
-            f" (> max_bits = {max_bits})"
-        )
+    bits = vb * (va.bit_length() - 1) + 1
+    check_cap(bits, MAX_POW_BITS, f"a power of about {bits} bits", force, MagnitudeError)
     positions = {gs_value(e) for e in b.exponents}
     top = max(positions)
     pairs = 0
@@ -157,11 +152,11 @@ def g_pow(a: GoodsteinForm, b: GoodsteinForm, max_bits: int = 1 << 20,
     for k in range(top + 1):
         if k in positions:
             pairs += len(result.exponents) * len(square.exponents)
-            _check_pairs(pairs, force)
+            check_cap(pairs, MAX_MUL_PAIRS, f"{pairs} exponent pairs to multiply", force)
             result = g_mul(result, square, force=True)
         if k < top:
             pairs += len(square.exponents) ** 2
-            _check_pairs(pairs, force)
+            check_cap(pairs, MAX_MUL_PAIRS, f"{pairs} exponent pairs to multiply", force)
             square = g_mul(square, square, force=True)
     return result
 
@@ -183,11 +178,10 @@ def goodstein_levels(t: int, force: bool = False) -> list:
     Level 0 is [1, x].  Each round replaces the level N by all nonempty
     subset sums of {1} + {x^n : n in N}.  Level 1 has 7 expressions
     (values 1..7), level 2 has 255 (values 1..255); level 3 would have
-    2^256 - 1, so t > 2 is refused unless force=True.
+    2^256 - 1, so t > MAX_GOODSTEIN_LEVEL is refused unless force=True.
     """
-    require_int(t, 0, "level")
-    if t > 2 and not force:
-        raise LevelTooLarge(f"level {t} would hold a tower-of-two of expressions")
+    check_cap(require_int(t, 0, "level"), MAX_GOODSTEIN_LEVEL, f"goodstein level {t}",
+              force, LevelTooLarge)
     level = [ONE, X]
     for _ in range(t):
         pool = [ONE] + [sym_pow(X, e) for e in level]
@@ -209,11 +203,10 @@ def horner_levels(t: int, force: bool = False) -> list:
         LP' = LP + {x^m : m in LE + LO}
 
     Level 0 is [1, x, x + 1, x^x]; level 1 adds values {5, 6, 8, 12, 16}.
-    t > 3 is refused unless force=True.
+    t > MAX_HORNER_LEVEL is refused unless force=True.
     """
-    require_int(t, 0, "level")
-    if t > 3 and not force:
-        raise LevelTooLarge(f"level {t} is beyond the guarded range")
+    check_cap(require_int(t, 0, "level"), MAX_HORNER_LEVEL, f"horner level {t}",
+              force, LevelTooLarge)
     xx = sym_pow(X, X)
     n_all = [ONE, X, sym_sum([X, ONE]), xx]
     le = [xx]

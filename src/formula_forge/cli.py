@@ -6,11 +6,13 @@ One subcommand per capability; results go to stdout as single-line JSON
 closed early (a reader such as `head` stopped; nothing is printed on stderr
 and the cache is not written), 2 usage, 3 domain error or an output file
 that cannot be written, 4 resource guard refused the request (every
-subcommand takes --unsafe to override its guards).
+subcommand takes --unsafe to override its guards).  Every guard is one
+errors.check_cap call made before the work it caps; the caps that only the
+command line enforces are in the block below the imports.
 
 With FORMULA_FORGE_CACHE set, a command that reads the count table
-(`count`, `sample`, `cache`, `rho`, `constant`, and `list` without --limit or
---unsafe) loads the tables from that path first and writes them back after
+(`count`, `sample`, `cache`, `rho`, `constant`, and `list` without --limit)
+loads the tables from that path first and writes them back after
 a successful run that added rows (or when the file did not exist yet), so
 repeated invocations share work; a failed write-back is only a warning.
 Every other command leaves the file alone: it neither reads nor creates it.
@@ -28,25 +30,34 @@ import itertools
 import json
 import os
 import sys
+from math import comb
 
 from . import __version__
-from .counting import (
-    FAMILIES, GATE_SETS, MAX_COUNT_VALUE, ROOT_ALL, default_table, resolve_family,
-)
+from .counting import FAMILIES, GATE_SETS, ROOT_ALL, default_table, resolve_family
 from .errors import (
-    CacheError,
-    FormulaForgeError,
-    LevelTooLarge,
-    MagnitudeError,
-    SizeGuard,
+    CacheError, FormulaForgeError, LevelTooLarge, MagnitudeError, SizeGuard, check_cap,
     require_int,
 )
 
-DEFAULT_LIST_LIMIT = 1_000_000
-# on a 2-vCPU VM, --warm 1000 takes 2.1 s and 2000 20.5 s; --terms 1000
-# takes 4-5 s and 2000 44-47 s with a 678 MB peak
+# The caps that only the command line enforces, each lifted by --unsafe;
+# times are fresh runs on a 2-vCPU VM.  Count and sample values: a fresh am
+# or ame fill to 2000 takes about 5 s, `sample 2000 --gates ame` about 6 s,
+# and the fill grows about as n^3
+MAX_COUNT_VALUE = 2000
+MAX_SAMPLE_VALUE = 2000
+# shortest n or --upto: a fresh fill to 10,000 takes about 3 s, growing as n^2
+MAX_SHORTEST_VALUE = 10_000
+DEFAULT_LIST_LIMIT = 1_000_000  # encodings `list` prints without --limit
+# --warm 1000 takes 2.1 s and 2000 20.5 s; --terms 1000 takes 4-5 s and 2000
+# 44-47 s with a 678 MB peak; --iterations 5000 takes 1.7 s, --precision-bits
+# 3000 1.4 s, and 10^5 iterations or 20,000 bits each run past 10 s
 MAX_WARM_VALUE = 1000
 MAX_TERMS = 1000
+MAX_ITERATIONS = 5000
+MAX_PRECISION_BITS = 3000
+# expressions `sieve --rationals` builds, about 55 us each with their JSON:
+# 37,687 take 2.2 s
+MAX_RATIONALS = 50_000
 _NOTATIONS = ("brackets", "prefix", "postfix")
 _ROOT_WORDS = {"+": "add", "*": "mul", "^": "pow"}
 
@@ -82,15 +93,9 @@ def _request(args):
     return resolve_family(args.gates, args.root, args.lop)
 
 
-def _check_size(n, cap, args):
-    """SizeGuard for a value above a command's cap, unless --unsafe."""
-    if n > cap and not args.unsafe:
-        raise SizeGuard(f"value {n} > {cap}; pass --unsafe to override")
-
-
 def _cmd_count(args):
     family, root = _request(args)
-    _check_size(args.n, MAX_COUNT_VALUE, args)
+    check_cap(args.n, MAX_COUNT_VALUE, f"count value {args.n}", args.unsafe)
     count = default_table().count
     out = {
         "n": args.n,
@@ -111,15 +116,12 @@ def _cmd_list(args):
     from .enumeration import stream
 
     family, root = _request(args)
-    if _reads_counts(args):  # no --limit or --unsafe: size the stream first
-        total = default_table().count(family.name, args.n, root)
-        if total > DEFAULT_LIST_LIMIT:
-            raise SizeGuard(
-                f"{total} encodings (> {DEFAULT_LIST_LIMIT}); "
-                "pass --limit or --unsafe"
-            )
+    trees = stream(family, args.n, root)  # refuses a stream too deep to run
+    if args.limit is None:
+        check_cap(default_table().count(family.name, args.n, root), DEFAULT_LIST_LIMIT,
+                  f"encodings of value {args.n} to list without --limit", args.unsafe)
     render = _renderer(args.notation)
-    for tree in itertools.islice(stream(family, args.n, root), args.limit):
+    for tree in itertools.islice(trees, args.limit):
         print(render(tree))
     return 0
 
@@ -127,10 +129,10 @@ def _cmd_list(args):
 def _cmd_sample(args):
     import random
 
-    from .sampling import MAX_SAMPLE_VALUE, sample_from
+    from .sampling import sample_from
 
     family, root = _request(args)
-    _check_size(args.n, MAX_SAMPLE_VALUE, args)
+    check_cap(args.n, MAX_SAMPLE_VALUE, f"sample value {args.n}", args.unsafe)
     rng, render = random.Random(args.seed), _renderer(args.notation)
     for _ in range(args.count):
         print(render(sample_from(family, args.n, rng, root)))
@@ -138,11 +140,12 @@ def _cmd_sample(args):
 
 
 def _cmd_shortest(args):
-    from .shortest import MAX_SHORTEST_VALUE, shortest, shortest_range
+    from .shortest import shortest, shortest_range
     from .trees import to_prefix
 
-    _check_size(args.n if args.upto is None else args.upto, MAX_SHORTEST_VALUE, args)
-    entries = shortest_range(args.upto) if args.upto is not None else [shortest(args.n)]
+    n = args.n if args.upto is None else args.upto
+    check_cap(n, MAX_SHORTEST_VALUE, f"shortest value {n}", args.unsafe)
+    entries = shortest_range(n) if args.upto is not None else [shortest(n)]
     for entry in entries:
         _emit({"n": entry.n, "size": entry.size, "witness": to_prefix(entry.witness)})
     return 0
@@ -170,7 +173,7 @@ def _cmd_goodstein(args):
         return 0
     fa, fb = encode_goodstein(args.a), encode_goodstein(args.b)
     if args.mode == "pow":
-        result = g_pow(fa, fb, max_bits=args.max_bits, force=args.unsafe)
+        result = g_pow(fa, fb, force=args.unsafe)
     elif args.mode == "mul":
         result = g_mul(fa, fb, force=args.unsafe)
     else:
@@ -191,10 +194,7 @@ def _cmd_horner(args):
 def _cmd_sieve(args):
     from .sieve import rational_set, run_sieve, scf_coarse
 
-    if args.coarse:
-        state = scf_coarse(args.levels, force=args.unsafe)
-    else:
-        state = run_sieve(args.levels, force=args.unsafe)
+    state = (scf_coarse if args.coarse else run_sieve)(args.levels, force=args.unsafe)
     out = {
         "levels": args.levels,
         "coarse": args.coarse,
@@ -205,14 +205,27 @@ def _cmd_sieve(args):
     if args.integers:
         out["integers"] = [_expr_json(e) for e in state.integers]
     if args.rationals:
-        rs = rational_set(state, args.exponent_bound, args.factor_bound)
-        out["rationals"] = [_expr_json(e) for e in rs]
+        # rational_set builds sum over c <= min(F, P) of C(P, c) * (2E)^c
+        # expressions: c of the P known primes, each to one of 2E exponents
+        p, e, f = len(state.primes), args.exponent_bound, args.factor_bound
+        size = sum(comb(p, c) * (2 * max(e, 0)) ** c for c in range(min(f, p) + 1))
+        check_cap(size, MAX_RATIONALS, f"rational expressions over {p} primes with "
+                  f"--exponent-bound {e} --factor-bound {f}", args.unsafe)
+        out["rationals"] = [_expr_json(r) for r in rational_set(state, e, f)]
     _emit(out)
     return 0
 
 
+def _check_growth_caps(args):
+    """--terms, --iterations and --precision-bits, before mpmath is imported."""
+    for flag, value, cap in (("terms", args.terms, MAX_TERMS),
+                             ("iterations", args.iterations, MAX_ITERATIONS),
+                             ("precision-bits", args.precision_bits, MAX_PRECISION_BITS)):
+        check_cap(value, cap, f"--{flag} {value}", args.unsafe)
+
+
 def _cmd_rho(args):
-    _check_size(args.terms, MAX_TERMS, args)
+    _check_growth_caps(args)
     from .asymptotics import rho_estimate
 
     est = rho_estimate(args.gates, args.terms, args.iterations, args.precision_bits)
@@ -230,7 +243,7 @@ def _cmd_rho(args):
 
 
 def _cmd_constant(args):
-    _check_size(args.terms, MAX_TERMS, args)
+    _check_growth_caps(args)
     from .asymptotics import constant_estimate
 
     est = constant_estimate(args.terms, args.iterations, args.precision_bits)
@@ -272,7 +285,7 @@ def _cmd_cache(args):
     from .cache import load_table, save_table
 
     if args.mode == "save":
-        _check_size(args.warm, MAX_WARM_VALUE, args)
+        check_cap(args.warm, MAX_WARM_VALUE, f"cache --warm {args.warm}", args.unsafe)
         if args.warm:
             for name in FAMILIES:
                 default_table().count(name, args.warm)
@@ -330,8 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", type=int, nargs="?")
     p.add_argument("b", type=int, nargs="?")
     p.add_argument("-t", type=int, default=1, help="level for mode=levels")
-    p.add_argument("--max-bits", type=int, default=1 << 20,
-                   help="bit budget for mode=pow")
     p.set_defaults(func=_cmd_goodstein)
 
     p = sub.add_parser("horner", help="Horner-style canonical encodings")
@@ -359,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     constant.add_argument("--json", action="store_true",
                           help="summary JSON instead of the n,ratio CSV")
     constant.set_defaults(func=_cmd_constant)
-    for p in (rho, constant):  # --terms is capped at MAX_TERMS in both
+    for p in (rho, constant):  # capped at MAX_TERMS, MAX_ITERATIONS, MAX_PRECISION_BITS
         p.add_argument("--terms", type=int, default=100)
         p.add_argument("--iterations", type=int, default=20)
         p.add_argument("--precision-bits", type=int, default=100)
@@ -402,9 +413,9 @@ def _check_required(args, parser):
 
 def _reads_counts(args):
     """Whether the command reads the count table, so loads and saves the cache;
-    `list` reads it only to size a stream that has no --limit or --unsafe."""
+    `list` reads it only to size a stream that has no --limit."""
     if args.command == "list":
-        return args.limit is None and not args.unsafe
+        return args.limit is None
     return args.command in ("count", "sample", "cache", "rho", "constant")
 
 
@@ -412,6 +423,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _check_required(args, parser)
+    # lift the 4,300-digit str() limit of 3.10.7 on for the results; the
+    # operands were parsed under it
+    getattr(sys, "set_int_max_str_digits", lambda _: None)(0)
     cache_path = None
     if _reads_counts(args):
         from .cache import ENV_VAR, load_table, save_table

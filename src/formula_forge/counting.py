@@ -28,9 +28,6 @@ from math import isqrt
 from .errors import CacheError, DomainError, Record, require_int
 
 ROOT_ALL = "all"
-# the command line's cap on count values: a fresh am or ame fill to 2000
-# takes about 5 s on a 2-vCPU VM, and the cost grows about as n^3
-MAX_COUNT_VALUE = 2000
 CHECK_EVERY = 16  # see CountTable.absorb
 _ROOT_NAMES = {
     "+": "+", "*": "*", "^": "^", "all": "all",

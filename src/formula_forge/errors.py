@@ -1,5 +1,5 @@
-"""Exception types, the integer check and the value-record base shared
-across the package."""
+"""Exception types, the integer check, the size-guard rule and the
+value-record base shared across the package."""
 
 
 class FormulaForgeError(Exception):
@@ -47,6 +47,15 @@ class InternalGapError(FormulaForgeError, RuntimeError):
 
 class CacheError(FormulaForgeError, ValueError):
     """Count-cache file is missing, corrupt, or version-incompatible."""
+
+
+def check_cap(value, cap, what: str, force: bool = False, error=SizeGuard) -> None:
+    """error when value > cap, unless force (the command line's --unsafe):
+    the one size-guard rule, called before any of the work it caps.  `what`
+    names the capped quantity and may quote the input; the message quotes
+    the cap, never value, which may be a count too long to print."""
+    if value > cap and not force:
+        raise error(f"{what} > {cap}; pass --unsafe (force=True) to override")
 
 
 def require_int(value, minimum: int = 1, name: str = "value") -> int:

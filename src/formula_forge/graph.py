@@ -13,7 +13,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .enumeration import enumerate_ame
-from .errors import Record, SizeGuard, require_int
+from .errors import Record, check_cap, require_int
 from .trees import evaluate, is_strict, size, to_prefix
 
 MAX_GRAPH_VALUE = 9
@@ -155,9 +155,7 @@ def build_graph(n: int, force: bool = False) -> RewriteGraph:
     the CommAdd and AssocAdd labels.  Vertex counts grow like 4.13^n, so
     n > 9 is refused unless force=True.
     """
-    require_int(n)
-    if n > MAX_GRAPH_VALUE and not force:
-        raise SizeGuard(f"value {n} > {MAX_GRAPH_VALUE}; pass force to override")
+    check_cap(require_int(n), MAX_GRAPH_VALUE, f"graph value {n}", force)
     vertices = tuple(enumerate_ame(n))
     vset = set(vertices)
     adj = {v: set() for v in vertices}

@@ -27,10 +27,6 @@ from itertools import accumulate
 from .counting import FAMILIES, ROOT_ALL, Family, default_table
 from .errors import DomainError, NoMultiplicativeSplit, require_int
 
-# the command line's cap on sampled values: the count fill it needs
-# dominates, about 6 s to 2000 for ame on a 2-vCPU VM
-MAX_SAMPLE_VALUE = 2000
-
 
 def roll_loaded_die(weights, rng: random.Random) -> int:
     """1-based index drawn with probability weights[i-1] / sum(weights).

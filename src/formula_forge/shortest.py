@@ -27,10 +27,6 @@ from .trees import size
 # witnesses are those of the full range.
 _RULES = FAMILIES["lop"].rules + FAMILIES["ame"].rules[1:]
 
-# the command line's cap on n and --upto: a fresh fill to 10,000 takes
-# about 3 s on a 2-vCPU VM, and the cost grows as n^2
-MAX_SHORTEST_VALUE = 10_000
-
 
 @dataclass(frozen=True)
 class ShortestEntry:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, InternalGapError, LevelTooLarge, require_int
+from .errors import DomainError, InternalGapError, LevelTooLarge, check_cap, require_int
 from .symexpr import ONE, Neg, Pow, SymExpr, X, sym_pow, sym_prod, sym_sum, sym_value
 
 MAX_LEVELS = 14
@@ -152,9 +152,8 @@ def run_sieve(levels: int, force: bool = False) -> SieveState:
     run_sieve(3).prime_values() lists the 11 primes up to 32.
     Levels beyond 14 (coverage 65536) are refused unless force=True.
     """
-    require_int(levels, 0, "levels")
-    if levels > MAX_LEVELS and not force:
-        raise LevelTooLarge(f"levels {levels} > {MAX_LEVELS}; pass force to override")
+    check_cap(require_int(levels, 0, "levels"), MAX_LEVELS, f"sieve levels {levels}",
+              force, LevelTooLarge)
     state = initial_state()
     if levels == 0:
         return state
@@ -170,11 +169,8 @@ def scf_coarse(levels: int, force: bool = False) -> SieveState:
     dyadic state of equal coverage.  levels > 2 is refused unless
     force=True (level 3 already builds 65536 encodings).
     """
-    require_int(levels, 0, "levels")
-    if levels > COARSE_MAX_LEVELS and not force:
-        raise LevelTooLarge(
-            f"coarse level {levels} > {COARSE_MAX_LEVELS}; pass force to override"
-        )
+    check_cap(require_int(levels, 0, "levels"), COARSE_MAX_LEVELS,
+              f"coarse sieve levels {levels}", force, LevelTooLarge)
     state = initial_state()
     target = 4
     for _ in range(levels):

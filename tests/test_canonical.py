@@ -224,14 +224,17 @@ def test_pow_worked_example():
     )
 
 
-def test_pow_magnitude_guard():
+def test_pow_magnitude_guard(monkeypatch):
     two = encode_goodstein(2)
     with pytest.raises(MagnitudeError):
         g_pow(two, encode_goodstein(2**21))
     # the guard is on predicted bits, not on operand size
-    assert g_pow(two, encode_goodstein(64), max_bits=100) == encode_goodstein(2**64)
+    monkeypatch.setattr(canonical, "MAX_POW_BITS", 100)
+    assert g_pow(two, encode_goodstein(64)) == encode_goodstein(2**64)
+    monkeypatch.setattr(canonical, "MAX_POW_BITS", 60)
     with pytest.raises(MagnitudeError):
-        g_pow(two, encode_goodstein(64), max_bits=60)
+        g_pow(two, encode_goodstein(64))
+    assert g_pow(two, encode_goodstein(64), force=True) == encode_goodstein(2**64)
 
 
 # level lists

@@ -2,12 +2,15 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 
 import pytest
 
 import formula_forge
+from formula_forge import canonical, cli, enumeration, graph, sieve
 from formula_forge import parse_prefix, evaluate, is_strict
 from formula_forge.cache import ENV_VAR
 from formula_forge.cli import main
@@ -413,12 +416,10 @@ def test_unsafe_overrides_the_warm_and_terms_guards(tmp_path, argv):
 
 
 def test_unsafe_overrides_the_size_guards(capsys, monkeypatch):
-    from importlib import import_module
+    from formula_forge import cli
 
-    # the package binds the function shortest over its submodule's name
-    for module, cap in (("cli", "MAX_COUNT_VALUE"), ("sampling", "MAX_SAMPLE_VALUE"),
-                        ("shortest", "MAX_SHORTEST_VALUE")):
-        monkeypatch.setattr(import_module(f"formula_forge.{module}"), cap, 5)
+    for cap in ("MAX_COUNT_VALUE", "MAX_SAMPLE_VALUE", "MAX_SHORTEST_VALUE"):
+        monkeypatch.setattr(cli, cap, 5)
     for argv in (["count", "6"], ["sample", "6", "--seed", "1"], ["shortest", "6"],
                  ["shortest", "--upto", "6"]):
         code, out, err = run(capsys, *argv)
@@ -426,6 +427,120 @@ def test_unsafe_overrides_the_size_guards(capsys, monkeypatch):
         code, out, _ = run(capsys, *argv, "--unsafe")
         assert code == 0 and out
     assert run(capsys, "count", "5")[0] == 0
+
+
+_M = str(2**2000 - 1)  # its square takes 4 * 10^6 exponent pairs
+_GUARDS = [  # one row per guard: argv, and the cap its guard line quotes
+    pytest.param(("count", "100000"), cli.MAX_COUNT_VALUE, id="count"),
+    pytest.param(("sample", "5000", "--gates", "ame"), cli.MAX_SAMPLE_VALUE, id="sample"),
+    pytest.param(("shortest", "200000"), cli.MAX_SHORTEST_VALUE, id="shortest"),
+    pytest.param(("shortest", "--upto", "20000"), cli.MAX_SHORTEST_VALUE, id="shortest-upto"),
+    pytest.param(("list", "3000"), enumeration.MAX_STREAM_VALUE, id="list-deep"),
+    pytest.param(("list", "400"), cli.DEFAULT_LIST_LIMIT, id="list-long"),
+    pytest.param(("goodstein", "mul", _M, _M), canonical.MAX_MUL_PAIRS, id="goodstein-mul"),
+    pytest.param(("goodstein", "pow", "3", "3000"), canonical.MAX_MUL_PAIRS,
+                 id="goodstein-pow-pairs"),
+    pytest.param(("goodstein", "pow", "2", "1100000"), canonical.MAX_POW_BITS,
+                 id="goodstein-pow-bits"),
+    pytest.param(("goodstein", "levels", "3"), canonical.MAX_GOODSTEIN_LEVEL,
+                 id="goodstein-levels"),
+    pytest.param(("horner", "levels", "5"), canonical.MAX_HORNER_LEVEL, id="horner-levels"),
+    pytest.param(("sieve", "--levels", "20"), sieve.MAX_LEVELS, id="sieve-levels"),
+    pytest.param(("sieve", "--levels", "3", "--coarse"), sieve.COARSE_MAX_LEVELS,
+                 id="sieve-coarse"),
+    pytest.param(("sieve", "--levels", "3", "--rationals", "--exponent-bound", "3",
+                  "--factor-bound", "4"), cli.MAX_RATIONALS, id="sieve-rationals"),
+    pytest.param(("graph", "12"), graph.MAX_GRAPH_VALUE, id="graph"),
+    pytest.param(("cache", "save", "P.json", "--warm", "100000"), cli.MAX_WARM_VALUE,
+                 id="cache-warm"),
+    pytest.param(("rho", "--terms", "5000"), cli.MAX_TERMS, id="rho-terms"),
+    pytest.param(("rho", "--iterations", "100000"), cli.MAX_ITERATIONS, id="rho-iterations"),
+    pytest.param(("rho", "--precision-bits", "20000"), cli.MAX_PRECISION_BITS,
+                 id="rho-bits"),
+    pytest.param(("constant", "--terms", "5000"), cli.MAX_TERMS, id="constant-terms"),
+    pytest.param(("constant", "--iterations", "100000"), cli.MAX_ITERATIONS,
+                 id="constant-iterations"),
+    pytest.param(("constant", "--precision-bits", "20000"), cli.MAX_PRECISION_BITS,
+                 id="constant-bits"),
+]
+
+
+@pytest.mark.parametrize("argv, cap", _GUARDS)
+def test_every_guard_refuses_before_the_work(tmp_path, argv, cap):
+    start = time.perf_counter()
+    proc = _run_child(tmp_path, *argv)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("guard:") and re.search(rf"> {cap}\b", proc.stderr)
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not (tmp_path / "P.json").exists()
+    if argv == ("list", "3000"):
+        assert elapsed < 2  # refused by the stream, before any count is filled
+
+
+@pytest.mark.parametrize("cap, argv", [
+    ("DEFAULT_LIST_LIMIT", ["list", "6", "--gates", "am"]),
+    ("MAX_ITERATIONS", ["rho", "--iterations", "30"]),
+    ("MAX_PRECISION_BITS", ["constant", "--precision-bits", "120", "--json"]),
+    ("MAX_RATIONALS", ["sieve", "--levels", "2", "--rationals", "--factor-bound", "2"]),
+])
+def test_unsafe_overrides_the_new_caps(capsys, monkeypatch, cap, argv):
+    monkeypatch.setattr(cli, cap, 5)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "") and err.startswith("guard:") and "> 5;" in err
+    code, out, _ = run(capsys, *argv, "--unsafe")
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize("levels, e, f", [
+    (0, 1, 1), (1, 2, 5), (2, 2, 3), (3, 2, 0), (3, 3, 2), (4, 1, 2),
+])
+def test_rationals_guard_sizes_exactly_what_rational_set_builds(capsys, monkeypatch,
+                                                                levels, e, f):
+    size = len(sieve.rational_set(sieve.run_sieve(levels), e, f))
+    argv = ["sieve", "--levels", str(levels), "--rationals", "--exponent-bound", str(e),
+            "--factor-bound", str(f)]
+    monkeypatch.setattr(cli, "MAX_RATIONALS", size - 1)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "") and err.startswith("guard:")
+    monkeypatch.setattr(cli, "MAX_RATIONALS", size)
+    assert len(run_json(capsys, *argv)["rationals"]) == size
+
+
+def _digits(n):
+    """str(n) past the interpreter's 4,300-digit limit, which main() lifts."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    getattr(sys, "set_int_max_str_digits", lambda _: None)(0)
+    try:
+        return str(n)
+    finally:
+        getattr(sys, "set_int_max_str_digits", lambda _: None)(limit)
+
+
+@pytest.mark.parametrize("argv, exponent", [
+    pytest.param(("goodstein", "pow", "2", "20000"), 20000, id="pow-6021-digits"),
+    pytest.param(("goodstein", "mul", str(2**14000), str(2**14000)), 28000, id="mul"),
+    pytest.param(("goodstein", "pow", "2", "1100000", "--unsafe"), 1100000,
+                 id="pow-past-the-bit-cap"),
+])
+def test_results_past_the_str_digit_limit_print(tmp_path, argv, exponent):
+    proc = _run_child(tmp_path, *argv)
+    assert proc.returncode == 0, proc.stderr[-300:]
+    assert json.loads(proc.stdout)["value"] == _digits(2**exponent)
+
+
+def test_horner_levels_with_long_values_print(tmp_path):
+    proc = _run_child(tmp_path, "horner", "levels", "3")
+    assert proc.returncode == 0, proc.stderr[-300:]
+    values = [e["value"] for e in json.loads(proc.stdout)["expressions"]]
+    assert len(values) == 80 and max(map(len, values)) > 4300
+
+
+def test_an_operand_past_the_str_digit_limit_is_a_usage_error(tmp_path):
+    proc = _run_child(tmp_path, "goodstein", "encode", "9" * 4301)
+    assert proc.returncode == 2
+    assert "invalid int value" in proc.stderr and "Traceback" not in proc.stderr
 
 
 # cache

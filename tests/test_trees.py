@@ -1,4 +1,9 @@
+import random
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formula_forge import (
     DomainError,
@@ -136,3 +141,66 @@ def test_every_walker_refuses_a_tree_past_the_recursion_limit(walk):
         tree, brackets = ("+", 1, tree), ["+", 1, brackets]
     with pytest.raises(SizeGuard):
         walk(brackets if walk is from_brackets else tree)
+
+
+
+def _deep_tree(height, shape, seed):
+    """A tree `height` gates deep and its bracket form, built bottom-up
+    without recursion: the spine runs down the left operands, the right
+    ones, or either at random; `seed` picks the gates (and the spine side
+    for a mixed tree)."""
+    rng = random.Random(seed)
+    tree = brackets = 1
+    for _ in range(height):
+        gate = rng.choice("+*^")
+        if shape == "left" or (shape == "mixed" and rng.random() < 0.5):
+            tree, brackets = (gate, tree, 1), [gate, brackets, 1]
+        else:
+            tree, brackets = (gate, 1, tree), [gate, 1, brackets]
+    return tree, brackets
+
+
+def _tokens(tree):
+    """Prefix tokens by an explicit stack: == on a deep tree would recurse."""
+    out, stack = [], [tree]
+    while stack:
+        t = stack.pop()
+        if t == 1:
+            out.append("1")
+        else:
+            out.append(t[0])
+            stack += (t[2], t[1])
+    return out
+
+
+def _same(walk, arg, want):
+    """walk(arg) has the prefix tokens want (a string is its own tokens),
+    or it refuses with SizeGuard; a RecursionError fails the test."""
+    try:
+        got = walk(arg)
+    except SizeGuard:
+        return True
+    return (list(got) if isinstance(got, str) else _tokens(got)) == want
+
+
+_LIMIT = sys.getrecursionlimit()
+
+
+@settings(max_examples=60, deadline=None)
+@given(height=st.one_of(st.integers(0, 40), st.integers(_LIMIT - 60, _LIMIT + 60),
+                        st.integers(0, 3 * _LIMIT)),
+       shape=st.sampled_from(["left", "right", "mixed"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_deep_codecs_give_the_tree_back_or_a_size_guard(height, shape, seed):
+    tree, brackets = _deep_tree(height, shape, seed)
+    tokens = _tokens(tree)
+    text = "".join(tokens)
+    assert _same(to_prefix, tree, tokens)
+    assert _same(parse_prefix, text, tokens)
+    assert _same(to_postfix, tree, tokens[::-1])
+    assert _same(parse_postfix, text[::-1], tokens)
+    assert _same(to_brackets, tree, tokens)
+    assert _same(from_brackets, brackets, tokens)
+    for encode, decode in ((to_prefix, parse_prefix), (to_postfix, parse_postfix),
+                           (to_brackets, from_brackets)):
+        assert _same(lambda t: decode(encode(t)), tree, tokens), encode.__name__
