@@ -41,8 +41,8 @@ from .errors import (
 
 # The caps that only the command line enforces, each lifted by --unsafe;
 # times are fresh runs on a 2-vCPU VM.  Count and sample values: a fresh am
-# or ame fill to 2000 takes about 5 s, `sample 2000 --gates ame` about 6 s,
-# and the fill grows about as n^3
+# or ame fill to 2000 takes about 1.4 s, `sample 2000 --gates ame` about
+# 1.5 s, start-up included, and the fill grows about as n^3
 MAX_COUNT_VALUE = 2000
 MAX_SAMPLE_VALUE = 2000
 # shortest n or --upto: a fresh fill to 10,000 takes about 3 s, growing as n^2
@@ -419,13 +419,9 @@ def _reads_counts(args):
     return args.command in ("count", "sample", "cache", "rho", "constant")
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _check_required(args, parser)
-    # lift the 4,300-digit str() limit of 3.10.7 on for the results; the
-    # operands were parsed under it
-    getattr(sys, "set_int_max_str_digits", lambda _: None)(0)
+def _run(args) -> int:
+    """Run a parsed command: load the cache if it reads counts, map errors to
+    exit codes, and save the cache if the command grew the table."""
     cache_path = None
     if _reads_counts(args):
         from .cache import ENV_VAR, load_table, save_table
@@ -454,6 +450,21 @@ def main(argv=None) -> int:
         except CacheError as exc:
             print(f"warning: could not write cache: {exc}", file=sys.stderr)
     return code
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _check_required(args, parser)
+    # lift the 4,300-digit str() limit of 3.10.7 on for the results, and put
+    # the caller's limit back; the operands were parsed under it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda _: None)
+    set_limit(0)
+    try:
+        return _run(args)
+    finally:
+        set_limit(limit)
 
 
 if __name__ == "__main__":

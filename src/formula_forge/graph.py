@@ -157,17 +157,18 @@ def build_graph(n: int, force: bool = False) -> RewriteGraph:
     """
     check_cap(require_int(n), MAX_GRAPH_VALUE, f"graph value {n}", force)
     vertices = tuple(enumerate_ame(n))
-    vset = set(vertices)
+    prefix = {v: to_prefix(v) for v in vertices}
     adj = {v: set() for v in vertices}
     labels = {}
     for v in vertices:
-        pv = to_prefix(v)
-        for u, rule in neighbors(v):
-            if u not in vset:
-                continue
-            adj[v].add(u)
-            key = tuple(sorted((pv, to_prefix(u))))
-            labels.setdefault(key, set()).add(rule.value)
-    adjacency = {v: tuple(sorted(adj[v], key=to_prefix)) for v in vertices}
+        pv = prefix[v]
+        for u, rule in _all_rewrites(v):
+            # the vertices are exactly the strict trees of value n, so
+            # membership is neighbors()' strict, value and size filter
+            if u in prefix and u != v:
+                adj[v].add(u)
+                pu = prefix[u]
+                labels.setdefault((pv, pu) if pv < pu else (pu, pv), set()).add(rule.value)
+    adjacency = {v: tuple(sorted(adj[v], key=prefix.__getitem__)) for v in vertices}
     edge_labels = {k: tuple(sorted(rs)) for k, rs in labels.items()}
     return RewriteGraph(n=n, vertices=vertices, adjacency=adjacency, edge_labels=edge_labels)

@@ -373,33 +373,6 @@ def test_graph_guard(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("count", "100000", "--gates", "am"),
-    ("sample", "5000", "--gates", "ame"),
-    ("shortest", "200000"),
-])
-def test_size_guards(tmp_path, argv):
-    proc = _run_child(tmp_path, *argv)
-    assert proc.returncode == 4
-    assert proc.stderr.startswith("guard:") and "--unsafe" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stdout == ""
-
-
-@pytest.mark.parametrize("argv", [
-    ("cache", "save", "P.json", "--warm", "100000"),
-    ("rho", "--terms", "5000"),
-    ("constant", "--terms", "5000"),
-])
-def test_warm_and_terms_guards(tmp_path, argv):
-    proc = _run_child(tmp_path, *argv)
-    assert proc.returncode == 4
-    assert proc.stderr.startswith("guard:") and "--unsafe" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stdout == ""
-    assert not (tmp_path / "P.json").exists()
-
-
-@pytest.mark.parametrize("argv", [
     ("cache", "save", "P.json", "--warm", "9"),
     ("rho", "--terms", "9"),
     ("constant", "--terms", "9", "--json"),
@@ -432,6 +405,7 @@ def test_unsafe_overrides_the_size_guards(capsys, monkeypatch):
 _M = str(2**2000 - 1)  # its square takes 4 * 10^6 exponent pairs
 _GUARDS = [  # one row per guard: argv, and the cap its guard line quotes
     pytest.param(("count", "100000"), cli.MAX_COUNT_VALUE, id="count"),
+    pytest.param(("count", "100000", "--gates", "am"), cli.MAX_COUNT_VALUE, id="count-am"),
     pytest.param(("sample", "5000", "--gates", "ame"), cli.MAX_SAMPLE_VALUE, id="sample"),
     pytest.param(("shortest", "200000"), cli.MAX_SHORTEST_VALUE, id="shortest"),
     pytest.param(("shortest", "--upto", "20000"), cli.MAX_SHORTEST_VALUE, id="shortest-upto"),
@@ -477,6 +451,8 @@ def test_every_guard_refuses_before_the_work(tmp_path, argv, cap):
     assert not (tmp_path / "P.json").exists()
     if argv == ("list", "3000"):
         assert elapsed < 2  # refused by the stream, before any count is filled
+    else:
+        assert "--unsafe" in proc.stderr  # the recursion limit has no override
 
 
 @pytest.mark.parametrize("cap, argv", [
@@ -541,6 +517,22 @@ def test_an_operand_past_the_str_digit_limit_is_a_usage_error(tmp_path):
     proc = _run_child(tmp_path, "goodstein", "encode", "9" * 4301)
     assert proc.returncode == 2
     assert "invalid int value" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no str() digit limit before 3.10.7")
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(("goodstein", "pow", "2", "1000000"), 0, id="printed"),
+    pytest.param(("goodstein", "pow", "2", "1100000"), 4, id="refused"),
+])
+def test_main_puts_back_the_str_digit_limit(capsys, argv, code):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert run(capsys, *argv)[0] == code  # 2**1000000 has 301,030 digits
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 # cache

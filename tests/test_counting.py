@@ -132,6 +132,21 @@ def test_large_counts_are_big_ints():
     assert isinstance(c, int)
 
 
+_FILLED = CountTable()  # every family filled to 400 by the first example
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=st.sampled_from(list(FAMILIES.values())), m=st.integers(2, 400),
+       data=st.data())
+def test_row_equals_the_sum_over_every_split(family, m, data):
+    """Family.row multiplies each mirrored additive pair once; it must equal
+    the plain sum over every split pair, for every rule from `first` on."""
+    first = data.draw(st.integers(0, len(family.rules) - 1), label="first")
+    tot, _ = _FILLED.filled(family, 400)
+    plain = [sum(tot[a] * tot[b] for a, b in splits(m)) for _, splits in family.rules[first:]]
+    assert family.row(tot, m, first) == plain
+
+
 # -- cache files are checked for values, not only for shape ----------------
 
 

@@ -10,9 +10,11 @@ from formula_forge import (
     build_graph,
     count_ame,
     default_table,
+    enumerate_ame,
     evaluate,
     is_strict,
     neighbors,
+    to_prefix,
 )
 
 T2 = ("+", 1, 1)
@@ -58,6 +60,28 @@ def test_vertex_count_matches_exact_count():
         g = build_graph(n)
         assert len(g.vertices) == count_ame(n)
         assert all(evaluate(v) == n and is_strict(v) for v in g.vertices)
+
+
+def _graph_of_neighbors(n):
+    """The graph on value n built from the public neighbors() of each vertex,
+    each edge keyed by its sorted pair of prefixes."""
+    vertices = tuple(enumerate_ame(n))
+    adjacency, labels = {}, {}
+    for v in vertices:
+        adjacency[v] = tuple(sorted({u for u, _ in neighbors(v)}, key=to_prefix))
+        for u, rule in neighbors(v):
+            key = tuple(sorted((to_prefix(v), to_prefix(u))))
+            labels.setdefault(key, set()).add(rule.value)
+    edge_labels = {key: tuple(sorted(rules)) for key, rules in labels.items()}
+    return RewriteGraph(n, vertices, adjacency, edge_labels)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_build_graph_equals_the_graph_of_neighbors(n):
+    got, want = build_graph(n), _graph_of_neighbors(n)
+    assert got == want
+    assert got.stats() == want.stats()
+    assert got.to_dot() == want.to_dot()
 
 
 def test_adjacency_is_symmetric_and_value_preserving():
