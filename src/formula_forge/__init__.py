@@ -50,8 +50,8 @@ _EXPORTS = {
         "rational_set", "run_sieve", "scf_coarse", "zeta_step",
     ),
     "symexpr": (
-        "ONE", "X", "Neg", "Pow", "Prod", "Sum", "SymExpr", "expand_x", "render",
-        "sym_pow", "sym_prod", "sym_sum", "sym_value",
+        "ONE", "X", "Neg", "Pow", "Prod", "Sum", "SymExpr", "clear_caches", "expand_x",
+        "render", "sym_pow", "sym_prod", "sym_sum", "sym_value",
     ),
     "trees": (
         "evaluate", "depth", "from_brackets", "is_leaf", "is_strict", "leaf_count",

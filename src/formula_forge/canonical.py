@@ -8,8 +8,9 @@ product counts how often each exponent value occurs (for a product, each
 sum of an exponent of one factor and one of the other), then carries the
 counts upward as binary addition does: two copies of x^v make x^(v + 1).
 The work of a product is one step per pair of exponents, capped by
-MAX_MUL_PAIRS; powers square through the same product, and their result is
-capped at MAX_POW_BITS bits.  force=True lifts these caps and the level caps.
+MAX_MUL_PAIRS; powers square by the same count over unordered pairs, and
+their result is capped at MAX_POW_BITS bits.  force=True lifts these caps
+and the level caps.
 
 The Horner side builds level lists of even/odd/power shorthand expressions
 and a direct encoder that peels factors of x.
@@ -20,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import DomainError, LevelTooLarge, MagnitudeError, check_cap, require_int
-from .symexpr import ONE, X, Interned, SymExpr, sym_pow, sym_prod, sym_sum
+from .symexpr import CACHE_CLEARS, ONE, X, Interned, SymExpr, sym_pow, sym_prod, sym_sum
 
 
 class GoodsteinForm(Interned):
@@ -69,6 +70,9 @@ def _encode(n):
     # one exponent per set bit of n, highest first; n = 0 gives ZERO
     bits = reversed(range(n.bit_length()))
     return GoodsteinForm(tuple(_encode(k) for k in bits if n >> k & 1))
+
+
+CACHE_CLEARS += (gs_value.cache_clear, _encode.cache_clear)
 
 
 def _normal(counts: dict) -> GoodsteinForm:
@@ -128,14 +132,28 @@ def g_mul(a: GoodsteinForm, b: GoodsteinForm, force: bool = False) -> GoodsteinF
     return _normal(counts)
 
 
+def _square(a: GoodsteinForm) -> GoodsteinForm:
+    """a * a from each unordered pair of exponents once, n(n + 1)/2 steps:
+    x^v * x^v is x^(2v), and x^v * x^w twice over (v < w) is x^(v + w + 1)."""
+    vs = [gs_value(e) for e in a.exponents]
+    counts = {}
+    for i, v in enumerate(vs):
+        counts[2 * v] = counts.get(2 * v, 0) + 1
+        for w in vs[i + 1:]:
+            s = v + w + 1
+            counts[s] = counts.get(s, 0) + 1
+    return _normal(counts)
+
+
 def g_pow(a: GoodsteinForm, b: GoodsteinForm, force: bool = False) -> GoodsteinForm:
     """a ** b on normal forms, by squaring along the binary digits of b.
 
     The result of a tower exponentiation can dwarf memory; when the value of
     a**b would exceed MAX_POW_BITS bits, MagnitudeError is raised before any
     work is done.  The exponent pairs of all the multiplies count against
-    MAX_MUL_PAIRS as g_mul's do: SizeGuard is raised before the multiply
-    that would pass it.  force=True overrides both caps.
+    MAX_MUL_PAIRS as g_mul's do, a square's n exponents as n(n + 1)/2 pairs:
+    SizeGuard is raised before the multiply that would pass it.  force=True
+    overrides both caps.
     """
     va, vb = gs_value(a), gs_value(b)
     if vb == 0 or va == 1:
@@ -155,9 +173,10 @@ def g_pow(a: GoodsteinForm, b: GoodsteinForm, force: bool = False) -> GoodsteinF
             check_cap(pairs, MAX_MUL_PAIRS, f"{pairs} exponent pairs to multiply", force)
             result = g_mul(result, square, force=True)
         if k < top:
-            pairs += len(square.exponents) ** 2
+            n = len(square.exponents)
+            pairs += n * (n + 1) // 2
             check_cap(pairs, MAX_MUL_PAIRS, f"{pairs} exponent pairs to multiply", force)
-            square = g_mul(square, square, force=True)
+            square = _square(square)
     return result
 
 

@@ -2,11 +2,17 @@
 
 The state holds one shorthand expression per integer covered so far, plus
 the subset flagged prime.  One step covers the next dyadic range
-(2^(k+1), 2^(k+2)]: every value in range expressible from known primes (as a
-prime power, or as a product of two or more distinct prime powers) gets that
-composite encoding; the values left over are exactly the new primes, and
-each is encoded as its predecessor plus one.  No primality test is ever
-consulted; primality falls out of the completion.
+(2^(k+1), 2^(k+2)]: every composite in range is built once, from its
+smallest known prime p, as p^e times the known encoding of its cofactor
+(a prime power, or a product of two or more distinct prime powers); the
+values left over are exactly the new primes, and each is encoded as its
+predecessor plus one.  No primality test is ever consulted; primality falls
+out of the completion.  This is the sieve of Gries and Misra ("A linear
+sieve algorithm for finding prime numbers", CACM 21(12), 1978) with
+encodings in place of flags.
+
+run_sieve and scf_coarse keep the states they reach in one table per
+process, so a longer run extends a shorter one; clear_caches() releases it.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, InternalGapError, LevelTooLarge, check_cap, require_int
-from .symexpr import ONE, Neg, Pow, SymExpr, X, sym_pow, sym_prod, sym_sum, sym_value
+from .symexpr import (CACHE_CLEARS, ONE, Neg, Pow, Prod, SymExpr, X, sym_pow, sym_prod,
+                      sym_sum, sym_value)
 
 MAX_LEVELS = 14
 COARSE_MAX_LEVELS = 2
@@ -46,24 +53,45 @@ def initial_state() -> SieveState:
     return SieveState(0, (ONE, X), (X,))
 
 
+def _composites(state: SieveState, k: int) -> list:
+    """(value, encoding) for every composite in (2^(k+1), 2^(k+2)], each
+    built once: v = p^e * b with p its smallest prime, b coprime to p, is
+    p^e if b = 1 and otherwise the product of p^e with b's known encoding.
+
+    Exponents and cofactors are encoded by table lookup, so a product's
+    factors are the distinct prime powers of v, primes ascending by value.
+    """
+    lo, hi = 2 ** (k + 1), 2 ** (k + 2)
+    if state.covers < lo:
+        raise DomainError(f"state covers {state.covers}, below range start {lo}")
+    pvals = state.prime_values()
+    if any(a >= b for a, b in zip(pvals, pvals[1:])):
+        raise InternalGapError("known primes do not ascend strictly by value")
+    integers = state.integers
+    claimed = bytearray(hi - lo)  # v is claimed[v - lo - 1]
+    out = []
+    for p, vp in zip(state.primes, pvals):
+        if vp * vp > hi:
+            break
+        for v in range(lo - lo % vp + vp, hi + 1, vp):
+            if claimed[v - lo - 1]:
+                continue  # built from a smaller prime
+            claimed[v - lo - 1] = 1
+            e, b = 1, v // vp
+            while b % vp == 0:
+                e, b = e + 1, b // vp
+            power = sym_pow(p, integers[e - 1])
+            out.append((v, power if b == 1 else sym_prod([power, integers[b - 1]])))
+    return out
+
+
 def prime_power_range(state: SieveState, k: int) -> list:
     """(value, encoding) for prime powers p^e, e >= 2, in (2^(k+1), 2^(k+2)].
 
     Exponents are encoded by table lookup, so p^e arrives as the known
     encoding of p raised to the known encoding of e.
     """
-    lo, hi = 2 ** (k + 1), 2 ** (k + 2)
-    if state.covers < lo:
-        raise DomainError(f"state covers {state.covers}, below range start {lo}")
-    out = []
-    for p in state.primes:
-        vp = sym_value(p)
-        e = 2
-        while vp**e <= hi:
-            if vp**e > lo:
-                out.append((vp**e, sym_pow(p, state.encoding_of(e))))
-            e += 1
-    return out
+    return [(v, enc) for v, enc in _composites(state, k) if not isinstance(enc, Prod)]
 
 
 def multi_factor_products(state: SieveState, k: int, c: int) -> list:
@@ -74,66 +102,15 @@ def multi_factor_products(state: SieveState, k: int, c: int) -> list:
     the values 10, 12, 14, 15 (and their encodings).
     """
     require_int(c, 2, "factor count")
-    lo, hi = 2 ** (k + 1), 2 ** (k + 2)
-    if state.covers < lo:
-        raise DomainError(f"state covers {state.covers}, below range start {lo}")
-    pvals = state.prime_values()
-    out = []
-
-    def min_tail(idx, remaining):
-        # smallest possible completion: next `remaining` primes, once each
-        t = 1
-        for j in range(idx, idx + remaining):
-            if j >= len(pvals):
-                return None
-            t *= pvals[j]
-        return t
-
-    def rec(idx, remaining, val, factors):
-        if remaining == 0:
-            if lo < val <= hi:
-                out.append((val, sym_prod(factors)))
-            return
-        for j in range(idx, len(pvals)):
-            tail = min_tail(j + 1, remaining - 1)
-            if tail is None or val * pvals[j] * tail > hi:
-                break
-            v = val * pvals[j]
-            e = 1
-            while v * tail <= hi:
-                factor = sym_pow(state.primes[j], state.encoding_of(e))
-                rec(j + 1, remaining - 1, v, factors + [factor])
-                e += 1
-                v *= pvals[j]
-
-    rec(0, c, 1, [])
-    return out
+    return [(v, enc) for v, enc in _composites(state, k)
+            if isinstance(enc, Prod) and len(enc.factors) == c]
 
 
 def zeta_step(state: SieveState) -> SieveState:
     """Advance one dyadic range, discovering the primes in it."""
     k = state.level
     lo, hi = 2 ** (k + 1), 2 ** (k + 2)
-    composite = {}
-    for v, enc in prime_power_range(state, k):
-        if v in composite:
-            raise InternalGapError(f"value {v} generated twice")
-        composite[v] = enc
-    c = 2
-    while True:
-        tail = 1
-        for pv in state.prime_values()[:c]:
-            tail *= pv
-        if len(state.primes) < c or tail > hi:
-            break
-        for v, enc in multi_factor_products(state, k, c):
-            if v in composite:
-                raise InternalGapError(f"value {v} generated twice")
-            composite[v] = enc
-        c += 1
-    for v in composite:
-        if not lo < v <= hi:
-            raise InternalGapError(f"value {v} outside range ({lo}, {hi}]")
+    composite = dict(_composites(state, k))
     integers = list(state.integers)
     primes = list(state.primes)
     for v in range(lo + 1, hi + 1):
@@ -145,6 +122,26 @@ def zeta_step(state: SieveState) -> SieveState:
     return SieveState(k + 1, tuple(integers), tuple(primes))
 
 
+_STATES = {}  # steps from the initial state -> the state they reach
+CACHE_CLEARS.append(_STATES.clear)
+
+
+def _dyadic(steps: int) -> SieveState:
+    """The state after `steps` dyadic steps, extending the process table.
+
+    setdefault is atomic, so racing threads still agree on one state per
+    step count.  Each step calls the module's zeta_step, so a wrapper
+    installed there sees every step.
+    """
+    known = steps
+    while known and known not in _STATES:
+        known -= 1
+    state = _STATES[known] if known else initial_state()
+    for n in range(known + 1, steps + 1):
+        state = _STATES.setdefault(n, zeta_step(state))
+    return state
+
+
 def run_sieve(levels: int, force: bool = False) -> SieveState:
     """Run levels + 1 dyadic steps from the initial state (levels >= 1),
     covering 1..2^(levels+2); levels = 0 returns the initial state.
@@ -154,12 +151,7 @@ def run_sieve(levels: int, force: bool = False) -> SieveState:
     """
     check_cap(require_int(levels, 0, "levels"), MAX_LEVELS, f"sieve levels {levels}",
               force, LevelTooLarge)
-    state = initial_state()
-    if levels == 0:
-        return state
-    for _ in range(levels + 1):
-        state = zeta_step(state)
-    return state
+    return _dyadic(levels + 1 if levels else 0)
 
 
 def scf_coarse(levels: int, force: bool = False) -> SieveState:
@@ -171,13 +163,10 @@ def scf_coarse(levels: int, force: bool = False) -> SieveState:
     """
     check_cap(require_int(levels, 0, "levels"), COARSE_MAX_LEVELS,
               f"coarse sieve levels {levels}", force, LevelTooLarge)
-    state = initial_state()
-    target = 4
+    covers = 2
     for _ in range(levels):
-        while state.covers < target:
-            state = zeta_step(state)
-        target = 2**target
-    return state
+        covers = 2**covers
+    return _dyadic(covers.bit_length() - 2)  # covers 2^(steps + 1)
 
 
 def rational_set(state: SieveState, exponent_bound: int, factor_bound: int) -> list:

@@ -159,6 +159,23 @@ def sym_value(e: SymExpr):
     raise DomainError(f"not a symbolic expression: {e!r}")
 
 
+# the cache_clear of every per-process memo table of the package; a module
+# adds its own when it loads, so clear_caches() reaches what was loaded
+CACHE_CLEARS = [sym_value.cache_clear]
+
+
+def clear_caches() -> None:
+    """Empty the per-process memo tables: sym_value's, the Goodstein
+    encoder's and gs_value's, and the sieve's table of dyadic states.
+
+    For long-running callers.  Interned nodes are never released: a node
+    still referenced stays the one node of its kind and fields, and later
+    results are built from the same nodes as before.
+    """
+    for clear in CACHE_CLEARS:
+        clear()
+
+
 def _sort_key(e):
     return (-sym_value(e), e)
 

@@ -45,3 +45,24 @@ def test_parse_pairs():
     for bad in ("cli-mix", "cli-mix=1", "cli-mix=x"):
         with pytest.raises(argparse.ArgumentTypeError):
             bench_pairs.parse_pairs(bad)
+
+
+def test_claim_record():
+    seeds = [90917, 1, 2]
+    runs = {("parent", s): _run(w) for s, w in zip(seeds, (2.0, 4.0, 3.0))}
+    runs.update({("change", s): _run(w) for s, w in zip(seeds, (1.0, 3.0, 3.5))})
+    metrics = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.2}]
+    workloads = {"towers": bench_pairs.workload_record(runs, seeds, {}, metrics)}
+    assert bench_pairs.claim_record(workloads, "towers", "wall_s") == {
+        "workload": "towers", "metric": "wall_s", "pairs": 3, "pairs_change_lower": 2,
+        "median_delta_pct": 0.0, "parent_median": 3.0, "change_median": 3.0,
+        "parent_iqr": [2.5, 3.5]}
+
+
+def test_claim_outside_the_pairs_is_a_usage_error(capsys):
+    # refused before any run starts: exit 2, as argparse does
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--label", "x", "--change", "x", "--claim", "growth:wall_s",
+                          "towers=2"])
+    assert exc.value.code == 2
+    assert "--claim workload 'growth' is not among the pairs" in capsys.readouterr().err

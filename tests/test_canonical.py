@@ -171,6 +171,9 @@ def test_add_mul_match_the_heap_carry(a, b):
     fa, fb = encode_goodstein(a), encode_goodstein(b)
     assert g_add(fa, fb) is heap_add(fa, fb)
     assert g_mul(fa, fb) is heap_mul(fa, fb)
+    # a square takes each unordered pair of exponents once
+    two = encode_goodstein(2)
+    assert g_pow(fa, two) is g_mul(fa, fa) is heap_mul(fa, fa)
 
 
 def test_carry_runs_past_the_largest_count():
@@ -191,12 +194,15 @@ def test_mul_pair_guard():
 
 
 def test_pow_pair_guard_counts_every_multiply():
-    # each multiply of 3 ** 3000 stays under the cap; together they pass it
-    three, big = encode_goodstein(3), encode_goodstein(3000)
+    # each multiply of 3 ** 3500 stays under the cap; together they pass it
+    # (2,429,102 pairs, a square's n exponents counted as n(n + 1)/2)
+    three, big = encode_goodstein(3), encode_goodstein(3500)
     with pytest.raises(SizeGuard, match=str(canonical.MAX_MUL_PAIRS)):
         g_pow(three, big)
-    assert g_pow(three, big, force=True) is encode_goodstein(3**3000)
+    assert g_pow(three, big, force=True) is encode_goodstein(3**3500)
     assert g_pow(three, encode_goodstein(2000)) is encode_goodstein(3**2000)
+    # 1,760,480 pairs; 2,168,983 when a square took every ordered pair
+    assert g_pow(three, encode_goodstein(3000)) is encode_goodstein(3**3000)
 
 
 def test_pow_exhaustive_small():

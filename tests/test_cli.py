@@ -359,6 +359,16 @@ def test_goodstein_pow_under_the_pair_cap(tmp_path):
     assert json.loads(proc.stdout)["value"] == str(3**2000)
 
 
+@pytest.mark.parametrize("base, exponent", [
+    pytest.param(3, 3000, id="pow-3-3000"),  # 1,760,480 pairs, 2,168,983 before
+    pytest.param(3, 3250, id="pow-3-3250"),  # 2,085,934 pairs, just under the cap
+])
+def test_goodstein_pow_squares_count_each_pair_once(tmp_path, base, exponent):
+    proc = _run_child(tmp_path, "goodstein", "pow", str(base), str(exponent))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["value"] == str(base**exponent)
+
+
 def test_horner_encode_too_deep_to_render(tmp_path):
     proc = _run_child(tmp_path, "horner", "encode", str(2**128 - 1))
     assert proc.returncode == 4
@@ -439,7 +449,7 @@ _GUARDS = [  # one row per guard: argv, and the cap its guard line quotes
     pytest.param(("list", "3000"), enumeration.MAX_STREAM_VALUE, id="list-deep"),
     pytest.param(("list", "400"), cli.DEFAULT_LIST_LIMIT, id="list-long"),
     pytest.param(("goodstein", "mul", _M, _M), canonical.MAX_MUL_PAIRS, id="goodstein-mul"),
-    pytest.param(("goodstein", "pow", "3", "3000"), canonical.MAX_MUL_PAIRS,
+    pytest.param(("goodstein", "pow", "3", "3500"), canonical.MAX_MUL_PAIRS,
                  id="goodstein-pow-pairs"),
     pytest.param(("goodstein", "pow", "2", "1100000"), canonical.MAX_POW_BITS,
                  id="goodstein-pow-bits"),

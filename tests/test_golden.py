@@ -263,6 +263,8 @@ HORNER_UPTO = 5000
 HORNER_DIGEST = "1b2fc2063058d5a7b1622f0786f4b538ab4335063c96b39e5ff4832cd10bb91a"
 HORNER_64_BIT_DIGEST = "0cfea934f16550a86da69c43a0595e167f6183085fd2631d759b747d119a6534"
 SIEVE_11_DIGEST = "95c176488145b63842ba6f910368be735cb4b661aba6bdcbd041677178f30fd3"
+# recorded from the release whose steps searched products once per factor count
+SIEVE_14_DIGEST = "830fe9790da969f3f3afba25995b24207a4d2b689fe5d634cc58ed10012477f5"
 SCF_COARSE_2_DIGEST = "39c2f6bb4dc293b2a3a445719d2a7403f2665fe81ffb0780132c75ed4ea3c6a6"
 RATIONAL_DIGEST = "92fdc81add40e89f412c7d86f62cdfc91a0e55e27eb5bb679ba346b4a7e86edc"
 GOODSTEIN_LEVELS_2_DIGEST = "533b5efe1854a02f0f5a7e3c5f2e759acbf7e3a9582817fba5e1469ed6617247"
@@ -277,6 +279,7 @@ def test_horner_encodings():
 
 def test_sieve_tables():
     assert sieve_digest(run_sieve(11)) == SIEVE_11_DIGEST
+    assert sieve_digest(run_sieve(14)) == SIEVE_14_DIGEST
     assert sieve_digest(scf_coarse(2)) == SCF_COARSE_2_DIGEST
     assert _sha(str(e) for e in rational_set(run_sieve(2), 2, 2)) == RATIONAL_DIGEST
 

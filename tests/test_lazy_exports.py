@@ -18,7 +18,7 @@ PUBLIC = """
     MagnitudeError MalformedString Neg NegativeRadicand NoMultiplicativeSplit
     NonConvergence ONE Pow Prod RewriteGraph RewriteRule RhoEstimate
     ShortestEntry ShortestTable SieveState SizeGuard Sum SymExpr X ZERO
-    asymptotics build_graph cache canonical constant_estimate count_add_lop
+    asymptotics build_graph cache canonical clear_caches constant_estimate count_add_lop
     count_add_only count_am count_ame counting default_table depth
     encode_goodstein encode_horner enumerate_add enumerate_add_lop enumerate_am
     enumerate_ame enumerate_strings enumerate_trees enumeration errors evaluate

@@ -1,5 +1,7 @@
 """Prime discovery by encoding completion, against a classical sieve."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -11,12 +13,17 @@ from formula_forge import (
     ONE,
     SieveState,
     X,
+    clear_caches,
+    encode_goodstein,
+    gs_value,
     initial_state,
     multi_factor_products,
     prime_power_range,
     rational_set,
     run_sieve,
     scf_coarse,
+    sym_prod,
+    sym_sum,
     sym_value,
     zeta_step,
 )
@@ -105,6 +112,82 @@ def test_corrupt_state_is_detected():
     broken = SieveState(0, (ONE, X), (X, X))
     with pytest.raises(InternalGapError):
         zeta_step(broken)
+
+
+def test_known_primes_out_of_order_are_detected():
+    # 3 flagged before 2: the smallest-prime construction needs them ascending
+    three = sym_sum([X, ONE])
+    broken = SieveState(1, (ONE, X, three, sym_prod([X, X])), (three, X))
+    with pytest.raises(InternalGapError):
+        zeta_step(broken)
+    with pytest.raises(InternalGapError):
+        prime_power_range(broken, 1)
+
+
+def _step_chain(steps):
+    """Fresh states after 0..steps zeta_steps, none taken from the table."""
+    chain = [initial_state()]
+    for _ in range(steps):
+        chain.append(zeta_step(chain[-1]))
+    return chain
+
+
+def test_run_sieve_in_any_order_equals_the_step_chain():
+    clear_caches()
+    chain = _step_chain(15)
+    for levels in (13, 3, 11, 0, 14, 5):
+        got = run_sieve(levels)
+        want = chain[levels + 1 if levels else 0]
+        # a longer table never leaks into a shorter state; compared without
+        # letting pytest diff the reprs of thousands of nodes on failure
+        same = got == want
+        assert same, f"run_sieve({levels}) is not the state after {want.level} steps"
+        assert (got.level, got.covers) == (want.level, 2 ** (levels + 2) if levels else 2)
+    same = scf_coarse(2) == chain[3] and scf_coarse(1) == chain[1]
+    assert same
+
+
+def test_racing_threads_get_one_state_per_level():
+    clear_caches()
+    orders = [(8, 3, 6), (6, 8, 3), (3, 6, 8), (8, 6, 3)]
+    results = [None] * len(orders)
+    start = threading.Barrier(len(orders))
+
+    def run(k):
+        start.wait(timeout=60)
+        results[k] = {levels: run_sieve(levels) for levels in orders[k]}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(orders))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    chain = _step_chain(9)
+    for levels in (3, 6, 8):
+        assert all(got[levels] is results[0][levels] for got in results)
+        same = results[0][levels] == chain[levels + 1] and run_sieve(levels) is results[0][levels]
+        assert same
+
+
+def test_clear_caches_keeps_results_and_nodes():
+    before = run_sieve(12)
+    form = encode_goodstein(10**30 + 7)
+    value = gs_value(form)
+    node = sym_prod([sym_sum([X, ONE]), X])
+    clear_caches()
+    for cached in (sym_value, gs_value):
+        assert cached.cache_info().currsize == 0
+    after = run_sieve(12)
+    same = after == before
+    assert same and after is not before  # rebuilt, not kept
+    assert sym_prod([sym_sum([X, ONE]), X]) is node  # interned nodes survive
+    assert encode_goodstein(10**30 + 7) is form and gs_value(form) == value
 
 
 def test_run_sieve_guards():

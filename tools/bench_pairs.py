@@ -1,7 +1,8 @@
 """Paired perfbench runs of a base revision against the working tree.
 
     python3 tools/bench_pairs.py --label NAME --base REV --change TEXT \
-        [--traced WORKLOAD=PAIRS] cli-mix=10 combinatorics=3 towers=3 growth=3
+        [--traced WORKLOAD=PAIRS] [--claim WORKLOAD:METRIC] \
+        cli-mix=10 combinatorics=3 towers=3 growth=3
 
 Run from anywhere inside the repository.  The base revision is exported
 with `git archive | tar -x` into a temporary directory (no worktree is
@@ -19,8 +20,10 @@ pairs the same way with --trace 1 and records every per-layer metric.  The
 pairs go to BENCH_<NAME>.json at the top of the working tree, in the
 layout of the BENCH_*.json files there: per workload and metric, the median
 and inclusive-quartile range of each side, the change's delta per seed and
-in the median, and how many pairs the change read lower.  No gain is
-claimed ("claim": null).
+in the median, and how many pairs the change read lower.  With
+--claim WORKLOAD:METRIC, "claim" records that end-to-end metric of that
+workload's untraced pairs (see claim_record); without it no gain is claimed
+("claim": null).
 """
 
 from __future__ import annotations
@@ -98,6 +101,23 @@ def workload_record(runs, seeds, first_side, metrics):
     return out
 
 
+def claim_record(workloads, workload, metric):
+    """The claimed gain, read from the workload's record of the pairs: the
+    metric's pairs with the change lower, its median delta and the parent's
+    interquartile range, against which the delta is judged."""
+    m = workloads[workload]["metrics"][metric]
+    return {
+        "workload": workload,
+        "metric": metric,
+        "pairs": workloads[workload]["pairs"],
+        "pairs_change_lower": m["pairs_change_lower"],
+        "median_delta_pct": m["median_delta_pct"],
+        "parent_median": m["parent"]["median"],
+        "change_median": m["change"]["median"],
+        "parent_iqr": m["parent"]["iqr"],
+    }
+
+
 def parse_pairs(text):
     workload, _, pairs = text.partition("=")
     if not pairs.isdigit() or int(pairs) < 2:  # quartiles need two runs a side
@@ -112,8 +132,13 @@ def main(argv=None) -> int:
     ap.add_argument("--change", required=True, help="what the change does, one line")
     ap.add_argument("--traced", type=parse_pairs, metavar="WORKLOAD=PAIRS",
                     help="also run traced pairs and record the per-layer metrics")
+    ap.add_argument("--claim", metavar="WORKLOAD:METRIC",
+                    help="record the gain claimed on this end-to-end metric")
     ap.add_argument("pairs", nargs="+", type=parse_pairs, metavar="WORKLOAD=PAIRS")
     args = ap.parse_args(argv)
+    claim = args.claim and args.claim.partition(":")[::2]
+    if claim and claim[0] not in dict(args.pairs):
+        ap.error(f"--claim workload {claim[0]!r} is not among the pairs")
 
     top = git("rev-parse", "--show-toplevel", cwd=os.getcwd()).decode().strip()
     base_sha = git("rev-parse", args.base, cwd=top).decode().strip()
@@ -123,6 +148,8 @@ def main(argv=None) -> int:
     for workload, _ in args.pairs + ([args.traced] if args.traced else []):
         if workload not in names:
             ap.error(f"unknown workload {workload!r}; one of {names}")
+    if claim and claim[1] not in [m["name"] for m in benchmark["end_to_end"]]:
+        ap.error(f"--claim metric {claim[1]!r} is not an end-to-end metric")
     seconds = benchmark["run_seconds"]
 
     record = {
@@ -172,6 +199,8 @@ def main(argv=None) -> int:
         if args.traced:
             workload, pairs = args.traced
             record["traced"] = {workload: pairs_record(workload, pairs, 1)}
+    if claim:
+        record["claim"] = claim_record(record["workloads"], *claim)
 
     path = os.path.join(top, f"BENCH_{args.label}.json")
     with open(path, "w") as fh:
