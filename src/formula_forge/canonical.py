@@ -245,8 +245,9 @@ def encode_horner(n: int) -> SymExpr:
     """Direct Horner encoding: peel the power of two, recurse on the rest.
 
     Even n = 2**a * b (b odd) becomes x^enc(a) or x^enc(a) * enc(b);
-    odd n becomes enc(n - 1) + 1.  The peeling runs as a loop, so only the
-    exponents a (at most n.bit_length()) recurse.
+    odd n becomes enc(n - 1) + 1.  The peeling runs as a loop, and each
+    factor x^enc(a) comes from a table keyed by a (at most n.bit_length()),
+    so an exponent is encoded once per process.
 
     str(encode_horner(6)) == '(x + 1)*x'
     """
@@ -258,5 +259,14 @@ def encode_horner(n: int) -> SymExpr:
         n = n >> a if a else n - 1
     e = ONE
     for a in reversed(peeled):  # sym_prod drops the unit factor when b == 1
-        e = sym_prod([sym_pow(X, encode_horner(a)), e]) if a else sym_sum([e, ONE])
+        e = sym_prod([_x_pow(a), e]) if a else sym_sum([e, ONE])
     return e
+
+
+@lru_cache(maxsize=None)
+def _x_pow(a):
+    """x^enc(a), the factor that peels 2**a."""
+    return sym_pow(X, encode_horner(a))
+
+
+CACHE_CLEARS.append(_x_pow.cache_clear)

@@ -30,7 +30,6 @@ import itertools
 import json
 import os
 import sys
-from math import comb
 
 from . import __version__
 from .counting import FAMILIES, GATE_SETS, ROOT_ALL, default_table, resolve_family
@@ -55,9 +54,6 @@ MAX_WARM_VALUE = 1000
 MAX_TERMS = 1000
 MAX_ITERATIONS = 5000
 MAX_PRECISION_BITS = 3000
-# expressions `sieve --rationals` builds, about 55 us each with their JSON:
-# 37,687 take 2.2 s
-MAX_RATIONALS = 50_000
 _NOTATIONS = ("brackets", "prefix", "postfix")
 _ROOT_WORDS = {"+": "add", "*": "mul", "^": "pow"}
 
@@ -205,13 +201,9 @@ def _cmd_sieve(args):
     if args.integers:
         out["integers"] = [_expr_json(e) for e in state.integers]
     if args.rationals:
-        # rational_set builds sum over c <= min(F, P) of C(P, c) * (2E)^c
-        # expressions: c of the P known primes, each to one of 2E exponents
-        p, e, f = len(state.primes), args.exponent_bound, args.factor_bound
-        size = sum(comb(p, c) * (2 * max(e, 0)) ** c for c in range(min(f, p) + 1))
-        check_cap(size, MAX_RATIONALS, f"rational expressions over {p} primes with "
-                  f"--exponent-bound {e} --factor-bound {f}", args.unsafe)
-        out["rationals"] = [_expr_json(r) for r in rational_set(state, e, f)]
+        rationals = rational_set(state, args.exponent_bound, args.factor_bound,
+                                 force=args.unsafe)
+        out["rationals"] = [_expr_json(r) for r in rationals]
     _emit(out)
     return 0
 

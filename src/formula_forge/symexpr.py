@@ -165,8 +165,8 @@ CACHE_CLEARS = [sym_value.cache_clear]
 
 
 def clear_caches() -> None:
-    """Empty the per-process memo tables: sym_value's, the Goodstein
-    encoder's and gs_value's, and the sieve's table of dyadic states.
+    """Empty the per-process memo tables: sym_value's, gs_value's, the
+    Goodstein and Horner encoders', and the sieve's table of dyadic states.
 
     For long-running callers.  Interned nodes are never released: a node
     still referenced stays the one node of its kind and fields, and later
@@ -220,23 +220,7 @@ def sym_pow(base: SymExpr, exponent: SymExpr) -> SymExpr:
     return Pow(base, exponent)
 
 
-# precedence: Sum < Prod < Pow < atom
-_PREC_SUM, _PREC_PROD, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
-
-
-def _prec(e):
-    if isinstance(e, (Sum, Neg)):
-        return _PREC_SUM
-    if isinstance(e, Prod):
-        return _PREC_PROD
-    if isinstance(e, Pow):
-        return _PREC_POW
-    return _PREC_ATOM
-
-
-def _wrap(e, minimum):
-    s = _render(e)
-    return f"({s})" if _prec(e) < minimum else s
+_NAMES = {ONE: "1", X: "x"}  # any operand of a node is hashable: interning hashed it
 
 
 def render(e: SymExpr) -> str:
@@ -246,26 +230,42 @@ def render(e: SymExpr) -> str:
     render(Pow(X, sym_sum([X, ONE]))) == 'x^(x + 1)'
     render(Pow(X, Neg(ONE))) == 'x^(-1)'
 
-    Nesting past the interpreter's recursion limit raises SizeGuard.
+    Each level of nesting costs about three interpreter frames; nesting
+    past the recursion limit raises SizeGuard.
     """
     try:
-        return _render(e)
+        return _top(e)
     except RecursionError:
         raise SizeGuard("expression nests too deeply to render") from None
 
 
-def _render(e):
-    if e is ONE or e is X:
-        return e.name
-    if isinstance(e, Sum):
-        return " + ".join(_wrap(t, _PREC_PROD) for t in e.terms)
-    if isinstance(e, Prod):
-        return "*".join(_wrap(f, _PREC_PROD) for f in e.factors)
-    if isinstance(e, Pow):
-        return f"{_wrap(e.base, _PREC_ATOM)}^{_wrap(e.exponent, _PREC_ATOM)}"
-    if isinstance(e, Neg):
-        return f"-{_wrap(e.inner, _PREC_ATOM)}"
+def _top(e):
+    """The whole expression: a Sum, Prod, Pow or Neg bare, or a leaf."""
+    t = type(e)
+    if t is Sum:
+        return " + ".join(map(_operand, e.terms))
+    if t is Prod or t is Pow:
+        return _operand(e)
+    if t is Neg:
+        return f"-{_atom(e.inner)}"
+    if t is _Leaf and e in _NAMES:
+        return _NAMES[e]
     raise DomainError(f"not a symbolic expression: {e!r}")
+
+
+def _operand(e):
+    """A term or factor: a leaf, Pow or Prod bare, anything else in parentheses."""
+    t = type(e)
+    if t is Prod:
+        return "*".join(map(_operand, e.factors))
+    if t is Pow:
+        return f"{_atom(e.base)}^{_atom(e.exponent)}"
+    return _NAMES.get(e) or f"({_top(e)})"
+
+
+def _atom(e):
+    """A base, exponent or Neg operand: only a leaf prints bare."""
+    return _NAMES.get(e) or f"({_top(e)})"
 
 
 def expand_x(e: SymExpr):

@@ -370,11 +370,20 @@ def test_goodstein_pow_squares_count_each_pair_once(tmp_path, base, exponent):
 
 
 def test_horner_encode_too_deep_to_render(tmp_path):
-    proc = _run_child(tmp_path, "horner", "encode", str(2**128 - 1))
+    proc = _run_child(tmp_path, "horner", "encode", str(2**1000 - 1))
     assert proc.returncode == 4
     assert proc.stderr.startswith("guard:")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_horner_encode_2_128_minus_1_prints(tmp_path):
+    n = 2**128 - 1  # nests 256 levels deep
+    proc = _run_child(tmp_path, "horner", "encode", str(n))
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["value"] == str(n)
+    assert eval(got["text"].replace("^", "**"), {"x": 2}) == n
 
 
 def test_graph_guard(capsys):
@@ -460,7 +469,7 @@ _GUARDS = [  # one row per guard: argv, and the cap its guard line quotes
     pytest.param(("sieve", "--levels", "3", "--coarse"), sieve.COARSE_MAX_LEVELS,
                  id="sieve-coarse"),
     pytest.param(("sieve", "--levels", "3", "--rationals", "--exponent-bound", "3",
-                  "--factor-bound", "4"), cli.MAX_RATIONALS, id="sieve-rationals"),
+                  "--factor-bound", "4"), sieve.MAX_RATIONALS, id="sieve-rationals"),
     pytest.param(("graph", "12"), graph.MAX_GRAPH_VALUE, id="graph"),
     pytest.param(("cache", "save", "P.json", "--warm", "100000"), cli.MAX_WARM_VALUE,
                  id="cache-warm"),
@@ -499,7 +508,8 @@ def test_every_guard_refuses_before_the_work(tmp_path, argv, cap):
     ("MAX_RATIONALS", ["sieve", "--levels", "2", "--rationals", "--factor-bound", "2"]),
 ])
 def test_unsafe_overrides_the_new_caps(capsys, monkeypatch, cap, argv):
-    monkeypatch.setattr(cli, cap, 5)
+    owner = sieve if cap == "MAX_RATIONALS" else cli  # rational_set checks its own cap
+    monkeypatch.setattr(owner, cap, 5)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (4, "") and err.startswith("guard:") and "> 5;" in err
     code, out, _ = run(capsys, *argv, "--unsafe")
@@ -514,10 +524,10 @@ def test_rationals_guard_sizes_exactly_what_rational_set_builds(capsys, monkeypa
     size = len(sieve.rational_set(sieve.run_sieve(levels), e, f))
     argv = ["sieve", "--levels", str(levels), "--rationals", "--exponent-bound", str(e),
             "--factor-bound", str(f)]
-    monkeypatch.setattr(cli, "MAX_RATIONALS", size - 1)
+    monkeypatch.setattr(sieve, "MAX_RATIONALS", size - 1)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (4, "") and err.startswith("guard:")
-    monkeypatch.setattr(cli, "MAX_RATIONALS", size)
+    monkeypatch.setattr(sieve, "MAX_RATIONALS", size)
     assert len(run_json(capsys, *argv)["rationals"]) == size
 
 

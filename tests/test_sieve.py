@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,11 @@ from formula_forge import (
     LevelTooLarge,
     ONE,
     SieveState,
+    SizeGuard,
     X,
     clear_caches,
     encode_goodstein,
+    encode_horner,
     gs_value,
     initial_state,
     multi_factor_products,
@@ -27,6 +30,8 @@ from formula_forge import (
     sym_value,
     zeta_step,
 )
+
+from formula_forge import canonical, sieve
 
 from conftest import classical_primes
 
@@ -180,9 +185,11 @@ def test_clear_caches_keeps_results_and_nodes():
     form = encode_goodstein(10**30 + 7)
     value = gs_value(form)
     node = sym_prod([sym_sum([X, ONE]), X])
+    horner = encode_horner(2**64 - 59)
     clear_caches()
-    for cached in (sym_value, gs_value):
+    for cached in (sym_value, gs_value, canonical._x_pow):
         assert cached.cache_info().currsize == 0
+    assert encode_horner(2**64 - 59) is horner
     after = run_sieve(12)
     same = after == before
     assert same and after is not before  # rebuilt, not kept
@@ -225,6 +232,18 @@ def test_rational_set_counts_and_values():
     values = [sym_value(e) for e in got]
     assert len(set(values)) == len(values)
     assert all(isinstance(v, (int, Fraction)) and v > 0 for v in values)
+
+
+def test_rational_set_guard_refuses_before_building(monkeypatch):
+    state = run_sieve(14)  # 6,542 primes: (2, 2) would build about 3.4e8 products
+    start = time.perf_counter()
+    with pytest.raises(SizeGuard):
+        rational_set(state, 2, 2)
+    assert time.perf_counter() - start < 1
+    monkeypatch.setattr(sieve, "MAX_RATIONALS", 112)
+    with pytest.raises(SizeGuard):
+        rational_set(run_sieve(1), 2, 2)
+    assert len(rational_set(run_sieve(1), 2, 2, force=True)) == 113
 
 
 def test_rational_set_validation():

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from formula_forge import (
     ONE,
@@ -17,6 +19,7 @@ from formula_forge import (
     sym_sum,
     sym_value,
 )
+from formula_forge.symexpr import _Leaf
 from formula_forge.trees import evaluate, is_strict
 
 
@@ -65,6 +68,71 @@ def test_rendering():
     assert str(sym_pow(sym_sum([X, ONE]), X)) == "(x + 1)^x"
     assert str(sym_pow(sym_pow(X, X), X)) == "(x^x)^x"
     assert str(sym_prod([sym_pow(X, X), sym_sum([X, ONE])])) == "x^x*(x + 1)"
+
+
+def _oracle(e):
+    """Infix form by precedence levels, written apart from the package:
+    Sum and Neg 1, Prod 2, Pow 3, leaves 4; a term or factor below 2 and a
+    base, exponent or Neg operand below 4 gets parentheses."""
+
+    def prec(e):
+        return {Sum: 1, Neg: 1, Prod: 2, Pow: 3}.get(type(e), 4)
+
+    def wrap(e, minimum):
+        s = walk(e)
+        return f"({s})" if prec(e) < minimum else s
+
+    def walk(e):
+        if e is ONE or e is X:
+            return e.name
+        if isinstance(e, Sum):
+            return " + ".join(wrap(t, 2) for t in e.terms)
+        if isinstance(e, Prod):
+            return "*".join(wrap(f, 2) for f in e.factors)
+        if isinstance(e, Pow):
+            return f"{wrap(e.base, 4)}^{wrap(e.exponent, 4)}"
+        if isinstance(e, Neg):
+            return f"-{wrap(e.inner, 4)}"
+        raise DomainError(f"not a symbolic expression: {e!r}")
+
+    return walk(e)
+
+
+# raw constructors, so also the shapes the smart ones never build
+_RAW = st.recursive(
+    st.sampled_from([ONE, X]),
+    lambda kids: st.one_of(
+        st.lists(kids, min_size=1, max_size=4).map(lambda ts: Sum(tuple(ts))),
+        st.lists(kids, min_size=1, max_size=4).map(lambda fs: Prod(tuple(fs))),
+        st.tuples(kids, kids).map(lambda be: Pow(*be)),
+        kids.map(Neg),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RAW)
+@example(Sum((Sum((X, ONE)), X)))
+@example(Prod((Prod((X, X)), ONE)))
+@example(Sum((Neg(X), ONE)))
+@example(Prod((X, Neg(Sum((X, ONE))))))
+@example(Pow(X, Neg(Prod((X, X)))))
+@example(Pow(Pow(X, X), Neg(ONE)))
+@example(Neg(Neg(Pow(X, X))))
+@example(Prod((Pow(Sum((X, ONE)), X), Sum((Prod((X, X)), ONE)))))
+def test_render_matches_the_precedence_oracle(e):
+    assert render(e) == _oracle(e) == str(e)
+
+
+@pytest.mark.parametrize("bad", [
+    3, None, Sum((X, 3)), Prod((X, "x")), Pow(X, 2), Pow(2, X), Neg(1),
+    _Leaf("y"), Sum((X, _Leaf("y"))), Prod((_Leaf("y"), X)), Pow(X, _Leaf("y")),
+    Neg(_Leaf("y")),
+], ids=repr)
+def test_render_rejects_what_is_not_a_node(bad):
+    with pytest.raises(DomainError):
+        render(bad)
 
 
 def test_empty_sum_rejected():
