@@ -188,8 +188,13 @@ def _cmd_horner(args):
 
 
 def _cmd_sieve(args):
-    from .sieve import rational_set, run_sieve, scf_coarse
+    from .sieve import (PRIME_COUNTS, check_rationals, dyadic_steps, rational_set, run_sieve,
+                        scf_coarse)
 
+    steps = dyadic_steps(args.levels, args.coarse, args.unsafe)
+    if args.rationals and steps < len(PRIME_COUNTS):  # refuse before the sieve runs
+        check_rationals(PRIME_COUNTS[steps], args.exponent_bound, args.factor_bound,
+                        args.unsafe)
     state = (scf_coarse if args.coarse else run_sieve)(args.levels, force=args.unsafe)
     out = {
         "levels": args.levels,

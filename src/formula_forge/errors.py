@@ -1,5 +1,5 @@
-"""Exception types, the integer check, the size-guard rule and the
-value-record base shared across the package."""
+"""Exception types, the integer check, the size-guard and nesting rules
+and the value-record base shared across the package."""
 
 
 class FormulaForgeError(Exception):
@@ -66,6 +66,16 @@ def require_int(value, minimum: int = 1, name: str = "value") -> int:
     return value
 
 
+def nested(walk, value, kind: str, verb: str):
+    """walk(value), or SizeGuard(f"{kind} nests too deeply to {verb}") in
+    place of the RecursionError of a value nested past the interpreter's
+    recursion limit: the one nesting rule of the recursive walkers."""
+    try:
+        return walk(value)
+    except RecursionError:
+        raise SizeGuard(f"{kind} nests too deeply to {verb}") from None
+
+
 class Record:
     """Base of the package's immutable value classes.
 
@@ -97,14 +107,14 @@ class Record:
     def __repr__(self):
         """Class name and the __match_args__ fields; SizeGuard on a value
         nested past the interpreter's recursion limit."""
-        try:
-            fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        except RecursionError:
-            raise SizeGuard("value nests too deeply to repr") from None
-        return f"{type(self).__qualname__}({fields})"
+        return f"{type(self).__qualname__}({nested(_fields, self, 'value', 'repr')})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _fields(record):
+    return ", ".join(f"{name}={getattr(record, name)!r}" for name in record.__match_args__)

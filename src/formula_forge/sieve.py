@@ -29,6 +29,10 @@ COARSE_MAX_LEVELS = 2
 # expressions rational_set builds, about 55 us each with their JSON on the
 # command line: 37,687 take 2.2 s on a 2-vCPU VM
 MAX_RATIONALS = 50_000
+# the known primes after each of the dyadic steps 0-15, pi(2^(steps + 1)):
+# the sieve's own counts, pinned by a test, so that a rational_set request
+# can be sized before the sieve runs
+PRIME_COUNTS = (1, 2, 4, 6, 11, 18, 31, 54, 97, 172, 309, 564, 1028, 1900, 3512, 6542)
 
 
 @dataclass(frozen=True)
@@ -146,6 +150,21 @@ def _dyadic(steps: int) -> SieveState:
     return state
 
 
+def dyadic_steps(levels: int, coarse: bool = False, force: bool = False) -> int:
+    """The dyadic steps run_sieve(levels), or with coarse scf_coarse(levels),
+    takes; LevelTooLarge past MAX_LEVELS (COARSE_MAX_LEVELS) unless force."""
+    require_int(levels, 0, "levels")
+    if not coarse:
+        check_cap(levels, MAX_LEVELS, f"sieve levels {levels}", force, LevelTooLarge)
+        return levels + 1 if levels else 0
+    check_cap(levels, COARSE_MAX_LEVELS, f"coarse sieve levels {levels}", force,
+              LevelTooLarge)
+    covers = 2
+    for _ in range(levels):
+        covers = 2**covers
+    return covers.bit_length() - 2  # covers 2^(steps + 1)
+
+
 def run_sieve(levels: int, force: bool = False) -> SieveState:
     """Run levels + 1 dyadic steps from the initial state (levels >= 1),
     covering 1..2^(levels+2); levels = 0 returns the initial state.
@@ -153,9 +172,7 @@ def run_sieve(levels: int, force: bool = False) -> SieveState:
     run_sieve(3).prime_values() lists the 11 primes up to 32.
     Levels beyond 14 (coverage 65536) are refused unless force=True.
     """
-    check_cap(require_int(levels, 0, "levels"), MAX_LEVELS, f"sieve levels {levels}",
-              force, LevelTooLarge)
-    return _dyadic(levels + 1 if levels else 0)
+    return _dyadic(dyadic_steps(levels, False, force))
 
 
 def scf_coarse(levels: int, force: bool = False) -> SieveState:
@@ -165,12 +182,24 @@ def scf_coarse(levels: int, force: bool = False) -> SieveState:
     dyadic state of equal coverage.  levels > 2 is refused unless
     force=True (level 3 already builds 65536 encodings).
     """
-    check_cap(require_int(levels, 0, "levels"), COARSE_MAX_LEVELS,
-              f"coarse sieve levels {levels}", force, LevelTooLarge)
-    covers = 2
-    for _ in range(levels):
-        covers = 2**covers
-    return _dyadic(covers.bit_length() - 2)  # covers 2^(steps + 1)
+    return _dyadic(dyadic_steps(levels, True, force))
+
+
+def check_rationals(primes: int, exponent_bound: int, factor_bound: int,
+                    force: bool = False) -> None:
+    """Check rational_set's bounds over `primes` known primes, and refuse
+    with SizeGuard above MAX_RATIONALS expressions unless force=True.
+
+    With P known primes and E = exponent_bound there are the sum over
+    c <= min(factor_bound, P) of C(P, c) * (2E)^c products: c of the primes,
+    each to one of 2E exponents.
+    """
+    require_int(exponent_bound, 1, "exponent_bound")
+    require_int(factor_bound, 0, "factor_bound")
+    size = sum(comb(primes, c) * (2 * exponent_bound) ** c
+               for c in range(min(factor_bound, primes) + 1))
+    check_cap(size, MAX_RATIONALS, f"rational expressions over {primes} primes with "
+              f"exponent bound {exponent_bound} and factor bound {factor_bound}", force)
 
 
 def rational_set(state: SieveState, exponent_bound: int, factor_bound: int,
@@ -182,18 +211,10 @@ def rational_set(state: SieveState, exponent_bound: int, factor_bound: int,
     rational_set(initial_state(), 1, 1) -> [1, x, x^(-1)]
     (values 1, 2, 1/2).
 
-    With P known primes and E = exponent_bound there are the sum over
-    c <= min(factor_bound, P) of C(P, c) * (2E)^c products: c of the primes,
-    each to one of 2E exponents.  Above MAX_RATIONALS, SizeGuard is raised
-    before any is built, unless force=True.
+    check_rationals sizes the request first: above MAX_RATIONALS, SizeGuard
+    is raised before any is built, unless force=True.
     """
-    require_int(exponent_bound, 1, "exponent_bound")
-    require_int(factor_bound, 0, "factor_bound")
-    p = len(state.primes)
-    size = sum(comb(p, c) * (2 * exponent_bound) ** c
-               for c in range(min(factor_bound, p) + 1))
-    check_cap(size, MAX_RATIONALS, f"rational expressions over {p} primes with exponent "
-              f"bound {exponent_bound} and factor bound {factor_bound}", force)
+    check_rationals(len(state.primes), exponent_bound, factor_bound, force)
     if exponent_bound > state.covers:
         raise DomainError(
             f"exponent bound {exponent_bound} exceeds covered range {state.covers}"

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import DomainError, Record, SizeGuard
+from .errors import DomainError, Record, SizeGuard, nested
 
 _NODES = {}
 
@@ -127,35 +127,42 @@ class Neg(SymExpr):
 
 @lru_cache(maxsize=None)
 def sym_value(e: SymExpr):
-    """Numeric value at x = 2; an int, or a Fraction under Neg exponents."""
+    """Numeric value at x = 2; an int, or a Fraction under Neg exponents.
+
+    Nesting past the recursion limit on a cache miss raises SizeGuard.  The
+    guard is in this body, not in a wrapper, so each level costs one frame.
+    """
     if e is ONE:
         return 1
     if e is X:
         return 2
-    if isinstance(e, Sum):
-        return sum(sym_value(t) for t in e.terms)
-    if isinstance(e, Prod):
-        v = 1
-        for f in e.factors:
-            v *= sym_value(f)
-        return v
-    if isinstance(e, Pow):
-        b = sym_value(e.base)
-        x = sym_value(e.exponent)
-        if isinstance(x, int) and x >= 0:
-            return b**x
-        if x < 0:
-            from fractions import Fraction  # only Neg exponents need it
+    try:
+        if isinstance(e, Sum):
+            return sum(sym_value(t) for t in e.terms)
+        if isinstance(e, Prod):
+            v = 1
+            for f in e.factors:
+                v *= sym_value(f)
+            return v
+        if isinstance(e, Pow):
+            b = sym_value(e.base)
+            x = sym_value(e.exponent)
+            if isinstance(x, int) and x >= 0:
+                return b**x
+            if x < 0:
+                from fractions import Fraction  # only Neg exponents need it
 
-            return Fraction(1, b ** int(-x))
-        raise DomainError(f"unsupported exponent value {x!r}")
-    if isinstance(e, Neg):
-        v = sym_value(e.inner)
-        if not (isinstance(v, int) and v >= 1):
-            raise DomainError("Neg wraps positive integer exponents only")
-        from fractions import Fraction
+                return Fraction(1, b ** int(-x))
+            raise DomainError(f"unsupported exponent value {x!r}")
+        if isinstance(e, Neg):
+            v = sym_value(e.inner)
+            if not (isinstance(v, int) and v >= 1):
+                raise DomainError("Neg wraps positive integer exponents only")
+            from fractions import Fraction
 
-        return Fraction(-v)
+            return Fraction(-v)
+    except RecursionError:
+        raise SizeGuard("expression nests too deeply to evaluate") from None
     raise DomainError(f"not a symbolic expression: {e!r}")
 
 
@@ -233,10 +240,7 @@ def render(e: SymExpr) -> str:
     Each level of nesting costs about three interpreter frames; nesting
     past the recursion limit raises SizeGuard.
     """
-    try:
-        return _top(e)
-    except RecursionError:
-        raise SizeGuard("expression nests too deeply to render") from None
+    return nested(_top, e, "expression", "render")
 
 
 def _top(e):
@@ -274,10 +278,7 @@ def expand_x(e: SymExpr):
     The result is a strict tree whose evaluate() equals sym_value(e).
     Reciprocal exponents (no tree form) raise DomainError, deep nesting SizeGuard.
     """
-    try:
-        return _expand_x(e)
-    except RecursionError:
-        raise SizeGuard("expression nests too deeply to expand") from None
+    return nested(_expand_x, e, "expression", "expand")
 
 
 def _expand_x(e):

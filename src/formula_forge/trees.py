@@ -12,7 +12,7 @@ root-to-leaf path.  A tree is *strict* when no subterm is 1*f, f*1, f^1 or
 
 from __future__ import annotations
 
-from .errors import DomainError, MalformedString, SizeGuard
+from .errors import DomainError, MalformedString, nested
 
 LEAF = 1
 ADD, MUL, POW = "+", "*", "^"
@@ -27,10 +27,7 @@ def is_leaf(tree) -> bool:
 
 def evaluate(tree) -> int:
     """Value of the formula, in exact big ints; SizeGuard on deep nesting."""
-    try:
-        return _evaluate(tree)
-    except RecursionError:
-        raise SizeGuard("tree nests too deeply to evaluate") from None
+    return nested(_evaluate, tree, "tree", "evaluate")
 
 
 def _evaluate(tree):
@@ -49,10 +46,7 @@ def _evaluate(tree):
 
 def size(tree) -> int:
     """Node count; odd, equal to 2*leaf_count(tree) - 1."""
-    try:
-        return _size(tree)
-    except RecursionError:
-        raise SizeGuard("tree nests too deeply to measure") from None
+    return nested(_size, tree, "tree", "measure")
 
 
 def _size(tree):
@@ -63,10 +57,7 @@ def _size(tree):
 
 def depth(tree) -> int:
     """Longest root-to-leaf path; 0 for the bare leaf."""
-    try:
-        return _depth(tree)
-    except RecursionError:
-        raise SizeGuard("tree nests too deeply to measure") from None
+    return nested(_depth, tree, "tree", "measure")
 
 
 def _depth(tree):
@@ -76,24 +67,12 @@ def _depth(tree):
 
 
 def leaf_count(tree) -> int:
-    try:
-        return _leaf_count(tree)
-    except RecursionError:
-        raise SizeGuard("tree nests too deeply to measure") from None
-
-
-def _leaf_count(tree):
-    if tree == 1:
-        return 1
-    return _leaf_count(tree[1]) + _leaf_count(tree[2])
+    return (size(tree) + 1) // 2
 
 
 def is_strict(tree) -> bool:
     """True when no subterm is 1*f, f*1, f^1 or 1^f."""
-    try:
-        return _is_strict(tree)
-    except RecursionError:
-        raise SizeGuard("tree nests too deeply to check") from None
+    return nested(_is_strict, tree, "tree", "check")
 
 
 def _is_strict(tree):
@@ -107,10 +86,7 @@ def _is_strict(tree):
 
 def validate(tree) -> None:
     """Raise DomainError unless tree is a well-formed formula tree."""
-    try:
-        _validate(tree)
-    except RecursionError:
-        raise SizeGuard("tree nests too deeply to check") from None
+    nested(_validate, tree, "tree", "check")
 
 
 def _validate(tree):
@@ -127,25 +103,21 @@ def _validate(tree):
 
 
 def to_prefix(tree) -> str:
-    """Preorder string over the alphabet {1, +, *, ^}.
+    """Preorder string over the alphabet {1, +, *, ^}, at any depth.
 
     to_prefix(('+', 1, 1)) == '+11'
     """
-    parts = []
-
-    def walk(t):
-        if t == 1:
+    parts, pending = [], []  # pending: gates whose right operand is still due
+    while True:
+        if tree == 1:
             parts.append("1")
+            if not pending:
+                return "".join(parts)
+            tree = pending.pop()[2]
         else:
-            parts.append(t[0])
-            walk(t[1])
-            walk(t[2])
-
-    try:
-        walk(tree)
-    except RecursionError:
-        raise SizeGuard("tree nests too deeply to print") from None
-    return "".join(parts)
+            parts.append(tree[0])
+            pending.append(tree)
+            tree = tree[1]
 
 
 def to_postfix(tree) -> str:
@@ -154,31 +126,25 @@ def to_postfix(tree) -> str:
 
 
 def parse_prefix(text: str):
-    """Inverse of to_prefix.  MalformedString on bad input, SizeGuard on deep nesting."""
-    pos = 0
-    n = len(text)
+    """Inverse of to_prefix, at any depth; MalformedString on bad input.
 
-    def parse():
-        nonlocal pos
-        if pos >= n:
-            raise MalformedString(f"unexpected end of input in {text!r}")
-        ch = text[pos]
-        pos += 1
+    The string is read right to left: a 1 pushes a leaf, and a gate pops
+    its left operand, then its right one.
+    """
+    stack = []
+    push, pop = stack.append, stack.pop
+    for ch in reversed(text):
         if ch == "1":
-            return 1
-        if ch in GATES:
-            left = parse()
-            right = parse()
-            return (ch, left, right)
-        raise MalformedString(f"unknown symbol {ch!r} at position {pos - 1}")
-
-    try:
-        tree = parse()
-    except RecursionError:
-        raise SizeGuard("prefix string nests too deeply to parse") from None
-    if pos != n:
-        raise MalformedString(f"{n - pos} leftover token(s) in {text!r}")
-    return tree
+            push(1)
+        elif ch in GATES and len(stack) > 1:
+            push((ch, pop(), pop()))
+        elif ch in GATES:
+            raise MalformedString(f"gate {ch!r} lacks an operand in {text!r}")
+        else:
+            raise MalformedString(f"unknown symbol {ch!r} in {text!r}")
+    if len(stack) != 1:
+        raise MalformedString(f"{len(stack)} trees in {text!r}, not one")
+    return stack[0]
 
 
 def parse_postfix(text: str):
@@ -188,10 +154,7 @@ def parse_postfix(text: str):
 
 def to_brackets(tree):
     """Nested-list form for JSON: ('+', 1, 1) -> ['+', 1, 1]."""
-    try:
-        return _to_brackets(tree)
-    except RecursionError:
-        raise SizeGuard("tree nests too deeply to print") from None
+    return nested(_to_brackets, tree, "tree", "print")
 
 
 def _to_brackets(tree):
@@ -202,10 +165,7 @@ def _to_brackets(tree):
 
 def from_brackets(obj):
     """Inverse of to_brackets; accepts lists or tuples, validates shape."""
-    try:
-        return _from_brackets(obj)
-    except RecursionError:
-        raise SizeGuard("bracket form nests too deeply to read") from None
+    return nested(_from_brackets, obj, "bracket form", "read")
 
 
 def _from_brackets(obj):

@@ -266,6 +266,19 @@ def test_sieve_guard(capsys):
     assert code == 4
 
 
+def test_sieve_rationals_guard_refuses_before_the_sieve_runs(capsys, monkeypatch):
+    def no_sieve(steps):
+        raise AssertionError(f"the sieve ran {steps} steps")
+
+    monkeypatch.setattr(sieve, "_dyadic", no_sieve)
+    code, out, err = run(capsys, "sieve", "--levels", "14", "--rationals", "--factor-bound", "3")
+    assert (code, out) == (4, "") and err.startswith("guard:")
+    assert f"> {sieve.MAX_RATIONALS};" in err and "over 6542 primes" in err
+    code, _, err = run(capsys, "sieve", "--coarse", "--levels", "2", "--rationals",
+                       "--exponent-bound", "8", "--factor-bound", "4")
+    assert code == 4 and "over 6 primes" in err
+
+
 # rho / constant
 
 def test_rho_output(capsys):

@@ -9,7 +9,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from formula_forge import (
@@ -23,13 +23,19 @@ from formula_forge import (
     Pow,
     Prod,
     Sum,
+    clear_caches,
     encode_goodstein,
     encode_horner,
+    evaluate,
+    expand_x,
     g_add,
     g_mul,
+    gs_to_symexpr,
+    render,
     sym_pow,
     sym_prod,
     sym_sum,
+    sym_value,
 )
 
 NODES = [
@@ -92,6 +98,36 @@ def test_deep_nodes_copy_pickle_and_repr_without_recursing():
     forms = [encode_goodstein(2**2000 - 1), ZERO]
     restored = pickle.loads(pickle.dumps(forms))
     assert all(a is b for a, b in zip(restored, forms, strict=True))
+
+
+def _result_or_size_guard(walk, node):
+    """walk(node), or None when it refuses with SizeGuard; a RecursionError
+    fails the test."""
+    try:
+        return walk(node)
+    except SizeGuard:
+        return None
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.one_of(st.integers(1, 2**300), st.integers(2**900, 2**2100)),
+       horner=st.booleans())
+@example(n=2**1000 - 1, horner=True)
+def test_deep_values_after_clear_caches_give_the_result_or_a_size_guard(n, horner):
+    # Horner nodes nest about 1.5 levels per bit; Goodstein forms are wide
+    form = encode_horner(n) if horner else encode_goodstein(n)
+    expr = form if horner else gs_to_symexpr(form)
+    clear_caches()  # sym_value now misses at every level
+    assert _result_or_size_guard(sym_value, expr) in (n, None)
+    tree = _result_or_size_guard(expand_x, expr)
+    assert tree is None or _result_or_size_guard(evaluate, tree) in (n, None)
+    assert isinstance(_result_or_size_guard(render, expr), (str, type(None)))
+    for node in {form, expr}:
+        assert isinstance(_result_or_size_guard(repr, node), (str, type(None)))
+        assert pickle.loads(pickle.dumps(node)) is node
+    if n == 2**1000 - 1:
+        with pytest.raises(SizeGuard, match="nests too deeply to evaluate"):
+            sym_value(expr)
 
 
 def test_arithmetic_on_hand_built_forms():

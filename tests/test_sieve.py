@@ -197,6 +197,14 @@ def test_clear_caches_keeps_results_and_nodes():
     assert encode_goodstein(10**30 + 7) is form and gs_value(form) == value
 
 
+def test_prime_counts_table_matches_every_step():
+    counts = [len(sieve._dyadic(steps).primes) for steps in range(len(sieve.PRIME_COUNTS))]
+    assert tuple(counts) == sieve.PRIME_COUNTS
+    assert len(run_sieve(sieve.MAX_LEVELS).primes) == sieve.PRIME_COUNTS[-1]
+    steps = sieve.dyadic_steps(sieve.COARSE_MAX_LEVELS + 1, coarse=True, force=True)
+    assert steps == len(sieve.PRIME_COUNTS) - 1  # coarse level 3 covers 65536 too
+
+
 def test_run_sieve_guards():
     with pytest.raises(LevelTooLarge):
         run_sieve(15)

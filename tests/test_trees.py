@@ -1,10 +1,13 @@
+import ast
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import formula_forge
 from formula_forge import (
     DomainError,
     MalformedString,
@@ -24,6 +27,7 @@ from formula_forge import (
     validate,
 )
 from formula_forge.enumeration import enumerate_ame
+from formula_forge.trees import GATES
 
 T6 = ("*", ("+", 1, 1), ("+", 1, ("+", 1, 1)))
 
@@ -117,11 +121,11 @@ def test_leaf_helpers():
 
 
 def test_nesting_past_the_recursion_limit_is_a_size_guard():
-    text = "+1" * 1500 + "1"
-    with pytest.raises(SizeGuard):
-        parse_prefix(text)
-    with pytest.raises(SizeGuard):
-        parse_postfix(text[::-1])
+    # == on tuples this deep recurses in the interpreter, so compare tokens
+    text = "+1" * (3 * _LIMIT) + "1"
+    assert to_prefix(parse_prefix(text)) == text
+    assert _tokens(parse_prefix(text)) == list(text)
+    assert _tokens(parse_postfix(text[::-1])) == list(text)
     tree = 1
     for _ in range(1500):
         tree = ("+", 1, tree)
@@ -132,8 +136,7 @@ def test_nesting_past_the_recursion_limit_is_a_size_guard():
 
 
 @pytest.mark.parametrize("walk", [
-    to_prefix, to_postfix, size, depth, leaf_count, is_strict, validate,
-    to_brackets, from_brackets,
+    size, depth, leaf_count, is_strict, validate, to_brackets, from_brackets,
 ])
 def test_every_walker_refuses_a_tree_past_the_recursion_limit(walk):
     tree, brackets = 1, 1
@@ -142,6 +145,34 @@ def test_every_walker_refuses_a_tree_past_the_recursion_limit(walk):
     with pytest.raises(SizeGuard):
         walk(brackets if walk is from_brackets else tree)
 
+
+class _RecursionCatchers(ast.NodeVisitor):
+    """The function around each `except RecursionError` of a module."""
+
+    def __init__(self):
+        self.scope, self.found = ["<module>"], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_ExceptHandler(self, node):
+        if node.type is not None and "RecursionError" in ast.unparse(node.type):
+            self.found.append(self.scope[-1])
+        self.generic_visit(node)
+
+
+def test_only_the_nesting_rule_catches_recursion_errors():
+    """errors.nested turns RecursionError into SizeGuard for every recursive
+    walker; sym_value alone catches it in its own body, to keep one frame
+    per level of its cache."""
+    found = []
+    for path in sorted(Path(formula_forge.__file__).parent.glob("*.py")):
+        catchers = _RecursionCatchers()
+        catchers.visit(ast.parse(path.read_text()))
+        found += [f"{path.stem}.{name}" for name in catchers.found]
+    assert sorted(found) == ["errors.nested", "symexpr.sym_value"]
 
 
 def _deep_tree(height, shape, seed):
@@ -180,6 +211,11 @@ def _same(walk, arg, want):
         got = walk(arg)
     except SizeGuard:
         return True
+    return _gives(got, want)
+
+
+def _gives(got, want):
+    """got (a string, or a tree) has the prefix tokens want."""
     return (list(got) if isinstance(got, str) else _tokens(got)) == want
 
 
@@ -192,15 +228,36 @@ _LIMIT = sys.getrecursionlimit()
        shape=st.sampled_from(["left", "right", "mixed"]),
        seed=st.integers(0, 2**32 - 1))
 def test_deep_codecs_give_the_tree_back_or_a_size_guard(height, shape, seed):
+    """The prefix and postfix codecs give the tree back at any depth; the
+    bracket codecs recurse, and may refuse with SizeGuard."""
     tree, brackets = _deep_tree(height, shape, seed)
     tokens = _tokens(tree)
     text = "".join(tokens)
-    assert _same(to_prefix, tree, tokens)
-    assert _same(parse_prefix, text, tokens)
-    assert _same(to_postfix, tree, tokens[::-1])
-    assert _same(parse_postfix, text[::-1], tokens)
+    assert _gives(to_prefix(tree), tokens)
+    assert _gives(parse_prefix(text), tokens)
+    assert _gives(to_postfix(tree), tokens[::-1])
+    assert _gives(parse_postfix(text[::-1]), tokens)
+    for encode, decode in ((to_prefix, parse_prefix), (to_postfix, parse_postfix)):
+        assert _gives(decode(encode(tree)), tokens), encode.__name__
     assert _same(to_brackets, tree, tokens)
     assert _same(from_brackets, brackets, tokens)
-    for encode, decode in ((to_prefix, parse_prefix), (to_postfix, parse_postfix),
-                           (to_brackets, from_brackets)):
-        assert _same(lambda t: decode(encode(t)), tree, tokens), encode.__name__
+    assert _same(lambda t: from_brackets(to_brackets(t)), tree, tokens)
+
+
+_TREES = st.recursive(st.just(1), lambda kids: st.tuples(st.sampled_from(GATES), kids, kids))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(st.text(alphabet="1+*^x", max_size=40), _TREES.map(to_prefix),
+                      st.tuples(_TREES.map(to_prefix), st.text(alphabet="1+*^x", max_size=3))
+                      .map("".join)))
+def test_every_string_parses_to_its_own_prefix_or_is_malformed(text):
+    """A string over {1, +, *, ^, x} is a tree's prefix (or mirrored, its
+    postfix) string, or MalformedString; nothing else comes out."""
+    for parse, encode, string in ((parse_prefix, to_prefix, text),
+                                  (parse_postfix, to_postfix, text[::-1])):
+        try:
+            tree = parse(string)
+        except MalformedString:
+            continue
+        assert encode(tree) == string
