@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import DomainError, LevelTooLarge, MagnitudeError, check_cap, require_int
+from .errors import (DomainError, LevelTooLarge, MagnitudeError, SizeGuard, check_cap, nested,
+                     require_int)
 from .symexpr import CACHE_CLEARS, ONE, X, Interned, SymExpr, sym_pow, sym_prod, sym_sum
 
 
@@ -54,7 +55,15 @@ MAX_HORNER_LEVEL = 3
 
 @lru_cache(maxsize=None)
 def gs_value(f: GoodsteinForm) -> int:
-    return sum(2 ** gs_value(e) for e in f.exponents)
+    """Value of f at x = 2.
+
+    Nesting past the recursion limit on a cache miss raises SizeGuard.  The
+    guard is in this body, not in a wrapper, so each level costs one frame.
+    """
+    try:
+        return sum(2 ** gs_value(e) for e in f.exponents)
+    except RecursionError:
+        raise SizeGuard("Goodstein form nests too deeply to evaluate") from None
 
 
 def encode_goodstein(n: int) -> GoodsteinForm:
@@ -184,11 +193,15 @@ def gs_to_symexpr(f: GoodsteinForm) -> SymExpr:
     """Shorthand expression of a nonzero normal form.
 
     gs_to_symexpr(encode_goodstein(7)) renders as 'x^x + x + 1'.
+    SizeGuard on a form nested past the interpreter's recursion limit.
     """
     if f is ZERO:
         raise DomainError("0 has no gate expression")
-    terms = [ONE if e is ZERO else sym_pow(X, gs_to_symexpr(e)) for e in f.exponents]
-    return sym_sum(terms)
+    return nested(_gs_to_symexpr, f, "Goodstein form", "convert")
+
+
+def _gs_to_symexpr(f):
+    return sym_sum([ONE if e is ZERO else sym_pow(X, _gs_to_symexpr(e)) for e in f.exponents])
 
 
 def goodstein_levels(t: int, force: bool = False) -> list:

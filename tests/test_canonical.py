@@ -19,6 +19,7 @@ from formula_forge import (
     X,
     ZERO,
     canonical,
+    clear_caches,
     encode_goodstein,
     encode_horner,
     expand_x,
@@ -91,6 +92,19 @@ def test_str_goldens():
 def test_symexpr_view_matches_value():
     for n in range(1, 300):
         assert sym_value(gs_to_symexpr(encode_goodstein(n))) == n
+
+
+def test_deep_forms_are_too_deep_to_walk():
+    # x^(x^(...^(x^0))) 3,000 levels deep, built by hand: encode_goodstein
+    # never nests this far, and its value is a tower of 2s far past memory
+    f = ZERO
+    for _ in range(3000):
+        f = GoodsteinForm((f,))
+    for _ in range(2):  # a cold cache, then one emptied by clear_caches()
+        for walk in (str, gs_value, gs_to_symexpr):
+            with pytest.raises(SizeGuard, match="Goodstein form nests too deeply"):
+                walk(f)
+        clear_caches()
 
 
 # arithmetic: the binary-expansion encoder is the oracle, and normal forms

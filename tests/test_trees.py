@@ -165,14 +165,14 @@ class _RecursionCatchers(ast.NodeVisitor):
 
 def test_only_the_nesting_rule_catches_recursion_errors():
     """errors.nested turns RecursionError into SizeGuard for every recursive
-    walker; sym_value alone catches it in its own body, to keep one frame
-    per level of its cache."""
+    walker; sym_value and gs_value alone catch it in their own bodies, to
+    keep one frame per level of their caches."""
     found = []
     for path in sorted(Path(formula_forge.__file__).parent.glob("*.py")):
         catchers = _RecursionCatchers()
         catchers.visit(ast.parse(path.read_text()))
         found += [f"{path.stem}.{name}" for name in catchers.found]
-    assert sorted(found) == ["errors.nested", "symexpr.sym_value"]
+    assert sorted(found) == ["canonical.gs_value", "errors.nested", "symexpr.sym_value"]
 
 
 def _deep_tree(height, shape, seed):
