@@ -44,18 +44,22 @@ def normalize_root(root: str) -> str:
 
 
 def exact_root(n: int, k: int):
-    """Integer b with b**k == n, or None.  Newton floor root, exact check."""
+    """Integer b with b**k == n, or None.  isqrt for k = 2, the rounded
+    float root below 2**52, else a Newton floor root; exact check."""
     if n < 1 or k < 1:
         return None
-    if n == 1:
-        return 1
-    x = 1 << ((n.bit_length() + k - 1) // k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            break
-        x = y
-    return x if x ** k == n else None
+    if k == 2:
+        b = isqrt(n)
+    elif n.bit_length() <= 52:  # float(n) is exact, its root within 2**-30
+        b = round(n ** (1 / k))
+    else:
+        b = 1 << ((n.bit_length() + k - 1) // k)
+        while True:
+            y = ((k - 1) * b + n // b ** (k - 1)) // k
+            if y >= b:
+                break
+            b = y
+    return b if b ** k == n else None
 
 
 def mid_divisors(n: int) -> list[int]:

@@ -15,7 +15,12 @@ for the split.  The roll then walks the outcomes, subtracting each one's
 weight until the draw is used up; that picks the outcome prefix-sum
 inversion (``roll_loaded_die``) would, so no weight or prefix list is built.
 The table keeps the product and power splits per value; the m - 1 sum
-splits are walked afresh.
+splits of a, am and ame are walked afresh from the nearer end.  Their
+weights tot[i] * tot[m - i] are symmetric, so a draw r with 2r > W walks up
+from i = 1 with W - r + 1 and takes the mirror (m - j, j) of the split j it
+lands on, the split r lands on from i = 1 (Flajolet, Zimmermann and Van
+Cutsem, TCS 132, 1994).  lop's weights peak at i = 1; it walks from there.
+A tree nested past the recursion limit raises SizeGuard.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ import random
 from bisect import bisect_left
 from itertools import accumulate
 
-from .counting import FAMILIES, ROOT_ALL, Family, default_table
-from .errors import DomainError, NoMultiplicativeSplit, require_int
+from .counting import _MIRRORED, FAMILIES, ROOT_ALL, Family, default_table
+from .errors import DomainError, NoMultiplicativeSplit, nested, require_int
 
 
 def roll_loaded_die(weights, rng: random.Random) -> int:
@@ -76,18 +81,24 @@ def sample_from(family: Family, n: int, rng: random.Random | None = None,
                     break
         rule, col = entry
         gate = rule[0]
-        if not col[m]:  # every split adds at least 1, so m has none
+        w = col[m]
+        if not w:  # every split adds at least 1, so m has none
             exc, what = _NO_SPLIT[gate]
             raise exc(f"{m} has no {what} split")
-        r = randint(1, col[m])
-        for a, b in splits_of(rule, m):
+        r = randint(1, w)
+        if 2 * r > w and _MIRRORED.get(rule[1]) == 2:
+            # the upper half's split mirrors the lower half's (module docstring)
+            pairs, r = zip(range(m - 1, 0, -1), range(1, m)), w - r + 1
+        else:
+            pairs = splits_of(rule, m)
+        for a, b in pairs:
             r -= tot[a] * tot[b]
             if r <= 0:
                 break
         return (gate, rec(a, rules), rec(b, rules))
 
     top = rules if root == ROOT_ALL else tuple(e for e in rules if e[0][0] == root)
-    return rec(n, top)
+    return nested(lambda m: rec(m, top), n, "tree", "sample")
 
 
 def sample_add(n: int, rng: random.Random | None = None):

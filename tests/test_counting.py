@@ -126,6 +126,30 @@ def test_helper_functions():
     assert list(exponent_candidates(6)) == []
 
 
+def _newton_root(n, k):
+    """exact_root as first written: Newton from a power of two above the
+    root, for every k."""
+    if n == 1:
+        return 1
+    x = 1 << ((n.bit_length() + k - 1) // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            break
+        x = y
+    return x if x ** k == n else None
+
+
+def test_exponent_candidates_match_plain_newton_roots():
+    # powers on both sides of 52 bits, where the float root gives way to Newton
+    edge = [2**51, 2**52, 3**32, 5**22, 7**18, (2**17 + 1) ** 3, (2**17 - 1) ** 3, 3**33]
+    big = [*edge, 2**120, 6**60, (2**26 + 1) ** 2, 3**40 * 5**40, 7**400, 2**1500, 10**400 + 1]
+    for n in [*range(1, 100_001), *big, *(b - 1 for b in big), *(b + 1 for b in big)]:
+        want = [(i, b) for i in range(2, n.bit_length())
+                if (b := _newton_root(n, i)) is not None]
+        assert list(exponent_candidates(n)) == want, n
+
+
 def test_large_counts_are_big_ints():
     c = count_ame(120)
     assert c > 10**69

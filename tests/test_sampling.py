@@ -1,9 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import formula_forge
 
 from formula_forge import (
     CountTable,
@@ -257,3 +263,45 @@ def test_sampler_matches_rebuilt_weight_rolls(family, n, seed, draws, data):
         got = _outcome(sample_from, family, n, rng, root)
         assert got == _outcome(reference_sample, family, n, reference_rng, root)
     assert rng.getstate() == reference_rng.getstate()
+
+
+_CASES = [(family, root) for _, family in sorted(FAMILIES.items())
+          for root in sorted({"all", *family.columns})]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(_CASES), n=st.integers(121, 400),
+       seed=st.integers(0, 2**32 - 1), draws=st.integers(1, 2))
+# the smallest sums with a mirrored half: (1, 1), then (1, 2) | (2, 1),
+# then (1, 3) | (2, 2) | (3, 1)
+@example(case=(FAMILIES["a"], "all"), n=2, seed=0, draws=1)
+@example(case=(FAMILIES["am"], "+"), n=3, seed=1, draws=12)
+@example(case=(FAMILIES["ame"], "all"), n=4, seed=2, draws=12)
+def test_mirrored_sum_walk_matches_rebuilt_weight_rolls(case, n, seed, draws):
+    """Above n = 120 most sum rolls of a, am and ame draw in the upper half
+    and walk the mirrored splits; they land where the plain walk does."""
+    family, root = case
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    for _ in range(draws):
+        got = _outcome(sample_from, family, n, rng, root)
+        assert got == _outcome(reference_sample, family, n, reference_rng, root)
+    assert rng.getstate() == reference_rng.getstate()
+
+
+def test_a_draw_deeper_than_the_recursion_limit_is_a_size_guard():
+    # a uniform sum tree of value 400 is about 70 levels deep
+    code = """
+        import random, sys
+        from formula_forge import SizeGuard, sample_add
+        sample_add(400, random.Random(0))  # imports and fills first
+        sys.setrecursionlimit(25)
+        try:
+            sample_add(400, random.Random(0))
+        except SizeGuard as exc:
+            print(exc)
+    """
+    src = os.path.dirname(os.path.dirname(formula_forge.__file__))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    want = (0, "tree nests too deeply to sample\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
