@@ -9,18 +9,21 @@ and then the left subtree is drawn before the right.  The randomness source
 is a seedable ``random.Random``; a given seed reproduces the same trees on
 any platform.
 
-Each roll draws one rng.randint(1, W) against a total the count table
-already holds: W is tot[m] for the root class, and the rule's column at m
-for the split.  The roll then walks the outcomes, subtracting each one's
-weight until the draw is used up; that picks the outcome prefix-sum
-inversion (``roll_loaded_die``) would, so no weight or prefix list is built.
-The table keeps the product and power splits per value; the m - 1 sum
-splits of a, am and ame are walked afresh from the nearer end.  Their
-weights tot[i] * tot[m - i] are symmetric, so a draw r with 2r > W walks up
-from i = 1 with W - r + 1 and takes the mirror (m - j, j) of the split j it
-lands on, the split r lands on from i = 1 (Flajolet, Zimmermann and Van
-Cutsem, TCS 132, 1994).  lop's weights peak at i = 1; it walks from there.
-A tree nested past the recursion limit raises SizeGuard.
+Each roll draws one r in [1, W] against a total the count table already
+holds: W is tot[m] for the root class, and the rule's column at m for the
+split.  ``_roll`` draws r by the getrandbits rejection loop that
+randint(1, W) runs underneath, so r and the rng state after it are
+randint's for random.Random and its subclasses.  The roll then walks the
+outcomes, subtracting each one's weight until the draw is used up; that
+picks the outcome prefix-sum inversion (``roll_loaded_die``) would, so no
+weight or prefix list is built.  The table keeps the product and power
+splits per value; the m - 1 sum splits of a, am and ame are walked afresh
+from the nearer end.  Their weights tot[i] * tot[m - i] are symmetric, so a
+draw r with 2r > W walks up from i = 1 with W - r + 1 and takes the mirror
+(m - j, j) of the split j it lands on, the split r lands on from i = 1
+(Flajolet, Zimmermann and Van Cutsem, TCS 132, 1994).  lop's weights peak
+at i = 1; it walks from there.  A tree nested past the recursion limit
+raises SizeGuard.
 """
 
 from __future__ import annotations
@@ -50,6 +53,15 @@ def roll_loaded_die(weights, rng: random.Random) -> int:
     return bisect_left(prefix, rng.randint(1, prefix[-1])) + 1
 
 
+def _roll(getrandbits, w: int) -> int:
+    """randint(1, w) of the random.Random whose getrandbits this is."""
+    k = w.bit_length()
+    r = getrandbits(k)
+    while r >= w:
+        r = getrandbits(k)
+    return r + 1
+
+
 # the error a forced root raises on a value it cannot split
 _NO_SPLIT = {"*": (NoMultiplicativeSplit, "divisor"), "^": (DomainError, "exact-power")}
 
@@ -62,10 +74,11 @@ def sample_from(family: Family, n: int, rng: random.Random | None = None,
     root = family.check_root(root)
     table = default_table()
     tot, cols = table.filled(family, n)
-    splits_of, randint = table.splits_of, rng.randint
-    # each rule with its column: the count of its trees, and so the total
-    # weight of its splits, at every value
-    rules = tuple(zip(family.rules, cols))
+    splits_of, getrandbits = table.splits_of, rng.getrandbits
+    # each rule with its gate, its column (the count of its trees, and so the
+    # total weight of its splits, at every value) and whether its splits mirror
+    rules = tuple((rule, rule[0], col, _MIRRORED.get(rule[1]) == 2)
+                  for rule, col in zip(family.rules, cols))
     leaf = rules[0]
 
     def rec(m, top):
@@ -74,19 +87,18 @@ def sample_from(family: Family, n: int, rng: random.Random | None = None,
         entry = top[0]
         if len(top) > 1:
             # every root class at once: the classes' counts sum to tot[m]
-            r = randint(1, tot[m])
+            r = _roll(getrandbits, tot[m])
             for entry in top:
-                r -= entry[1][m]
+                r -= entry[2][m]
                 if r <= 0:
                     break
-        rule, col = entry
-        gate = rule[0]
+        rule, gate, col, mirrored = entry
         w = col[m]
         if not w:  # every split adds at least 1, so m has none
             exc, what = _NO_SPLIT[gate]
             raise exc(f"{m} has no {what} split")
-        r = randint(1, w)
-        if 2 * r > w and _MIRRORED.get(rule[1]) == 2:
+        r = _roll(getrandbits, w)
+        if mirrored and 2 * r > w:
             # the upper half's split mirrors the lower half's (module docstring)
             pairs, r = zip(range(m - 1, 0, -1), range(1, m)), w - r + 1
         else:
@@ -97,7 +109,7 @@ def sample_from(family: Family, n: int, rng: random.Random | None = None,
                 break
         return (gate, rec(a, rules), rec(b, rules))
 
-    top = rules if root == ROOT_ALL else tuple(e for e in rules if e[0][0] == root)
+    top = rules if root == ROOT_ALL else tuple(e for e in rules if e[1] == root)
     return nested(lambda m: rec(m, top), n, "tree", "sample")
 
 

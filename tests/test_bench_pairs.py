@@ -1,8 +1,10 @@
-"""The pair runner's summary of perfbench runs (tools/bench_pairs.py)."""
+"""The pair runner's export of the working tree and its summary of perfbench runs
+(tools/bench_pairs.py)."""
 
 import argparse
 import importlib.util
 import os
+import subprocess
 
 import pytest
 
@@ -66,3 +68,33 @@ def test_claim_outside_the_pairs_is_a_usage_error(capsys):
                           "towers=2"])
     assert exc.value.code == 2
     assert "--claim workload 'growth' is not among the pairs" in capsys.readouterr().err
+
+
+def test_export_tree_copies_the_files_git_would_take(tmp_path):
+    top, dest = tmp_path / "top", tmp_path / "dest"
+    top.mkdir()
+    dest.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=top, check=True, capture_output=True)
+
+    git("init", "-q")
+    (top / ".gitignore").write_text("__pycache__/\n*.log\n")
+    (top / "pkg").mkdir()
+    for name in ("pkg/kept.py", "pkg/edited.py", "gone.py"):
+        (top / name).write_text("committed\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (top / "pkg" / "edited.py").write_text("edited\n")  # tracked, changed
+    (top / "gone.py").unlink()  # tracked, deleted from the tree
+    (top / "pkg" / "new.py").write_text("new\n")  # untracked, not ignored
+    (top / "run.log").write_text("ignored\n")
+    (top / "pkg" / "__pycache__").mkdir()
+    (top / "pkg" / "__pycache__" / "kept.pyc").write_bytes(b"ignored")
+
+    bench_pairs.export_tree(str(top), str(dest))
+    got = {p.relative_to(dest).as_posix(): p.read_text()
+           for p in dest.rglob("*") if p.is_file()}
+    assert got == {".gitignore": "__pycache__/\n*.log\n", "pkg/kept.py": "committed\n",
+                   "pkg/edited.py": "edited\n", "pkg/new.py": "new\n"}

@@ -30,6 +30,7 @@ from formula_forge import (
     sample_ame,
 )
 from formula_forge.counting import FAMILIES, exponent_candidates, mid_divisors
+from formula_forge import sampling
 from formula_forge.sampling import sample_from
 from formula_forge.trees import evaluate, is_strict
 
@@ -55,6 +56,32 @@ def test_roll_loaded_die_covers_support():
     rng = random.Random(123)
     seen = {roll_loaded_die([1, 2, 3], rng) for _ in range(500)}
     assert seen == {1, 2, 3}
+
+
+class _OwnBits(random.Random):
+    """A subclass with its own getrandbits, which randint then draws through."""
+
+    def getrandbits(self, k):
+        return super().getrandbits(k)
+
+
+# every total whose bit length is at an edge of the rejection loop
+_EDGE_TOTALS = [1, 2, 3, *(2**k + d for k in range(2, 301) for d in (-1, 0, 1))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), big=st.integers(1, 2**2000),
+       cls=st.sampled_from([random.Random, _OwnBits]))
+def test_sampler_roll_is_randint(seed, big, cls):
+    """The sampler's own roll is randint(1, w): the same value and the same
+    rng state after it, so seeded samples do not depend on which one runs."""
+    rng, reference = cls(seed), cls(seed)
+    for w in [*_EDGE_TOTALS, big]:
+        got, want = sampling._roll(rng.getrandbits, w), reference.randint(1, w)
+        assert got == want, (
+            f"randint(1, {w}) no longer draws by the getrandbits rejection loop that "
+            "sampling._roll copies; seeded samples would change with it")
+    assert rng.getstate() == reference.getstate(), "_roll left a different rng state"
 
 
 def test_samples_are_valid():

@@ -7,8 +7,11 @@
 Run from anywhere inside the repository.  The base revision is exported
 with `git archive | tar -x` into a temporary directory (no worktree is
 registered, so an interrupted run leaves nothing behind in .git); the
-change is the working tree as it stands.  Each WORKLOAD=PAIRS argument runs
-that many pairs of
+change is the working tree's files as they stand, tracked and untracked
+but not ignored, copied into a second one (export_tree).  So both sides
+run from fresh copies, and nothing a build, test or earlier run left in
+the working tree counts on one side only.  Each WORKLOAD=PAIRS argument
+runs that many pairs of
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
@@ -32,6 +35,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -43,6 +47,18 @@ RUN_TIMEOUT_S = 300  # perfbench stops starting passes at 150 s
 
 def git(*args, cwd):
     return subprocess.run(["git", *args], cwd=cwd, capture_output=True, check=True).stdout
+
+
+def export_tree(top, dest):
+    """Copy the working tree's files into dest: the tracked ones as they
+    stand (one deleted from the tree is left out) and the untracked ones
+    that .gitignore does not name."""
+    names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard", cwd=top)
+    for name in filter(None, names.decode().split("\0")):
+        src, dst = os.path.join(top, name), os.path.join(dest, name)
+        if os.path.lexists(src):
+            os.makedirs(os.path.dirname(dst), exist_ok=True)
+            shutil.copy2(src, dst, follow_symlinks=False)
 
 
 def run_once(root, workload, seed, seconds, trace):
@@ -162,8 +178,10 @@ def main(argv=None) -> int:
         "method": (
             f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
             "--trace 0 (--trace 1 under \"traced\"), run from an export of the parent "
-            "(git archive) and from the working tree of the change; for each seed one parent run and one change run, "
-            "back to back, the side that runs first alternating from seed to seed "
+            "(git archive) and from a copy of the change's working-tree files (tracked "
+            "and untracked but not ignored), each in its own temporary directory; for "
+            "each seed one parent run and one change run, back to back, the side that "
+            "runs first alternating from seed to seed "
             "(first_side); the last stdout line of each run gives the metrics. Medians and "
             "interquartile ranges (inclusive quartiles) are over the pairs of a workload; "
             "pair_delta_pct is (change - parent) / parent per seed; pairs_change_lower "
@@ -172,14 +190,16 @@ def main(argv=None) -> int:
         "workloads": {},
     }
 
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as base_root:
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as base_root, \
+            tempfile.TemporaryDirectory(prefix="bench-change-") as change_root:
         archive = subprocess.Popen(["git", "archive", "--format=tar", base_sha],
                                    cwd=top, stdout=subprocess.PIPE)
         subprocess.run(["tar", "-x", "-C", base_root], stdin=archive.stdout, check=True)
         archive.stdout.close()
         if archive.wait():
             raise SystemExit(f"git archive {base_sha} failed")
-        roots = {"parent": base_root, "change": top}
+        export_tree(top, change_root)
+        roots = {"parent": base_root, "change": change_root}
 
         def pairs_record(workload, pairs, trace):
             seeds = [HELD_OUT_SEED, *range(1, pairs)]
