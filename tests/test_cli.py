@@ -405,6 +405,33 @@ def test_graph_guard(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("count", "100000", "--gates", "am"),
+    ("sample", "5000", "--gates", "ame"),
+    ("shortest", "200000"),
+])
+def test_size_guards(tmp_path, argv):
+    proc = _run_child(tmp_path, *argv)
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("guard:") and "--unsafe" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("cache", "save", "P.json", "--warm", "100000"),
+    ("rho", "--terms", "5000"),
+    ("constant", "--terms", "5000"),
+])
+def test_warm_and_terms_guards(tmp_path, argv):
+    proc = _run_child(tmp_path, *argv)
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("guard:") and "--unsafe" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not (tmp_path / "P.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
     ("cache", "save", "P.json", "--warm", "9"),
     ("rho", "--terms", "9"),
     ("constant", "--terms", "9", "--json"),
