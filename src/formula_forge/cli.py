@@ -340,13 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", choices=["levels", "encode", "add", "mul", "pow"])
     p.add_argument("a", type=int, nargs="?")
     p.add_argument("b", type=int, nargs="?")
-    p.add_argument("-t", type=int, default=1, help="level for mode=levels")
+    p.add_argument("-t", type=int, default=None, help="level for mode=levels (default 1)")
     p.set_defaults(func=_cmd_goodstein)
 
     p = sub.add_parser("horner", help="Horner-style canonical encodings")
     p.add_argument("mode", choices=["levels", "encode"])
     p.add_argument("a", type=int, nargs="?")
-    p.add_argument("-t", type=int, default=1, help="level for mode=levels")
+    p.add_argument("-t", type=int, default=None, help="level for mode=levels (default 1)")
     p.set_defaults(func=_cmd_horner)
 
     p = sub.add_parser("sieve", help="prime discovery by encoding completion")
@@ -396,8 +396,11 @@ def _check_required(args, parser):
     for flag in ("limit", "count"):
         if (getattr(args, flag, None) or 0) < 0:
             parser.error(f"--{flag} must be >= 0")
-    if args.command == "shortest" and args.n is None and args.upto is None:
-        parser.error("shortest needs n or --upto")
+    if args.command == "shortest":
+        if args.n is None and args.upto is None:
+            parser.error("shortest needs n or --upto")
+        if args.n is not None and args.upto is not None:
+            parser.error("shortest takes n or --upto, not both")
     if args.command == "goodstein":
         if args.mode in ("encode", "add", "mul", "pow") and args.a is None:
             parser.error(f"goodstein {args.mode} needs an operand")
@@ -406,7 +409,12 @@ def _check_required(args, parser):
     if args.command == "horner" and args.mode == "encode" and args.a is None:
         parser.error("horner encode needs an operand")
     if args.command in ("goodstein", "horner") and args.mode == "levels":
-        args.t = args.a if args.a is not None else args.t
+        if args.a is not None and args.t is not None:
+            parser.error(f"{args.command} levels takes the level or -t, not both")
+        if args.a is not None:
+            args.t = args.a
+        elif args.t is None:
+            args.t = 1
 
 
 def _reads_counts(args):

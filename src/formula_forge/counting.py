@@ -11,8 +11,10 @@ gate:
 Each family is a ``Family`` of (gate, splits) rules; the trees of value m
 rooted at a gate number sum(count(l) * count(r)) over its splits (l, r).
 Counting, enumeration, sampling, the shortest-encoding DP, the cache layout
-and the CLI all read this one description; ``CountTable.absorb`` checks
-every count row a table takes in, by the same ``Family.row`` fills use.
+and the CLI all read this one description.  Every layer that splits a value
+walks the rule's splits(m) afresh: only this module makes split lists, and
+none is stored.  ``CountTable.absorb`` checks every count row a table takes
+in, by the same ``Family.row`` fills use.
 
 Base case: the bare leaf counts as the single tree for n = 1 and is charged
 to the first gate's class (add); mul- and pow-rooted counts at n = 1 are
@@ -39,7 +41,7 @@ _ROOT_NAMES = {
 def normalize_root(root: str) -> str:
     try:
         return _ROOT_NAMES[root]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise DomainError(f"unknown root filter {root!r}") from None
 
 
@@ -65,8 +67,8 @@ def exact_root(n: int, k: int):
 def mid_divisors(n: int) -> list[int]:
     """Divisors d of n with 2 <= d <= n//2, ascending."""
     small = [a for a in range(2, isqrt(n) + 1) if n % a == 0]
-    # each cofactor n // a is at most n//2 because a >= 2
-    return sorted({*small, *(n // a for a in small)})
+    # each cofactor n // a is at most n//2 because a >= 2, and they fall as a rises
+    return small + [n // a for a in reversed(small) if a * a != n]
 
 
 def exponent_candidates(n: int):
@@ -183,11 +185,11 @@ def resolve_family(gates: str = "a", root: str = ROOT_ALL, lop: bool = False):
 
 
 class CountTable:
-    """Memo store for all four count families.
+    """Memo store for all four count families: counts only.
 
     Per family it keeps one {n: count} column per root class and the totals;
-    across families, the product and power splits the sampler has walked.
-    Totals are only ever filled gap-free from 1, so their length is the fill
+    splits come from each rule's splits(m), never from the table.  Totals
+    are only ever filled gap-free from 1, so their length is the fill
     watermark.  Reads of filled entries are plain dict lookups; fills are
     serialized by a lock, so concurrent readers are safe and results are
     deterministic.
@@ -204,7 +206,6 @@ class CountTable:
         self._rule_cols = {
             name: tuple(cols.values()) for name, cols in self._cols.items()
         }
-        self._kept = {}  # (splits, m) -> tuple of splits, see splits_of
 
     def _fill(self, f, n):
         with self._lock:
@@ -218,9 +219,10 @@ class CountTable:
 
     def count(self, family: str, n: int, root: str = ROOT_ALL) -> int:
         """Trees of value n in the named family, optionally of one root class."""
-        f = FAMILIES.get(family)
-        if f is None:
-            raise DomainError(f"unknown count family {family!r}")
+        try:
+            f = FAMILIES[family]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
+            raise DomainError(f"unknown count family {family!r}") from None
         root = f.check_root(root)
         tot = self._tot[family]
         if len(tot) < require_int(n):
@@ -238,22 +240,6 @@ class CountTable:
         if len(tot) < n:
             self._fill(family, n)
         return tot, self._rule_cols[family.name]
-
-    def splits_of(self, rule, m):
-        """The splits of m under a (gate, splits) rule.
-
-        Product and power splits, O(d(m)) small pairs, are kept as a tuple
-        per (rule, m); the m - 1 sum splits are generated afresh each time,
-        since keeping them for every m would hold O(n^2) pairs.
-        """
-        gate, splits = rule
-        if gate == "+":
-            return splits(m)
-        key = (splits, m)
-        pairs = self._kept.get(key)
-        if pairs is None:
-            pairs = self._kept[key] = tuple(splits(m))
-        return pairs
 
     def add_only(self, n):
         return self.count("a", n)

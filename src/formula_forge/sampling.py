@@ -16,14 +16,14 @@ randint(1, W) runs underneath, so r and the rng state after it are
 randint's for random.Random and its subclasses.  The roll then walks the
 outcomes, subtracting each one's weight until the draw is used up; that
 picks the outcome prefix-sum inversion (``roll_loaded_die``) would, so no
-weight or prefix list is built.  The table keeps the product and power
-splits per value; the m - 1 sum splits of a, am and ame are walked afresh
-from the nearer end.  Their weights tot[i] * tot[m - i] are symmetric, so a
-draw r with 2r > W walks up from i = 1 with W - r + 1 and takes the mirror
-(m - j, j) of the split j it lands on, the split r lands on from i = 1
-(Flajolet, Zimmermann and Van Cutsem, TCS 132, 1994).  lop's weights peak
-at i = 1; it walks from there.  A tree nested past the recursion limit
-raises SizeGuard.
+weight or prefix list is built.  The splits walked are the rule's own
+splits(m) from ``counting``, made afresh at each node; the table holds only
+counts.  The m - 1 sum splits of a, am and ame are walked from the nearer
+end: their weights tot[i] * tot[m - i] are symmetric, so a draw r with
+2r > W walks splits(m) from i = 1 with W - r + 1 and swaps the pair (j, m - j)
+it lands on, giving (m - j, j), the split r lands on from i = 1 (Flajolet,
+Zimmermann and Van Cutsem, TCS 132, 1994).  lop's weights peak at i = 1; it
+walks from there.  A tree nested past the recursion limit raises SizeGuard.
 """
 
 from __future__ import annotations
@@ -72,13 +72,12 @@ def sample_from(family: Family, n: int, rng: random.Random | None = None,
     require_int(n)
     rng = rng if rng is not None else random.Random()
     root = family.check_root(root)
-    table = default_table()
-    tot, cols = table.filled(family, n)
-    splits_of, getrandbits = table.splits_of, rng.getrandbits
-    # each rule with its gate, its column (the count of its trees, and so the
-    # total weight of its splits, at every value) and whether its splits mirror
-    rules = tuple((rule, rule[0], col, _MIRRORED.get(rule[1]) == 2)
-                  for rule, col in zip(family.rules, cols))
+    tot, cols = default_table().filled(family, n)
+    getrandbits = rng.getrandbits
+    # each rule's gate and splits, its column (the count of its trees, and so
+    # the total weight of its splits, at every value) and whether splits mirror
+    rules = tuple((gate, splits, col, _MIRRORED.get(splits) == 2)
+                  for (gate, splits), col in zip(family.rules, cols))
     leaf = rules[0]
 
     def rec(m, top):
@@ -92,24 +91,26 @@ def sample_from(family: Family, n: int, rng: random.Random | None = None,
                 r -= entry[2][m]
                 if r <= 0:
                     break
-        rule, gate, col, mirrored = entry
+        gate, splits, col, mirrored = entry
         w = col[m]
         if not w:  # every split adds at least 1, so m has none
             exc, what = _NO_SPLIT[gate]
             raise exc(f"{m} has no {what} split")
         r = _roll(getrandbits, w)
-        if mirrored and 2 * r > w:
-            # the upper half's split mirrors the lower half's (module docstring)
-            pairs, r = zip(range(m - 1, 0, -1), range(1, m)), w - r + 1
-        else:
-            pairs = splits_of(rule, m)
-        for a, b in pairs:
+        # the upper half's split mirrors the lower half's (module docstring)
+        flip = mirrored and 2 * r > w
+        if flip:
+            r = w - r + 1
+        for a, b in splits(m):
             r -= tot[a] * tot[b]
             if r <= 0:
                 break
-        return (gate, rec(a, rules), rec(b, rules))
+        if flip:
+            a, b = b, a
+        # a leaf takes no roll, so it skips the call
+        return (gate, 1 if a == 1 else rec(a, rules), 1 if b == 1 else rec(b, rules))
 
-    top = rules if root == ROOT_ALL else tuple(e for e in rules if e[1] == root)
+    top = rules if root == ROOT_ALL else tuple(e for e in rules if e[0] == root)
     return nested(lambda m: rec(m, top), n, "tree", "sample")
 
 

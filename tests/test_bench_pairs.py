@@ -37,9 +37,19 @@ def test_workload_record():
     assert wall["pair_delta_pct"] == {"90917": -50.0, "1": 25.0, "2": 0.0}
     assert wall["seed_90917"] == [2.0, 1.0]
     assert wall["bound"] == 0.2
+    assert wall["within_bound"] is True
     # per-layer metrics have no bound
     layer = [{"name": "wall_s", "unit": "s", "better": "lower"}]
-    assert bench_pairs.workload_record(runs, seeds, {}, layer)["metrics"]["wall_s"]["bound"] is None
+    record = bench_pairs.workload_record(runs, seeds, {}, layer)["metrics"]["wall_s"]
+    assert record["bound"] is None and record["within_bound"] is None
+    # the change's median 3.5 against the parent's 3.0: worse by 1/6, inside a
+    # bound of 0.2 and outside one of 0.1
+    for s, w in zip(seeds, (3.5, 4.0, 3.5)):
+        runs["change", s] = _run(w)
+    for bound, within in ((0.2, True), (0.1, False)):
+        metrics = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": bound}]
+        got = bench_pairs.workload_record(runs, seeds, {}, metrics)["metrics"]["wall_s"]
+        assert got["within_bound"] is within, bound
 
 
 def test_parse_pairs():

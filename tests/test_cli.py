@@ -746,6 +746,10 @@ def test_usage_errors_exit_two(capsys):
         ["nope"],
         ["list", "5", "--limit", "-3"],
         ["sample", "5", "--count", "-2"],
+        # a value given twice, positionally and by flag
+        ["shortest", "5", "--upto", "3"],
+        ["goodstein", "levels", "1", "-t", "2"],
+        ["horner", "levels", "1", "-t", "2"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

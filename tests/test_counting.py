@@ -18,7 +18,8 @@ from formula_forge import (
 )
 from formula_forge.cache import load_table, save_table
 from formula_forge.counting import (
-    CHECK_EVERY, FAMILIES, Family, exact_root, exponent_candidates, mid_divisors,
+    CHECK_EVERY, FAMILIES, Family, default_table, exact_root, exponent_candidates,
+    mid_divisors,
 )
 
 
@@ -74,6 +75,13 @@ def test_bad_arguments():
         count_am(6, "^")
     with pytest.raises(DomainError):
         count_ame(6, "%")
+    # names that are not strings, some unhashable
+    for bad in (["+"], {}, None):
+        with pytest.raises(DomainError):
+            count_am(5, root=bad)
+    for bad in (["am"], {}, None):
+        with pytest.raises(DomainError):
+            default_table().count(bad, 5)
 
 
 def test_family_is_an_immutable_value():
@@ -124,6 +132,11 @@ def test_helper_functions():
     assert list(exponent_candidates(16)) == [(2, 4), (4, 2)]
     assert list(exponent_candidates(8)) == [(3, 2)]
     assert list(exponent_candidates(6)) == []
+
+
+def test_mid_divisors_match_brute_force():
+    for n in range(1, 3001):
+        assert mid_divisors(n) == [d for d in range(2, n // 2 + 1) if n % d == 0], n
 
 
 def _newton_root(n, k):

@@ -135,6 +135,9 @@ def test_domain_errors():
     for bad in [0, -1, 1.5, "3"]:
         with pytest.raises(DomainError):
             sample_ame(bad, rng)
+    for bad in ({}, ["+"], None):
+        with pytest.raises(DomainError):
+            sample_am(5, rng, root=bad)
 
 
 # -- exact uniformity: branch-probability products telescope to 1/count ----

@@ -23,7 +23,8 @@ pairs the same way with --trace 1 and records every per-layer metric.  The
 pairs go to BENCH_<NAME>.json at the top of the working tree, in the
 layout of the BENCH_*.json files there: per workload and metric, the median
 and inclusive-quartile range of each side, the change's delta per seed and
-in the median, and how many pairs the change read lower.  With
+in the median, how many pairs the change read lower, and whether the
+change's median is within the metric's BENCHMARK.json bound.  With
 --claim WORKLOAD:METRIC, "claim" records that end-to-end metric of that
 workload's untraced pairs (see claim_record); without it no gain is claimed
 ("claim": null).
@@ -82,6 +83,14 @@ def delta_pct(base, change):
     return round((change - base) / base * 100, 2) if base else None
 
 
+def within_bound(metric, parent, change):
+    """Whether the change's median exceeds the parent's by no more than the
+    metric's bound, a fraction of the parent's median; None without a bound.
+    Every metric with a bound is an end-to-end one, and lower is better."""
+    bound = metric.get("bound")
+    return None if bound is None else change - parent <= bound * parent
+
+
 def workload_record(runs, seeds, first_side, metrics):
     """runs maps (side, seed) to a run's last line; side is parent or change."""
     out = {
@@ -103,6 +112,8 @@ def workload_record(runs, seeds, first_side, metrics):
         record = {
             "unit": m["unit"],
             "bound": m.get("bound"),
+            "within_bound": within_bound(m, statistics.median(parent),
+                                         statistics.median(change)),
             "parent": summary(parent),
             "change": summary(change),
             "median_delta_pct": delta_pct(statistics.median(parent), statistics.median(change)),
@@ -186,11 +197,15 @@ def main(argv=None) -> int:
             "interquartile ranges (inclusive quartiles) are over the pairs of a workload; "
             "pair_delta_pct is (change - parent) / parent per seed; pairs_change_lower "
             "counts pairs where the change read lower; failed_ops is [failed, attempted] "
-            "summed over the runs of a side. Written by tools/bench_pairs.py."),
+            "summed over the runs of a side; within_bound is whether the change's median "
+            "is worse than the parent's by at most bound times the parent's median. "
+            "Written by tools/bench_pairs.py."),
         "workloads": {},
     }
 
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as base_root, \
+    # prefixes of one length: the same tree's combinatorics peak_rss_mb read
+    # about 0.2 MB higher from a directory path two characters longer
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as base_root, \
             tempfile.TemporaryDirectory(prefix="bench-change-") as change_root:
         archive = subprocess.Popen(["git", "archive", "--format=tar", base_sha],
                                    cwd=top, stdout=subprocess.PIPE)
