@@ -32,8 +32,7 @@ _EXPORTS = {
         "default_table",
     ),
     "enumeration": (
-        "EnumerationRequest", "enumerate_add", "enumerate_add_lop", "enumerate_am",
-        "enumerate_ame", "enumerate_strings", "enumerate_trees",
+        "enumerate_add", "enumerate_add_lop", "enumerate_am", "enumerate_ame",
     ),
     "errors": (
         "CacheError", "DomainError", "FormulaForgeError", "InternalGapError",
@@ -41,9 +40,7 @@ _EXPORTS = {
         "NoMultiplicativeSplit", "NonConvergence", "SizeGuard",
     ),
     "graph": ("RewriteGraph", "RewriteRule", "build_graph", "neighbors"),
-    "sampling": (
-        "roll_loaded_die", "sample_add", "sample_add_lop", "sample_am", "sample_ame",
-    ),
+    "sampling": ("sample_add", "sample_add_lop", "sample_am", "sample_ame"),
     "shortest": ("ShortestEntry", "ShortestTable", "shortest", "shortest_range"),
     "sieve": (
         "SieveState", "initial_state", "multi_factor_products", "prime_power_range",
@@ -54,9 +51,8 @@ _EXPORTS = {
         "render", "sym_pow", "sym_prod", "sym_sum", "sym_value",
     ),
     "trees": (
-        "evaluate", "depth", "from_brackets", "is_leaf", "is_strict", "leaf_count",
-        "parse_postfix", "parse_prefix", "size", "to_brackets", "to_postfix",
-        "to_prefix", "validate",
+        "evaluate", "depth", "from_brackets", "is_strict", "leaf_count", "parse_postfix",
+        "parse_prefix", "size", "to_brackets", "to_postfix", "to_prefix", "validate",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -10,14 +10,15 @@ columns of the family description in ``counting`` ('all' for the one-gate
 families a and lop, one per gate for am and ame).  Counts are decimal
 strings (they overflow doubles long before n = 100).
 
-This module owns only the format: loading checks the JSON, the marker, the
-version and each row's shape (a 4-list, a positive int n, an ASCII decimal
-count string), then ``CountTable.absorb`` checks the values against the
-table and installs all rows or none, so a malformed or wrong file never
-poisons in-memory tables (CacheError).  Saving writes a temporary file and
-renames it over the target, so readers never see a torn file.  The
-environment variable FORMULA_FORGE_CACHE names a default cache path honored
-by the command-line tool.
+This module owns only the format: loading checks the UTF-8 JSON and its
+depth, the marker, the version and each row's shape (a 4-list, a positive
+int n, an ASCII decimal count string of at most 2n digits), then
+``CountTable.absorb`` checks the values against the table and installs all
+rows or none, so a malformed or wrong file never poisons in-memory tables
+(CacheError).  Saving writes a temporary file and renames it over the
+target, so readers never see a torn file.  The environment variable
+FORMULA_FORGE_CACHE names a default cache path honored by the command-line
+tool.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import os
 import tempfile
 
 from .counting import CountTable, default_table
-from .errors import CacheError
+from .errors import CacheError, nested
 
 FORMAT_NAME = "formula-forge-counts"
 FORMAT_VERSION = 1
@@ -80,7 +81,14 @@ def _validate(payload) -> list:
         # str.isdigit also admits non-ASCII digits such as '²', which int rejects
         if not isinstance(count, str) or not (count.isascii() and count.isdigit()):
             raise CacheError(f"count must be a decimal string, got {count!r}")
-        rows.append((fam, root, n, int(count)))
+        # count(n) < 12^n, so a longer string is refused before int() reads it
+        if len(count) > 2 * n:
+            raise CacheError(f"count at {n} has {len(count)} digits, more than 2n")
+        try:
+            rows.append((fam, root, n, int(count)))
+        except ValueError:  # past the interpreter's int() digit limit
+            raise CacheError(f"count at {n} has {len(count)} digits, past the "
+                             "int() digit limit") from None
     return rows
 
 
@@ -92,11 +100,11 @@ def load_table(path: str, table: CountTable | None = None) -> int:
     """
     t = table if table is not None else default_table()
     try:
-        with open(path, "r") as fh:
-            payload = json.load(fh)
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = nested(json.load, fh, "JSON", "load")
     except OSError as exc:
         raise CacheError(f"cannot read cache file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CacheError(f"cache file is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # not UTF-8, not JSON, too deep (SizeGuard) or a long int
+        raise CacheError(f"cannot parse cache file: {exc}") from exc
     rows = _validate(payload)
     return t.absorb(rows)

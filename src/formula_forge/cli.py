@@ -406,6 +406,8 @@ def _check_required(args, parser):
             parser.error(f"goodstein {args.mode} needs an operand")
         if args.mode in ("add", "mul", "pow") and args.b is None:
             parser.error(f"goodstein {args.mode} needs two operands")
+        if args.mode in ("encode", "levels") and args.b is not None:
+            parser.error(f"goodstein {args.mode} takes one operand")
     if args.command == "horner" and args.mode == "encode" and args.a is None:
         parser.error("horner encode needs an operand")
     if args.command in ("goodstein", "horner") and args.mode == "levels":

@@ -172,9 +172,9 @@ GATE_SETS = ("a", "am", "ame")
 def resolve_family(gates: str = "a", root: str = ROOT_ALL, lop: bool = False):
     """(Family, normalized root) for a gate set, root filter and LOP flag.
 
-    Requests and the command line both go through here: the LOP restriction
-    needs the add-only gate set, and the root must be a root class of the
-    family ('all', or a gate of a family with more than one).
+    The command line goes through here: the LOP restriction needs the
+    add-only gate set, and the root must be a root class of the family
+    ('all', or a gate of a family with more than one).
     """
     if gates not in GATE_SETS:
         raise DomainError(f"gate set must be one of {GATE_SETS}, got {gates!r}")

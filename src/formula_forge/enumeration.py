@@ -21,9 +21,8 @@ recursion limit is reached.
 
 from __future__ import annotations
 
-from .counting import FAMILIES, ROOT_ALL, Family, resolve_family
-from .errors import DomainError, Record, SizeGuard, require_int
-from .trees import to_postfix, to_prefix
+from .counting import FAMILIES, ROOT_ALL, Family
+from .errors import SizeGuard, require_int
 
 MAX_STREAM_VALUE = 500
 MEMO_VALUE = 10
@@ -95,37 +94,3 @@ def enumerate_ame(n: int, root: str = "all"):
     list(enumerate_ame(4, '^')) == [('^', ('+', 1, 1), ('+', 1, 1))]
     """
     return stream(FAMILIES["ame"], n, root)
-
-
-# -- request form -----------------------------------------------------------
-
-class EnumerationRequest(Record):
-    """What to enumerate: value, gate set, root filter, LOP restriction.
-
-    The family is resolved (and the combination checked) on construction;
-    it is left out of ==, hash and repr, which the other fields decide.
-    """
-
-    __slots__ = ("n", "gates", "root", "lop", "family")
-    __match_args__ = ("n", "gates", "root", "lop")
-
-    def __init__(self, n: int, gates: str = "a", root: str = "all", lop: bool = False):
-        require_int(n)
-        family, root = resolve_family(gates, root, lop)
-        self._init(n=n, gates=gates, root=root, lop=lop, family=family)
-
-
-def enumerate_trees(request: EnumerationRequest):
-    """The stream a request names."""
-    return stream(request.family, request.n, request.root)
-
-
-def enumerate_strings(request: EnumerationRequest, notation: str = "prefix"):
-    """The same stream rendered as prefix or postfix strings.
-
-    list(enumerate_strings(EnumerationRequest(3))) == ['+1+11', '++111']
-    """
-    render = {"prefix": to_prefix, "postfix": to_postfix}.get(notation)
-    if render is None:
-        raise DomainError(f"notation must be prefix or postfix, got {notation!r}")
-    return map(render, enumerate_trees(request))

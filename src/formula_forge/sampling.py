@@ -14,43 +14,25 @@ holds: W is tot[m] for the root class, and the rule's column at m for the
 split.  ``_roll`` draws r by the getrandbits rejection loop that
 randint(1, W) runs underneath, so r and the rng state after it are
 randint's for random.Random and its subclasses.  The roll then walks the
-outcomes, subtracting each one's weight until the draw is used up; that
-picks the outcome prefix-sum inversion (``roll_loaded_die``) would, so no
-weight or prefix list is built.  The splits walked are the rule's own
-splits(m) from ``counting``, made afresh at each node; the table holds only
-counts.  The m - 1 sum splits of a, am and ame are walked from the nearer
-end: their weights tot[i] * tot[m - i] are symmetric, so a draw r with
-2r > W walks splits(m) from i = 1 with W - r + 1 and swaps the pair (j, m - j)
-it lands on, giving (m - j, j), the split r lands on from i = 1 (Flajolet,
-Zimmermann and Van Cutsem, TCS 132, 1994).  lop's weights peak at i = 1; it
-walks from there.  A tree nested past the recursion limit raises SizeGuard.
+outcomes, subtracting each one's weight until the draw is used up.  That
+is prefix-sum inversion: it picks the first outcome whose running weight
+total reaches r, with no weight or prefix list built.  The splits walked
+are the rule's own splits(m) from ``counting``, made afresh at each node;
+the table holds only counts.  The m - 1 sum splits of a, am and ame are
+walked from the nearer end: their weights tot[i] * tot[m - i] are
+symmetric, so a draw r with 2r > W walks splits(m) from i = 1 with
+W - r + 1 and swaps the pair (j, m - j) it lands on, giving (m - j, j),
+the split r lands on from i = 1 (Flajolet, Zimmermann and Van Cutsem,
+TCS 132, 1994).  lop's weights peak at i = 1; it walks from there.  A tree
+nested past the recursion limit raises SizeGuard.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
-from itertools import accumulate
 
 from .counting import _MIRRORED, FAMILIES, ROOT_ALL, Family, default_table
 from .errors import DomainError, NoMultiplicativeSplit, nested, require_int
-
-
-def roll_loaded_die(weights, rng: random.Random) -> int:
-    """1-based index drawn with probability weights[i-1] / sum(weights).
-
-    Prefix-sum inversion of a uniform integer in [1, sum].  Weights are
-    nonnegative integers, at least one positive.
-
-    roll_loaded_die([0, 7], rng) == 2 for any rng.
-    """
-    weights = list(weights)
-    if any(w < 0 for w in weights):
-        raise DomainError("weights must be nonnegative")
-    prefix = list(accumulate(weights))
-    if not prefix or prefix[-1] <= 0:
-        raise DomainError("need at least one positive weight")
-    return bisect_left(prefix, rng.randint(1, prefix[-1])) + 1
 
 
 def _roll(getrandbits, w: int) -> int:

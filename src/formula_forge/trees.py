@@ -21,10 +21,6 @@ GATES = (ADD, MUL, POW)
 FormulaTree = object  # leaf int 1 | tuple (gate, FormulaTree, FormulaTree)
 
 
-def is_leaf(tree) -> bool:
-    return tree == 1
-
-
 def evaluate(tree) -> int:
     """Value of the formula, in exact big ints; SizeGuard on deep nesting."""
     return nested(_evaluate, tree, "tree", "evaluate")

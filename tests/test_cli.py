@@ -649,6 +649,27 @@ def test_cache_count_with_non_ascii_decimal_digits(capsys, tmp_path, digit):
     assert err.startswith("error:")
 
 
+def _hostile_entries(entries_text):
+    return ('{"format": "formula-forge-counts", "version": 1, "entries": '
+            f"{entries_text}}}").encode()
+
+
+@pytest.mark.parametrize("data", [
+    b"\xff\xfe",  # not UTF-8
+    _hostile_entries("[" * 200_000 + "]" * 200_000),  # past the recursion limit
+    _hostile_entries(f'[["a", "all", 3, "{"1" * 1_000_000}"]]'),  # far over 2n digits
+], ids=["not-utf8", "nested", "long-count"])
+def test_cache_file_the_format_refuses(tmp_path, data):
+    path = tmp_path / "counts.json"
+    path.write_bytes(data)
+    proc = _run_child(tmp_path, "count", "5", cache=path)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert path.read_bytes() == data
+
+
 def test_cache_with_a_wrong_count_is_rejected(tmp_path):
     # am(2) is 1; with 999 there count 3 --gates am would print 1998
     path = tmp_path / "counts.json"
@@ -750,6 +771,9 @@ def test_usage_errors_exit_two(capsys):
         ["shortest", "5", "--upto", "3"],
         ["goodstein", "levels", "1", "-t", "2"],
         ["horner", "levels", "1", "-t", "2"],
+        # an operand the mode does not use
+        ["goodstein", "encode", "5", "7"],
+        ["goodstein", "levels", "1", "2"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 import tempfile
 
 import pytest
@@ -303,3 +304,132 @@ def test_cache_conflicting_with_the_table_is_rejected_whole():
     assert table.entries() == before
     assert _load_rows_into(table, rows + [["a", "all", 3, "2"]]) == len(rows) + 1
     assert table.entries() == _filled_table({"a": 5, "am": 8}).entries()
+
+
+# -- hostile cache files: each is a CacheError, and the table is left as it was
+
+def _load_bytes(table, data):
+    """load_table on a file holding the bytes data, into the given table."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "counts.json")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return load_table(path, table)
+
+
+def _refused(data):
+    table = _filled_table({"am": 6})
+    before = table.entries()
+    with pytest.raises(CacheError):
+        _load_bytes(table, data)
+    assert table.entries() == before
+
+
+def _payload(entries_text):
+    return ('{"format": "formula-forge-counts", "version": 1, "entries": '
+            f"{entries_text}}}").encode()
+
+
+def test_cache_file_that_is_not_utf8_is_refused():
+    _refused(b"\xff\xfe")
+    _refused(_payload('[["a", "all", 1, "1"]]').replace(b'"all"', b'"\xe9"'))
+
+
+def test_cache_file_nested_past_the_recursion_limit_is_refused():
+    depth = 200_000
+    _refused(_payload("[" * depth + "]" * depth))
+
+
+def test_cache_count_longer_than_2n_digits_is_refused():
+    # a real count has at most n digits (count(n) < 12^n); the row would sit
+    # above a gap, so only the length check sees it
+    _refused(_payload('[["a", "all", 3, "1111111"]]'))
+    _refused(_payload(f'[["a", "all", 3, "{"1" * 1_000_000}"]]'))
+    assert _load_bytes(CountTable(), _payload('[["a", "all", 3, "111111"]]')) == 0
+
+
+def test_cache_count_past_the_int_digit_limit_is_refused():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        _refused(_payload(f'[["a", "all", 3000, "{"1" * 4301}"]]'))
+        _refused(_payload(f'[["a", "all", {"1" * 4301}, "1"]]'))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+_BASE_SIZES = {"a": 6, "lop": 6, "am": 20, "ame": 20}
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 45), st.just(10**30),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
+    st.builds(str.__mul__, st.sampled_from("0179"), st.integers(1, 60)),
+    st.sampled_from(["1" * 4301, "9" * 100_000, "²", "٣"]),
+    st.lists(st.integers(0, 3), max_size=4),
+    st.dictionaries(st.text(max_size=2), st.integers()),
+)
+
+
+def _mutate(rows, valid, data):
+    """One change to rows, drawn from data; a row changed or copied is a
+    valid one."""
+    kind = data.draw(st.sampled_from(["field", "duplicate", "recount", "drop", "reshape"]))
+    i = data.draw(st.integers(0, len(rows) - 1))
+    row = list(rows[i] if rows[i] in valid else data.draw(st.sampled_from(valid)))
+    if kind == "field":
+        row[data.draw(st.integers(0, 3))] = data.draw(_JUNK)
+        rows[i] = row
+    elif kind == "duplicate":
+        rows.insert(data.draw(st.integers(0, len(rows))), row)
+    elif kind == "recount":  # in place, or as a second row for the same entry
+        row[3] = str(int(row[3]) + data.draw(st.integers(-2, 2)))
+        if data.draw(st.booleans()):
+            rows[i] = row
+        else:
+            rows.append(row)
+    elif kind == "drop":
+        del rows[i]
+    else:
+        rows[i] = data.draw(st.one_of(_JUNK, st.just(row[:3]), st.just(row + [row[3]])))
+
+
+def _hostile_file(data):
+    """The bytes of a valid saved file after up to three drawn changes."""
+    valid = _saved_rows(_filled_table(_BASE_SIZES))
+    rows = list(valid)
+    for _ in range(data.draw(st.integers(0, 3))):
+        if rows:
+            _mutate(rows, valid, data)
+    payload = {"format": "formula-forge-counts", "version": 1, "entries": rows}
+    # a file spoilt as a whole is refused at once, so most draws spoil rows only
+    top = data.draw(st.sampled_from([None] * 8
+                                    + ["format", "version", "entries", "payload"]))
+    if top == "payload":
+        payload = data.draw(_JUNK)
+    elif top:
+        payload[top] = data.draw(_JUNK)
+    text = json.dumps(payload)
+    if data.draw(st.integers(0, 5)) == 0 and isinstance(payload, dict):
+        depth = data.draw(st.sampled_from([1, 2, 900, 5000, 200_000]))
+        text = json.dumps({**payload, "entries": "@entries@"})
+        text = text.replace('"@entries@"', "[" * depth + json.dumps(rows) + "]" * depth)
+    raw = text.encode()
+    cut = data.draw(st.sampled_from([None] * 8 + ["bytes", "truncate"]))
+    if cut:
+        at = data.draw(st.integers(0, len(raw)))
+        bad = data.draw(st.sampled_from([b"\xff\xfe", b"\x80", b"\xc3("]))
+        raw = raw[:at] + bad + raw[at:] if cut == "bytes" else raw[:at]
+    return raw
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(data=st.data(), warm=st.sampled_from([{}, {"am": 8}, {"a": 6, "ame": 30}]))
+def test_a_hostile_cache_file_loads_or_is_refused_whole(data, warm):
+    raw = _hostile_file(data)
+    table = _filled_table(warm)
+    before = table.entries()
+    try:
+        kept = _load_bytes(table, raw)
+    except CacheError:
+        assert table.entries() == before
+    else:
+        assert type(kept) is int

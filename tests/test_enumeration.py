@@ -3,7 +3,6 @@ import pytest
 from conftest import brute_trees
 from formula_forge import (
     DomainError,
-    EnumerationRequest,
     SizeGuard,
     count_add_lop,
     count_add_only,
@@ -13,9 +12,9 @@ from formula_forge import (
     enumerate_add_lop,
     enumerate_am,
     enumerate_ame,
-    enumerate_strings,
-    enumerate_trees,
 )
+from formula_forge.counting import FAMILIES, resolve_family
+from formula_forge.enumeration import stream
 from formula_forge.trees import evaluate, is_strict
 
 
@@ -23,11 +22,6 @@ def test_goldens():
     assert list(enumerate_add(3)) == [("+", 1, ("+", 1, 1)), ("+", ("+", 1, 1), 1)]
     assert list(enumerate_add_lop(3)) == [("+", ("+", 1, 1), 1)]
     assert list(enumerate_am(4, "*")) == [("*", ("+", 1, 1), ("+", 1, 1))]
-    assert list(enumerate_strings(EnumerationRequest(3))) == ["+1+11", "++111"]
-    assert list(enumerate_strings(EnumerationRequest(3), "postfix")) == [
-        "11+1+",
-        "111++",
-    ]
 
 
 def test_streams_match_counts_and_are_clean():
@@ -81,47 +75,18 @@ def test_enumeration_order_is_add_mul_pow():
 
 
 def test_request_validation():
+    # the command line resolves its --gates, --root and --lop here
+    assert resolve_family("am", "mul") == (FAMILIES["am"], "*")
+    assert resolve_family("a", lop=True) == (FAMILIES["lop"], "all")
+    family, root = resolve_family()
     with pytest.raises(DomainError):
-        EnumerationRequest(0)
-    with pytest.raises(DomainError):
-        EnumerationRequest(4, gates="xyz")
-    with pytest.raises(DomainError):
-        EnumerationRequest(4, gates="a", root="mul")
-    with pytest.raises(DomainError):
-        EnumerationRequest(4, gates="am", root="pow")
-    with pytest.raises(DomainError):
-        EnumerationRequest(4, gates="am", lop=True)
+        stream(family, 0, root)
+    for gates, root, lop in [("xyz", "all", False), ("a", "mul", False),
+                             ("am", "pow", False), ("am", "all", True)]:
+        with pytest.raises(DomainError):
+            resolve_family(gates, root, lop)
     with pytest.raises(DomainError):
         enumerate_am(4, "^")
-    with pytest.raises(DomainError):
-        enumerate_strings(EnumerationRequest(3), "infix")
-
-
-def test_request_is_an_immutable_value():
-    req = EnumerationRequest(5, gates="am", root="mul")
-    same = EnumerationRequest(n=5, gates="am", root="*")
-    assert req == same and hash(req) == hash(same)
-    assert req.root == "*" and req.family.name == "am"
-    for other in (EnumerationRequest(6, "am", "*"), EnumerationRequest(5, "ame", "*"),
-                  EnumerationRequest(5, "am"), EnumerationRequest(5, lop=True)):
-        assert req != other
-    assert EnumerationRequest(5) != EnumerationRequest(5, lop=True)
-    assert req != (5, "am", "*", False)
-    assert len({req, same, EnumerationRequest(5)}) == 2
-    assert repr(req) == "EnumerationRequest(n=5, gates='am', root='*', lop=False)"
-    for field in ("n", "gates", "root", "lop", "family"):
-        with pytest.raises(AttributeError):
-            setattr(req, field, None)
-        with pytest.raises(AttributeError):
-            delattr(req, field)
-    assert req == same
-
-
-def test_request_dispatch():
-    req = EnumerationRequest(5, gates="ame", root="pow")
-    assert list(enumerate_trees(req)) == list(enumerate_ame(5, "^"))
-    req = EnumerationRequest(5, lop=True)
-    assert list(enumerate_trees(req)) == list(enumerate_add_lop(5))
 
 
 def test_deep_streams_are_refused():

