@@ -38,10 +38,15 @@ ENV_VAR = "FORMULA_FORGE_CACHE"
 def save_table(path: str, table: CountTable | None = None) -> int:
     """Write every computed entry of the table; returns the row count.
 
-    Raises CacheError if the file cannot be written.
+    Raises CacheError, and writes nothing, if a count is past the
+    interpreter's int -> str digit limit or the file cannot be written.
     """
     t = table if table is not None else default_table()
-    rows = [[fam, root, n, str(c)] for fam, root, n, c in t.entries()]
+    try:
+        rows = [[fam, root, n, str(c)] for fam, root, n, c in t.entries()]
+    except ValueError:  # past the interpreter's str() digit limit
+        raise CacheError(f"cannot write cache file {path}: a count is past the "
+                         "int -> str digit limit") from None
     payload = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "entries": rows}
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:

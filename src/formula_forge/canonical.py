@@ -22,7 +22,8 @@ from functools import lru_cache
 
 from .errors import (DomainError, LevelTooLarge, MagnitudeError, SizeGuard, check_cap, nested,
                      require_int)
-from .symexpr import CACHE_CLEARS, ONE, X, Interned, SymExpr, sym_pow, sym_prod, sym_sum
+from .symexpr import (CACHE_CLEARS, ONE, X, Interned, Prod, Sum, SymExpr, sym_pow, sym_prod,
+                      sym_sum, sym_value)
 
 
 class GoodsteinForm(Interned):
@@ -260,7 +261,9 @@ def encode_horner(n: int) -> SymExpr:
     Even n = 2**a * b (b odd) becomes x^enc(a) or x^enc(a) * enc(b);
     odd n becomes enc(n - 1) + 1.  The peeling runs as a loop, and each
     factor x^enc(a) comes from a table keyed by a (at most n.bit_length()),
-    so an exponent is encoded once per process.
+    so an exponent is encoded once per process.  Each step builds its node
+    in sym_sum's and sym_prod's normal form directly; reading the order from
+    sym_value warms its cache one level at a time, so deep results evaluate.
 
     str(encode_horner(6)) == '(x + 1)*x'
     """
@@ -271,8 +274,15 @@ def encode_horner(n: int) -> SymExpr:
         peeled.append(a)
         n = n >> a if a else n - 1
     e = ONE
-    for a in reversed(peeled):  # sym_prod drops the unit factor when b == 1
-        e = sym_prod([_x_pow(a), e]) if a else sym_sum([e, ONE])
+    for a in reversed(peeled):
+        if not a:
+            e = Sum((e, ONE))  # e encodes an even n - 1 >= 2: a Pow, Prod or x
+        elif e is ONE:
+            e = _x_pow(a)
+        elif 1 << a > sym_value(e):  # e encodes an odd b > 1, never 2**a
+            e = Prod((_x_pow(a), e))
+        else:
+            e = Prod((e, _x_pow(a)))
     return e
 
 

@@ -410,6 +410,8 @@ def _check_required(args, parser):
             parser.error(f"goodstein {args.mode} takes one operand")
     if args.command == "horner" and args.mode == "encode" and args.a is None:
         parser.error("horner encode needs an operand")
+    if args.command in ("goodstein", "horner") and args.mode != "levels" and args.t is not None:
+        parser.error(f"{args.command} {args.mode} takes no -t")
     if args.command in ("goodstein", "horner") and args.mode == "levels":
         if args.a is not None and args.t is not None:
             parser.error(f"{args.command} levels takes the level or -t, not both")

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import DomainError, InternalGapError, LevelTooLarge, check_cap, require_int
-from .symexpr import (CACHE_CLEARS, ONE, Neg, Pow, Prod, SymExpr, X, sym_pow, sym_prod,
-                      sym_sum, sym_value)
+from .symexpr import (CACHE_CLEARS, ONE, Neg, Pow, Prod, Sum, SymExpr, X, sym_pow, sym_prod,
+                      sym_value)
 
 MAX_LEVELS = 14
 COARSE_MAX_LEVELS = 2
@@ -68,6 +68,9 @@ def _composites(state: SieveState, k: int) -> list:
 
     Exponents and cofactors are encoded by table lookup, so a product's
     factors are the distinct prime powers of v, primes ascending by value.
+    b's encoding is one prime power or a Prod of them descending by value,
+    so p^e is inserted at its place by value (prime powers never tie)
+    instead of sorting again through sym_prod.
     """
     lo, hi = 2 ** (k + 1), 2 ** (k + 2)
     if state.covers < lo:
@@ -89,7 +92,13 @@ def _composites(state: SieveState, k: int) -> list:
             while b % vp == 0:
                 e, b = e + 1, b // vp
             power = sym_pow(p, integers[e - 1])
-            out.append((v, power if b == 1 else sym_prod([power, integers[b - 1]])))
+            if b == 1:
+                out.append((v, power))
+                continue
+            fb = integers[b - 1]
+            fs = fb.factors if type(fb) is Prod else (fb,)
+            i = sum(sym_value(f) > v // b for f in fs)  # factors above p^e
+            out.append((v, Prod((*fs[:i], power, *fs[i:]))))
     return out
 
 
@@ -124,7 +133,7 @@ def zeta_step(state: SieveState) -> SieveState:
     for v in range(lo + 1, hi + 1):
         enc = composite.get(v)
         if enc is None:
-            enc = sym_sum([integers[v - 2], ONE])
+            enc = Sum((integers[v - 2], ONE))  # the even v - 1 >= 2 is x, a Pow or a Prod
             primes.append(enc)
         integers.append(enc)
     return SieveState(k + 1, tuple(integers), tuple(primes))

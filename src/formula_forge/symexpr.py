@@ -4,9 +4,13 @@ Encodings built from towers of x quickly describe numbers far too large to
 expand into raw formula trees, so this module keeps them symbolic: immutable
 nodes ONE, X, Sum, Prod, Pow, plus Neg strictly for reciprocal exponents.
 Smart constructors flatten nested sums/products, drop unit factors, collapse
-trivial powers, and keep n-ary operands sorted by descending value.  Nodes
-are interned (hash-consed, as are the forms in ``canonical``): each distinct
-node is built once, so ``==`` and ``hash`` are identity and cost O(1).
+trivial powers, and keep n-ary operands sorted by descending value.  The
+sieve and canonical.encode_horner build their Sum and Prod nodes directly
+in that normal form: their operands are already flat, unit-free and
+strictly descending by value, so sorting them again would change nothing.
+Nodes are interned (hash-consed, as are the forms in ``canonical``): each
+distinct node is built once, so ``==`` and ``hash`` are identity and cost
+O(1).
 """
 
 from __future__ import annotations

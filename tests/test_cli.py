@@ -781,6 +781,20 @@ def test_usage_errors_exit_two(capsys):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["goodstein", "encode", "5", "-t", "3"],
+    ["horner", "encode", "5", "-t", "3"],
+    ["goodstein", "add", "2", "3", "-t", "4"],
+])
+def test_t_outside_levels_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "takes no -t" in err
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

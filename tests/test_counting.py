@@ -358,6 +358,20 @@ def test_cache_count_past_the_int_digit_limit_is_refused():
         sys.set_int_max_str_digits(limit)
 
 
+def test_save_past_the_str_digit_limit_is_a_cache_error(tmp_path):
+    table = CountTable()
+    table.count("a", 1100)  # Catalan(1099) has about 657 digits
+    path = tmp_path / "counts.json"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(CacheError, match="digit limit"):
+            save_table(str(path), table)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert list(tmp_path.iterdir()) == []
+
+
 _BASE_SIZES = {"a": 6, "lop": 6, "am": 20, "ame": 20}
 _JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 45), st.just(10**30),

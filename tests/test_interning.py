@@ -32,6 +32,7 @@ from formula_forge import (
     g_mul,
     gs_to_symexpr,
     render,
+    run_sieve,
     sym_pow,
     sym_prod,
     sym_sum,
@@ -128,6 +129,43 @@ def test_deep_values_after_clear_caches_give_the_result_or_a_size_guard(n, horne
     if n == 2**1000 - 1:
         with pytest.raises(SizeGuard, match="nests too deeply to evaluate"):
             sym_value(expr)
+
+
+def _operands(e):
+    if type(e) is Sum:
+        return e.terms
+    if type(e) is Prod:
+        return e.factors
+    if type(e) is Pow:
+        return (e.base, e.exponent)
+    return (e.inner,) if type(e) is Neg else ()
+
+
+def test_encoders_build_smart_constructor_normal_forms():
+    # render cannot tell a Prod nested in a Prod from a flat one; this can
+    rng = random.Random(22)
+    roots = list(run_sieve(12).integers)
+    roots += [encode_horner(n) for n in range(1, 5001)]
+    roots += [encode_horner(rng.getrandbits(64) or 1) for _ in range(200)]
+    roots.append(encode_horner(2**1000 - 1))
+    seen, stack = set(), roots
+    while stack:
+        e = stack.pop()
+        if e not in seen:
+            seen.add(e)
+            stack.extend(_operands(e))
+    checked = 0
+    for e in seen:
+        if type(e) is Prod:
+            assert sym_prod(e.factors) is e
+        elif type(e) is Sum:
+            assert sym_sum(e.terms) is e
+        else:
+            continue
+        values = [sym_value(o) for o in _operands(e)]
+        assert all(a > b for a, b in zip(values, values[1:])), render(e)
+        checked += 1
+    assert checked > 10_000
 
 
 def test_arithmetic_on_hand_built_forms():
