@@ -10,7 +10,9 @@ in that normal form: their operands are already flat, unit-free and
 strictly descending by value, so sorting them again would change nothing.
 Nodes are interned (hash-consed, as are the forms in ``canonical``): each
 distinct node is built once, so ``==`` and ``hash`` are identity and cost
-O(1).
+O(1), as do lookups in memo tables keyed by node: sym_value's values, and the
+text table ``_TEXTS`` of render, which grows per rendered node until
+clear_caches() (a refused render keeps only the operands it finished).
 """
 
 from __future__ import annotations
@@ -176,8 +178,9 @@ CACHE_CLEARS = [sym_value.cache_clear]
 
 
 def clear_caches() -> None:
-    """Empty the per-process memo tables: sym_value's, gs_value's, the
-    Goodstein and Horner encoders', and the sieve's table of dyadic states.
+    """Empty the per-process memo tables: sym_value's, render's texts,
+    gs_value's, the Goodstein and Horner encoders', and the sieve's table
+    of dyadic states.
 
     For long-running callers.  Interned nodes are never released: a node
     still referenced stays the one node of its kind and fields, and later
@@ -232,6 +235,8 @@ def sym_pow(base: SymExpr, exponent: SymExpr) -> SymExpr:
 
 
 _NAMES = {ONE: "1", X: "x"}  # any operand of a node is hashable: interning hashed it
+_TEXTS = {}  # node -> its whole-expression text, as _top rendered it
+CACHE_CLEARS.append(_TEXTS.clear)
 
 
 def render(e: SymExpr) -> str:
@@ -241,24 +246,36 @@ def render(e: SymExpr) -> str:
     render(Pow(X, sym_sum([X, ONE]))) == 'x^(x + 1)'
     render(Pow(X, Neg(ONE))) == 'x^(-1)'
 
-    Each level of nesting costs about three interpreter frames; nesting
-    past the recursion limit raises SizeGuard.
+    The texts of e and of each parenthesised operand in it go into a
+    per-process table that later renders reuse; it grows by one entry per
+    such node until clear_caches().  Each level of nesting down to an
+    operand already in the table costs about three interpreter frames;
+    nesting past the recursion limit raises SizeGuard, and a refused render
+    keeps only the texts of the operands it finished.
     """
+    if not isinstance(e, SymExpr):  # before the table: render([]) is no TypeError
+        raise DomainError(f"not a symbolic expression: {e!r}")
     return nested(_top, e, "expression", "render")
 
 
 def _top(e):
     """The whole expression: a Sum, Prod, Pow or Neg bare, or a leaf."""
+    text = _TEXTS.get(e)  # in this frame: a wrapper or helper costs depth
+    if text is not None:
+        return text
     t = type(e)
     if t is Sum:
-        return " + ".join(map(_operand, e.terms))
-    if t is Prod or t is Pow:
-        return _operand(e)
-    if t is Neg:
-        return f"-{_atom(e.inner)}"
-    if t is _Leaf and e in _NAMES:
-        return _NAMES[e]
-    raise DomainError(f"not a symbolic expression: {e!r}")
+        text = " + ".join(map(_operand, e.terms))
+    elif t is Prod or t is Pow:
+        text = _operand(e)
+    elif t is Neg:
+        text = f"-{_atom(e.inner)}"
+    elif t is _Leaf and e in _NAMES:
+        text = _NAMES[e]
+    else:
+        raise DomainError(f"not a symbolic expression: {e!r}")
+    _TEXTS[e] = text
+    return text
 
 
 def _operand(e):

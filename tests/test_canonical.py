@@ -358,6 +358,14 @@ def test_horner_encode_deep_operand():
         render(e)
 
 
+def test_horner_encode_renders_180_bits_cold():
+    # 360 levels from an empty text table: the table costs no frame per level
+    n = 2**180 - 1
+    clear_caches()
+    e = encode_horner(n)
+    assert eval(render(e).replace("^", "**"), {"x": 2}) == n
+
+
 def test_horner_encode_deep_operand_is_too_deep_to_expand():
     with pytest.raises(SizeGuard):
         expand_x(encode_horner(2**1000 - 1))

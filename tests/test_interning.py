@@ -37,6 +37,7 @@ from formula_forge import (
     sym_prod,
     sym_sum,
     sym_value,
+    symexpr,
 )
 
 NODES = [
@@ -166,6 +167,18 @@ def test_encoders_build_smart_constructor_normal_forms():
         assert all(a > b for a, b in zip(values, values[1:])), render(e)
         checked += 1
     assert checked > 10_000
+
+
+def test_cold_renders_equal_warm_renders():
+    # in order each text reuses its operands' texts; reversed, none is warm
+    state = run_sieve(12)
+    nodes = [*state.primes, *state.integers]
+    nodes += [encode_horner(n) for n in range(1, 3001)]
+    warm = [render(e) for e in nodes]
+    clear_caches()
+    assert not symexpr._TEXTS
+    cold = [render(e) for e in reversed(nodes)]
+    assert cold[::-1] == warm
 
 
 def test_arithmetic_on_hand_built_forms():

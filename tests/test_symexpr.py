@@ -128,7 +128,7 @@ def test_render_matches_the_precedence_oracle(e):
 @pytest.mark.parametrize("bad", [
     3, None, Sum((X, 3)), Prod((X, "x")), Pow(X, 2), Pow(2, X), Neg(1),
     _Leaf("y"), Sum((X, _Leaf("y"))), Prod((_Leaf("y"), X)), Pow(X, _Leaf("y")),
-    Neg(_Leaf("y")),
+    Neg(_Leaf("y")), [], {}, [X],
 ], ids=repr)
 def test_render_rejects_what_is_not_a_node(bad):
     with pytest.raises(DomainError):
