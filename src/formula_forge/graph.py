@@ -6,6 +6,11 @@ when a single rule application at any position maps one to the other.  Every
 rule is value-preserving, and each rule is matched in both directions, so
 adjacency is symmetric.  A pair of trees can be connected by more than one
 rule; edges keep the full label set.
+
+The seven laws are written once, in _rewrites, as splices on prefix strings:
+a text made of slices of the source's prefix replaces a subtree's substring.
+build_graph keys vertices by prefix, looks each rewrite up as a str, which
+caches its hash, and keeps an edge's labels as a bit mask until the end.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from enum import Enum
 
 from .enumeration import enumerate_ame
 from .errors import Record, check_cap, require_int
-from .trees import evaluate, is_strict, size, to_prefix
+from .trees import evaluate, is_strict, parse_prefix, size, to_prefix, validate
 
 MAX_GRAPH_VALUE = 9
 
@@ -29,62 +34,75 @@ class RewriteRule(Enum):
     DIST_POW_OVER_MUL_BASE = "DistPowOverMulBase"
 
 
-def _root_rewrites(t):
-    gate, a, b = t
-    if gate == "+":
-        yield ("+", b, a), RewriteRule.COMM_ADD
-        if a != 1 and a[0] == "+":
-            yield ("+", a[1], ("+", a[2], b)), RewriteRule.ASSOC_ADD
-        if b != 1 and b[0] == "+":
-            yield ("+", ("+", a, b[1]), b[2]), RewriteRule.ASSOC_ADD
-        if a != 1 and b != 1 and a[0] == "*" and b[0] == "*" and a[1] == b[1]:
-            # f*g + f*h -> f*(g + h)
-            yield ("*", a[1], ("+", a[2], b[2])), RewriteRule.DIST_MUL_OVER_ADD
-    elif gate == "*":
-        yield ("*", b, a), RewriteRule.COMM_MUL
-        if a != 1 and a[0] == "*":
-            yield ("*", a[1], ("*", a[2], b)), RewriteRule.ASSOC_MUL
-        if b != 1 and b[0] == "*":
-            yield ("*", ("*", a, b[1]), b[2]), RewriteRule.ASSOC_MUL
-        if b != 1 and b[0] == "+":
-            # f*(g + h) -> f*g + f*h
-            yield ("+", ("*", a, b[1]), ("*", a, b[2])), RewriteRule.DIST_MUL_OVER_ADD
-        if a != 1 and b != 1 and a[0] == "^" and b[0] == "^":
-            if a[1] == b[1]:
-                # f^g * f^h -> f^(g + h)
-                yield ("^", a[1], ("+", a[2], b[2])), RewriteRule.DIST_POW_OVER_ADD_EXP
-            if a[2] == b[2]:
-                # f^h * g^h -> (f*g)^h
-                yield ("^", ("*", a[1], b[1]), a[2]), RewriteRule.DIST_POW_OVER_MUL_BASE
-    else:
-        if b != 1 and b[0] == "+":
-            # f^(g + h) -> f^g * f^h
-            yield ("*", ("^", a, b[1]), ("^", a, b[2])), RewriteRule.DIST_POW_OVER_ADD_EXP
-        if a != 1 and a[0] == "*":
-            # (f*g)^h -> f^h * g^h
-            yield ("*", ("^", a[1], b), ("^", a[2], b)), RewriteRule.DIST_POW_OVER_MUL_BASE
+# bit 1 << k is the k-th RewriteRule's (_CA: COMM_ADD, ..., _DB:
+# DIST_POW_OVER_MUL_BASE); _NAMES[mask] sorts the names of mask's rules
+_RULE_OF_BIT = {1 << k: rule for k, rule in enumerate(RewriteRule)}
+_CA, _CM, _AA, _AM, _DM, _DE, _DB = _RULE_OF_BIT
+_NAMES = tuple(tuple(sorted(r.value for bit, r in _RULE_OF_BIT.items() if mask & bit))
+               for mask in range(1 << len(_RULE_OF_BIT)))
 
 
-def _all_rewrites(t):
-    if t == 1:
-        return
-    gate, a, b = t
-    yield from _root_rewrites(t)
-    for u, rule in _all_rewrites(a):
-        yield (gate, u, b), rule
-    for u, rule in _all_rewrites(b):
-        yield (gate, a, u), rule
+def _rewrites(p: str) -> list:
+    """Every one-step rewrite of the tree with prefix p, as (prefix, rule
+    bit), position by position.
+
+    ends[i] is where the subtree starting at i ends.  One right-to-left
+    scan fills it, as parse_prefix reads: a gate at i has the left operand
+    a = p[i+1:m] with m = ends[i+1] and the right operand b = p[m:e] with
+    e = ends[m]; k and j split a and b the same way when they are gates.
+    """
+    out = []
+    add = out.append
+    ends = [0] * (len(p) + 1)
+    for i in range(len(p) - 1, -1, -1):
+        g = p[i]
+        if g == "1":
+            ends[i] = i + 1
+            continue
+        m = ends[i + 1]
+        ends[i] = e = ends[m]
+        a, b, k, j = p[i + 1:m], p[m:e], ends[i + 2], ends[m + 1]
+        pre, post, ga, gb = p[:i], p[e:], a[0], b[0]
+        if g == "+":
+            add((pre + "+" + b + a + post, _CA))
+            if ga == "+":  # (f + g) + h -> f + (g + h)
+                add((pre + "+" + p[i + 2:k] + "+" + p[k:m] + b + post, _AA))
+            if gb == "+":  # f + (g + h) -> (f + g) + h
+                add((pre + "++" + a + b[1:] + post, _AA))
+            if ga == "*" == gb and p[i + 2:k] == p[m + 1:j]:  # f*g + f*h -> f*(g + h)
+                add((pre + "*" + p[i + 2:k] + "+" + p[k:m] + p[j:e] + post, _DM))
+        elif g == "*":
+            add((pre + "*" + b + a + post, _CM))
+            if ga == "*":  # (f*g)*h -> f*(g*h)
+                add((pre + "*" + p[i + 2:k] + "*" + p[k:m] + b + post, _AM))
+            if gb == "*":  # f*(g*h) -> (f*g)*h
+                add((pre + "**" + a + b[1:] + post, _AM))
+            if gb == "+":  # f*(g + h) -> f*g + f*h
+                add((pre + "+*" + a + p[m + 1:j] + "*" + a + p[j:e] + post, _DM))
+            if ga == "^" == gb and p[i + 2:k] == p[m + 1:j]:  # f^g * f^h -> f^(g + h)
+                add((pre + "^" + p[i + 2:k] + "+" + p[k:m] + p[j:e] + post, _DE))
+            if ga == "^" == gb and p[k:m] == p[j:e]:  # f^h * g^h -> (f*g)^h
+                add((pre + "^*" + p[i + 2:k] + p[m + 1:j] + p[k:m] + post, _DB))
+        else:
+            if gb == "+":  # f^(g + h) -> f^g * f^h
+                add((pre + "*^" + a + p[m + 1:j] + "^" + a + p[j:e] + post, _DE))
+            if ga == "*":  # (f*g)^h -> f^h * g^h
+                add((pre + "*^" + p[i + 2:k] + b + "^" + p[k:m] + b + post, _DB))
+    return out
 
 
 def neighbors(tree) -> set:
     """All (tree', rule) one step away, filtered to the vertex set: strict,
-    same value, size within 2n - 1, and different from the source."""
+    same value, size within 2n - 1, and different from the source.
+    DomainError unless tree is a formula tree (trees.validate)."""
+    validate(tree)
     n = evaluate(tree)
     bound = 2 * n - 1
     out = set()
-    for u, rule in _all_rewrites(tree):
+    for pu, bit in _rewrites(to_prefix(tree)):
+        u = parse_prefix(pu)
         if u != tree and is_strict(u) and evaluate(u) == n and size(u) <= bound:
-            out.add((u, rule))
+            out.add((u, _RULE_OF_BIT[bit]))
     return out
 
 
@@ -157,18 +175,18 @@ def build_graph(n: int, force: bool = False) -> RewriteGraph:
     """
     check_cap(require_int(n), MAX_GRAPH_VALUE, f"graph value {n}", force)
     vertices = tuple(enumerate_ame(n))
-    prefix = {v: to_prefix(v) for v in vertices}
-    adj = {v: set() for v in vertices}
-    labels = {}
-    for v in vertices:
-        pv = prefix[v]
-        for u, rule in _all_rewrites(v):
+    tree_of = {to_prefix(v): v for v in vertices}
+    adj = {pv: set() for pv in tree_of}
+    masks = {}
+    for pv, near in adj.items():
+        for pu, bit in _rewrites(pv):
             # the vertices are exactly the strict trees of value n, so
             # membership is neighbors()' strict, value and size filter
-            if u in prefix and u != v:
-                adj[v].add(u)
-                pu = prefix[u]
-                labels.setdefault((pv, pu) if pv < pu else (pu, pv), set()).add(rule.value)
-    adjacency = {v: tuple(sorted(adj[v], key=prefix.__getitem__)) for v in vertices}
-    edge_labels = {k: tuple(sorted(rs)) for k, rs in labels.items()}
+            if pu in tree_of and pu != pv:
+                near.add(pu)
+                key = (pv, pu) if pv < pu else (pu, pv)
+                masks[key] = masks.get(key, 0) | bit
+    adjacency = {tree_of[pv]: tuple(map(tree_of.__getitem__, sorted(near)))
+                 for pv, near in adj.items()}
+    edge_labels = {key: _NAMES[mask] for key, mask in masks.items()}
     return RewriteGraph(n=n, vertices=vertices, adjacency=adjacency, edge_labels=edge_labels)

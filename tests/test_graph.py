@@ -1,6 +1,16 @@
-"""Rewrite graphs: vertex sets, adjacency symmetry, and rule labels."""
+"""Rewrite graphs: vertex sets, adjacency symmetry, and rule labels.
+
+The package writes the gate laws once, as splices on prefix strings.  The
+tuple rules below are an independent reference for them.
+"""
+
+import hashlib
+import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formula_forge import (
     DomainError,
@@ -14,10 +24,87 @@ from formula_forge import (
     evaluate,
     is_strict,
     neighbors,
+    parse_prefix,
+    sample_am,
+    sample_ame,
+    size,
     to_prefix,
 )
+from formula_forge import graph
 
 T2 = ("+", 1, 1)
+
+
+def _root_rewrites(t):
+    gate, a, b = t
+    if gate == "+":
+        yield ("+", b, a), RewriteRule.COMM_ADD
+        if a != 1 and a[0] == "+":
+            yield ("+", a[1], ("+", a[2], b)), RewriteRule.ASSOC_ADD
+        if b != 1 and b[0] == "+":
+            yield ("+", ("+", a, b[1]), b[2]), RewriteRule.ASSOC_ADD
+        if a != 1 and b != 1 and a[0] == "*" and b[0] == "*" and a[1] == b[1]:
+            # f*g + f*h -> f*(g + h)
+            yield ("*", a[1], ("+", a[2], b[2])), RewriteRule.DIST_MUL_OVER_ADD
+    elif gate == "*":
+        yield ("*", b, a), RewriteRule.COMM_MUL
+        if a != 1 and a[0] == "*":
+            yield ("*", a[1], ("*", a[2], b)), RewriteRule.ASSOC_MUL
+        if b != 1 and b[0] == "*":
+            yield ("*", ("*", a, b[1]), b[2]), RewriteRule.ASSOC_MUL
+        if b != 1 and b[0] == "+":
+            # f*(g + h) -> f*g + f*h
+            yield ("+", ("*", a, b[1]), ("*", a, b[2])), RewriteRule.DIST_MUL_OVER_ADD
+        if a != 1 and b != 1 and a[0] == "^" and b[0] == "^":
+            if a[1] == b[1]:
+                # f^g * f^h -> f^(g + h)
+                yield ("^", a[1], ("+", a[2], b[2])), RewriteRule.DIST_POW_OVER_ADD_EXP
+            if a[2] == b[2]:
+                # f^h * g^h -> (f*g)^h
+                yield ("^", ("*", a[1], b[1]), a[2]), RewriteRule.DIST_POW_OVER_MUL_BASE
+    else:
+        if b != 1 and b[0] == "+":
+            # f^(g + h) -> f^g * f^h
+            yield ("*", ("^", a, b[1]), ("^", a, b[2])), RewriteRule.DIST_POW_OVER_ADD_EXP
+        if a != 1 and a[0] == "*":
+            # (f*g)^h -> f^h * g^h
+            yield ("*", ("^", a[1], b), ("^", a[2], b)), RewriteRule.DIST_POW_OVER_MUL_BASE
+
+
+def _all_rewrites(t):
+    if t == 1:
+        return
+    gate, a, b = t
+    yield from _root_rewrites(t)
+    for u, rule in _all_rewrites(a):
+        yield (gate, u, b), rule
+    for u, rule in _all_rewrites(b):
+        yield (gate, a, u), rule
+
+
+def _reference_neighbors(tree):
+    """neighbors() from the tuple rules, with the same filter."""
+    n = evaluate(tree)
+    return {(u, rule) for u, rule in _all_rewrites(tree)
+            if u != tree and is_strict(u) and evaluate(u) == n and size(u) <= 2 * n - 1}
+
+
+def _reference_graph(n):
+    """The graph on value n from the tuple rules, vertices keyed by tree."""
+    vertices = tuple(enumerate_ame(n))
+    prefix = {v: to_prefix(v) for v in vertices}
+    adj = {v: set() for v in vertices}
+    labels = {}
+    for v in vertices:
+        pv = prefix[v]
+        for u, rule in _all_rewrites(v):
+            if u in prefix and u != v:
+                adj[v].add(u)
+                pu = prefix[u]
+                labels.setdefault((pv, pu) if pv < pu else (pu, pv), set()).add(rule.value)
+    adjacency = {v: tuple(sorted(adj[v], key=prefix.__getitem__)) for v in vertices}
+    edge_labels = {k: tuple(sorted(rs)) for k, rs in labels.items()}
+    return RewriteGraph(n=n, vertices=vertices, adjacency=adjacency, edge_labels=edge_labels)
 
 
 def test_smallest_interesting_graph():
@@ -82,6 +169,57 @@ def test_build_graph_equals_the_graph_of_neighbors(n):
     assert got == want
     assert got.stats() == want.stats()
     assert got.to_dot() == want.to_dot()
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_build_graph_equals_the_reference_graph(n):
+    got, want = build_graph(n), _reference_graph(n)
+    assert got == want
+    assert list(got.adjacency) == list(want.adjacency)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(10, 60), seed=st.integers(0, 2**32 - 1),
+       sample=st.sampled_from([sample_am, sample_ame]))
+def test_neighbors_equal_the_reference_beyond_the_graph_cap(n, seed, sample):
+    tree = sample(n, random.Random(seed))
+    assert neighbors(tree) == _reference_neighbors(tree)
+    _assert_rewrites_equal_the_reference(tree)
+
+
+def _assert_rewrites_equal_the_reference(tree):
+    """The unfiltered rewrites, with their multiplicities: the size bound of
+    neighbors() drops most rewrites that grow a tree."""
+    got = Counter((parse_prefix(pu), graph._RULE_OF_BIT[bit])
+                  for pu, bit in graph._rewrites(to_prefix(tree)))
+    assert got == Counter(_all_rewrites(tree))
+
+
+# any tree, strict or not: small ones, so that equal operands are common
+_TREES = st.recursive(st.just(1), lambda kids: st.tuples(st.sampled_from("+*^"), kids, kids),
+                      max_leaves=12)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(tree=_TREES)
+def test_rewrites_equal_the_reference_on_any_tree(tree):
+    _assert_rewrites_equal_the_reference(tree)
+
+
+@pytest.mark.parametrize("n, digest, vertices, edges, components", [
+    (8, "b85b86bc0e2cea16b3d5085b8c1c51abe15494ddd6525f270fde0b91d885ccee", 613, 2509, 10),
+    (9, "798473a8c23ea5ad5a7be1bb76e85f140048ad79b197bdbc566af6b95859857f", 2076, 10118, 12),
+])
+def test_whole_graph_golden(n, digest, vertices, edges, components):
+    g = build_graph(n)
+    assert hashlib.sha256(g.to_dot().encode()).hexdigest() == digest
+    assert (len(g.vertices), g.edge_count, len(g.components())) == (vertices, edges, components)
+
+
+@pytest.mark.parametrize("bad", [("+", 1), "x", ("+", 1, ("+", 1)), 2, None, ["+", 1, 1]])
+def test_neighbors_refuses_what_is_not_a_tree(bad):
+    with pytest.raises(DomainError):
+        neighbors(bad)
 
 
 def test_adjacency_is_symmetric_and_value_preserving():
