@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import mpmath
 from mpmath.libmp import fone, fzero, from_int, mpf_add, mpf_mul, mpf_sub
 
-from .counting import count_am, count_ame
+from .counting import FAMILIES, default_table
 from .errors import DomainError, NegativeRadicand, NonConvergence, require_int
 
 _GUARD_BITS = 16
@@ -101,8 +101,7 @@ def _check_params(terms, iterations, precision_bits):
 def _coefficients(family, terms, limit=None):
     """S(x) as exact ints, s[j] the coefficient of x^j (1/4 is kept apart),
     for j < limit; all (T-1)^2 + 1 of them by default."""
-    count = count_am if family == "am" else count_ame
-    counts = [0] + [count(n) for n in range(1, terms)]
+    counts, cols = default_table().filled(FAMILIES[family], terms - 1)
     if limit is None:
         limit = (terms - 1) * (terms - 1) + 1
     s = [0] * limit
@@ -111,7 +110,7 @@ def _coefficients(family, terms, limit=None):
             s[d * n] += counts[d] * counts[n]
     if family == "ame":
         for n in range(4, min(terms, limit)):
-            s[n] += count_ame(n, "^")
+            s[n] += cols[2][n]  # pow-rooted trees
     return s
 
 
@@ -249,6 +248,7 @@ def constant_estimate(
     approach to 1 can be inspected.
     """
     est = rho_estimate("am", terms, iterations, precision_bits)
+    counts, _ = default_table().filled(FAMILIES["am"], terms - 1)
     a = [-4 * c for c in _coefficients("am", terms, terms)]  # 1 - 4h
     a[0] += 1
     a[1] -= 4
@@ -264,7 +264,7 @@ def constant_estimate(
         ratios = []
         for n in range(2, terms):
             expected = constant * est.rho**n / mpmath.sqrt(mpmath.mpf(n) ** 3)
-            ratios.append(count_am(n) / expected)
+            ratios.append(counts[n] / expected)
     with mpmath.workprec(precision_bits):
         constant = +constant
         radicand = +radicand

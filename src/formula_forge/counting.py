@@ -107,11 +107,10 @@ def _pow_splits(m):
 def _mirrored_sum(tot, m, copies):
     """sum(tot[a] * tot[b]) over additive splits of m that hold each pair
     (i, m - i) with i < m/2 `copies` times and (m/2, m/2) once, with each
-    product taken once."""
-    get = tot.__getitem__
+    product taken once; the pairs are two slices of the totals list."""
     k = (m + 1) // 2  # 1 <= i < k is i < m/2
-    half = sum(map(mul, map(get, range(1, k)), map(get, range(m - 1, m - k, -1))))
-    return copies * half + (get(k) ** 2 if m % 2 == 0 else 0)
+    half = sum(map(mul, tot[1:k], tot[m - 1:m - k:-1]))
+    return copies * half + (tot[k] ** 2 if m % 2 == 0 else 0)
 
 
 # the additive rules, by how often their splits hold each mirrored pair
@@ -137,7 +136,7 @@ class Family(Record):
 
     def row(self, tot, m: int, first: int = 0) -> list:
         """Counts of value m per root class from rule first on, from the totals
-        below m: the leaf for m = 1, else sum(tot[l] * tot[r]) per rule."""
+        list below m: the leaf for m = 1, else sum(tot[l] * tot[r]) per rule."""
         if m == 1:
             return ([1] + [0] * (len(self.rules) - 1))[first:]
         return [
@@ -187,35 +186,38 @@ def resolve_family(gates: str = "a", root: str = ROOT_ALL, lop: bool = False):
 class CountTable:
     """Memo store for all four count families: counts only.
 
-    Per family it keeps one {n: count} column per root class and the totals;
-    splits come from each rule's splits(m), never from the table.  Totals
-    are only ever filled gap-free from 1, so their length is the fill
-    watermark.  Reads of filled entries are plain dict lookups; fills are
-    serialized by a lock, so concurrent readers are safe and results are
-    deterministic.
+    Per family it keeps its totals and one column per root class in rule
+    order, each a gap-free list indexed by value (index 0 unused, so
+    len(totals) - 1 is the fill watermark); a one-gate family's one column
+    is its totals list.  Splits come from each rule's splits(m), never from
+    the table.  Fills are serialized by a lock and append every column
+    before the totals, so a lock-free reader that sees row n in the totals
+    finds it in every column.
     """
 
     def __init__(self):
         self._lock = threading.RLock()
+        self._tot = {name: [0, 1] for name in FAMILIES}
         self._cols = {
-            f.name: {c: {1: v} for c, v in zip(f.columns, f.row({}, 1))}
+            f.name: (self._tot[f.name],) if len(f.rules) == 1
+            else tuple([0, c] for c in f.row(None, 1))
             for f in FAMILIES.values()
-        }
-        self._tot = {name: {1: 1} for name in FAMILIES}
-        # per family, its columns in rule order
-        self._rule_cols = {
-            name: tuple(cols.values()) for name, cols in self._cols.items()
         }
 
     def _fill(self, f, n):
         with self._lock:
-            tot = self._tot[f.name]
-            cols = self._rule_cols[f.name]
-            for m in range(len(tot) + 1, n + 1):
-                row = f.row(tot, m)
-                for col, c in zip(cols, row):
-                    col[m] = c
-                tot[m] = sum(row)
+            tot, cols = self._tot[f.name], self._cols[f.name]
+            for m in range(len(tot), n + 1):
+                self._append(tot, cols, f.row(tot, m))
+
+    @staticmethod
+    def _append(tot, cols, row):
+        """Append one row of counts, every column before the totals (a
+        one-gate family's column is its totals)."""
+        if len(cols) > 1:
+            for col, c in zip(cols, row):
+                col.append(c)
+        tot.append(sum(row))
 
     def count(self, family: str, n: int, root: str = ROOT_ALL) -> int:
         """Trees of value n in the named family, optionally of one root class."""
@@ -224,22 +226,18 @@ class CountTable:
         except (KeyError, TypeError):  # TypeError: an unhashable name
             raise DomainError(f"unknown count family {family!r}") from None
         root = f.check_root(root)
-        tot = self._tot[family]
-        if len(tot) < require_int(n):
-            self._fill(f, n)
-        return tot[n] if root == ROOT_ALL else self._cols[family][root][n]
+        tot, cols = self.filled(f, require_int(n))
+        return tot[n] if root == ROOT_ALL else cols[f.columns.index(root)][n]
 
     def filled(self, family: Family, n: int):
-        """(totals, columns) of a family filled to n, as the table's own dicts.
-
-        totals maps each value to its count; columns holds one {value: count}
-        dict per rule of the family, in rule order (a one-gate family's one
-        column equals its totals).  Both are live: read them, never write.
-        """
+        """(totals, columns) of a family filled to n, as the table's own lists
+        indexed by value, index 0 unused: columns holds one per rule, in rule
+        order, and a one-gate family's one column is totals itself.  Both are
+        live and may run past n: read them, never write."""
         tot = self._tot[family.name]
-        if len(tot) < n:
+        if len(tot) <= n:
             self._fill(family, n)
-        return tot, self._rule_cols[family.name]
+        return tot, self._cols[family.name]
 
     def add_only(self, n):
         return self.count("a", n)
@@ -258,15 +256,15 @@ class CountTable:
     def entries(self):
         """Snapshot as (family, root, n, count) rows, deterministic order."""
         return [
-            (name, root, n, c)
-            for name, cols in self._cols.items()
-            for root, col in cols.items()
-            for n, c in sorted(col.items())
+            (name, root, n, col[n])
+            for name, f in FAMILIES.items()
+            for root, col in zip(f.columns, self._cols[name])
+            for n in range(1, len(col))
         ]
 
     def rows(self) -> int:
         """Number of computed entries, the length of entries()."""
-        return sum(len(col) for cols in self._cols.values() for col in cols.values())
+        return sum(len(col) - 1 for cols in self._cols.values() for col in cols)
 
     def absorb(self, rows) -> int:
         """Install (family, root, n, count) rows, all of them or none.
@@ -280,35 +278,39 @@ class CountTable:
         the others (checking that column too would take absorbing a table
         warmed to 300 from 2.1 to 3.1 ms on a 2-vCPU VM).
         Rows above a gap are dropped unchecked, since a fill would overwrite
-        them before any read.  Returns the number of rows kept.
+        them before any read; the rows kept above the watermark are appended
+        as fills append.  Returns the number of rows kept.
         """
         with self._lock:
-            merged = {name: {c: dict(col) for c, col in cols.items()}
-                      for name, cols in self._cols.items()}
+            above = {name: [{} for _ in f.columns] for name, f in FAMILIES.items()}
             for family, root, n, c in rows:
                 try:
-                    col = merged[family][root]
-                except (KeyError, TypeError):
+                    i = FAMILIES[family].columns.index(root)
+                except (KeyError, TypeError, ValueError):
                     raise CacheError(f"unknown count column {family!r}/{root!r}") from None
-                if col.setdefault(n, c) != c:
+                col = self._cols[family][i]
+                known = col[n] if 0 < n < len(col) else above[family][i].setdefault(n, c)
+                if known != c:
                     raise CacheError(f"conflicting rows for {family}/{root} at {n}")
-            totals = {}
+            extensions = []
             for name, f in FAMILIES.items():
-                cols = list(merged[name].values())
-                low = top = len(self._tot[name])
-                while all(top + 1 in col for col in cols):
+                tot, new = self._tot[name], above[name]
+                low = top = len(tot) - 1
+                while all(top + 1 in col for col in new):
                     top += 1
-                totals[name] = {m: sum(col[m] for col in cols) for m in range(low + 1, top + 1)}
-                tot = {**self._tot[name], **totals[name]}
+                if top == low:
+                    continue
+                ext = [[col[m] for col in new] for m in range(low + 1, top + 1)]
+                merged = tot + list(map(sum, ext))
                 sampled = range(low // CHECK_EVERY * CHECK_EVERY + CHECK_EVERY, top, CHECK_EVERY)
                 for m, first in [(top, 0), *((m, 1) for m in sampled)]:
-                    if m > low and f.row(tot, m, first) != [col[m] for col in cols[first:]]:
+                    if f.row(merged, m, first) != ext[m - low - 1][first:]:
                         raise CacheError(f"wrong {name} counts at {m}")
-            for name, cols in merged.items():
-                for root, col in cols.items():
-                    self._cols[name][root].update((m, col[m]) for m in totals[name])
-                self._tot[name].update(totals[name])
-            return sum(1 <= n <= len(self._tot[family]) for family, _, n, _ in rows)
+                extensions.append((tot, self._cols[name], ext))
+            for tot, cols, ext in extensions:
+                for row in ext:
+                    self._append(tot, cols, row)
+            return sum(1 <= n < len(self._tot[family]) for family, _, n, _ in rows)
 
 
 _DEFAULT = CountTable()

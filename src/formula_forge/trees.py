@@ -14,11 +14,8 @@ from __future__ import annotations
 
 from .errors import DomainError, MalformedString, nested
 
-LEAF = 1
 ADD, MUL, POW = "+", "*", "^"
 GATES = (ADD, MUL, POW)
-
-FormulaTree = object  # leaf int 1 | tuple (gate, FormulaTree, FormulaTree)
 
 
 def evaluate(tree) -> int:
@@ -86,7 +83,7 @@ def validate(tree) -> None:
 
 
 def _validate(tree):
-    if tree == 1:
+    if tree == 1 and type(tree) is int:  # not 1.0 or True
         return
     if (
         not isinstance(tree, tuple)
@@ -165,7 +162,7 @@ def from_brackets(obj):
 
 
 def _from_brackets(obj):
-    if obj == 1:
+    if obj == 1 and type(obj) is int:  # not 1.0 or True
         return 1
     if isinstance(obj, (list, tuple)) and len(obj) == 3 and obj[0] in GATES:
         return (obj[0], _from_brackets(obj[1]), _from_brackets(obj[2]))

@@ -447,3 +447,54 @@ def test_a_hostile_cache_file_loads_or_is_refused_whole(data, warm):
         assert table.entries() == before
     else:
         assert type(kept) is int
+
+
+_TABLE_SIZES = st.fixed_dictionaries({name: st.integers(1, 40) for name in FAMILIES})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(s=_TABLE_SIZES, t=_TABLE_SIZES, data=st.data())
+def test_a_mutated_cache_file_extends_the_table_or_leaves_it_alone(s, t, data):
+    """Row-level changes to a saved file (junk fields such as bools, floats,
+    negative or huge n and long digit strings; duplicate, conflicting and
+    dropped rows), loaded into a table filled to other sizes: load_table
+    returns an int or raises CacheError.  A refused file leaves entries()
+    as it was; a loaded one keeps every row the table held, takes each new
+    row from the file and extends each family's columns to one common
+    watermark."""
+    valid = _saved_rows(_filled_table(t))
+    rows = list(valid)
+    for _ in range(data.draw(st.integers(1, 3), label="changes")):
+        if rows:
+            _mutate(rows, valid, data)
+    table = _filled_table(s)
+    before = table.entries()
+    try:
+        kept = _load_rows_into(table, rows)
+    except CacheError:
+        assert table.entries() == before
+        return
+    assert type(kept) is int and 0 <= kept <= len(rows)
+    after = table.entries()
+    assert set(before) <= set(after)
+    assert set(after) - set(before) <= {(*row[:3], int(row[3])) for row in rows}
+    assert table.rows() == len(after)
+    for name, f in FAMILIES.items():
+        tops = {max(n for fam, root, n, _ in after if (fam, root) == (name, c))
+                for c in f.columns}
+        assert len(tops) == 1 and tops.pop() >= s[name]
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=_SIZES, t=_SIZES)
+def test_absorb_into_a_partly_filled_table_equals_a_fresh_fill(s, t):
+    # a one-gate family's column is its totals list: it must be extended once
+    table = _filled_table(s)
+    rows = _saved_rows(_filled_table(t))
+    assert _load_rows_into(table, rows) == len(rows)
+    top = {name: max(s[name], t[name]) for name in FAMILIES}
+    assert table.entries() == _filled_table(top).entries()
+    fresh = _filled_table({name: n + 5 for name, n in top.items()})
+    for name, n in top.items():
+        assert table.count(name, n + 5) == fresh.count(name, n + 5)
+    assert table.entries() == fresh.entries()

@@ -17,6 +17,7 @@ from formula_forge import (
     from_brackets,
     is_strict,
     leaf_count,
+    neighbors,
     parse_postfix,
     parse_prefix,
     size,
@@ -63,6 +64,14 @@ def test_validate_rejects_garbage():
     with pytest.raises(DomainError):
         validate(("+", 0, 1))
     validate(T6)
+
+
+@pytest.mark.parametrize("walk", [validate, from_brackets, neighbors])
+@pytest.mark.parametrize("tree", [True, 1.0, ("+", 1.0, 1), ("+", True, 1), ["+", 1, True]])
+def test_float_and_bool_leaves_are_refused(walk, tree):
+    # 1.0 == True == 1, but only the int 1 is a leaf
+    with pytest.raises(DomainError):
+        walk(tree)
 
 
 def test_prefix_postfix_goldens():
