@@ -19,8 +19,8 @@ steps gain a constant few; at most 64 Newton steps are taken, and each
 must shrink the residual.
 
 S is one list of exact ints, s[j] the coefficient of x^j: s[d*n] gets
-C(d)*C(n) for 2 <= d, n < T, and for ame s[n] also gets the number of
-pow-rooted trees of value n, so the list has (T-1)^2 + 1 entries.  Almost
+C(d)*C(n) for 2 <= d, n < T (``counting.sieved``); for ame s[n] also gets
+the pow-rooted trees of value n: the list has (T-1)^2 + 1 entries.  Almost
 all of them are far below the working precision, so g runs Horner over the
 shortest prefix whose dropped tail is provably below 2^-(precision_bits +
 16).  The bound needs |x| <= 1/4: every plain iterate is at most 1/4
@@ -48,11 +48,12 @@ for it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 import mpmath
 from mpmath.libmp import fone, fzero, from_int, mpf_add, mpf_mul, mpf_sub
 
-from .counting import FAMILIES, default_table
+from .counting import FAMILIES, default_table, sieved
 from .errors import DomainError, NegativeRadicand, NonConvergence, require_int
 
 _GUARD_BITS = 16
@@ -104,10 +105,7 @@ def _coefficients(family, terms, limit=None):
     counts, cols = default_table().filled(FAMILIES[family], terms - 1)
     if limit is None:
         limit = (terms - 1) * (terms - 1) + 1
-    s = [0] * limit
-    for d in range(2, min(terms, (limit - 1) // 2 + 1)):
-        for n in range(2, min(terms, (limit - 1) // d + 1)):
-            s[d * n] += counts[d] * counts[n]
+    s = sieved(counts[:terms], mul, 0, limit)
     if family == "ame":
         for n in range(4, min(terms, limit)):
             s[n] += cols[2][n]  # pow-rooted trees

@@ -14,7 +14,7 @@ Counting, enumeration, sampling, the shortest-encoding DP, the cache layout
 and the CLI all read this one description.  Every layer that splits a value
 walks the rule's splits(m) afresh: only this module makes split lists, and
 none is stored.  ``CountTable.absorb`` checks every count row a table takes
-in, by the same ``Family.row`` fills use.
+in: the top row by ``Family.row``, every ``*`` and ``^`` count by ``sieved``.
 
 Base case: the bare leaf counts as the single tree for n = 1 and is charged
 to the first gate's class (add); mul- and pow-rooted counts at n = 1 are
@@ -31,7 +31,6 @@ from operator import mul
 from .errors import CacheError, DomainError, Record, require_int
 
 ROOT_ALL = "all"
-CHECK_EVERY = 16  # see CountTable.absorb
 _ROOT_NAMES = {
     "+": "+", "*": "*", "^": "^", "all": "all",
     "add": "+", "mul": "*", "pow": "^",
@@ -113,8 +112,22 @@ def _mirrored_sum(tot, m, copies):
     return copies * half + (tot[k] ** 2 if m % 2 == 0 else 0)
 
 
+def sieved(tot, op, lo, hi) -> list:
+    """For each m in [lo, hi), sum(tot[a] * tot[b]) over 2 <= a, b < len(tot)
+    with op(a, b) == m; op is mul (the Dirichlet product) or pow, which grow
+    in each operand, so each inner loop stops at its first m >= hi."""
+    out = [0] * hi
+    for a in range(2, len(tot)):
+        for b in range(2, len(tot)):
+            if (m := op(a, b)) >= hi:
+                break
+            out[m] += tot[a] * tot[b]
+    return out[lo:]
+
+
 # the additive rules, by how often their splits hold each mirrored pair
 _MIRRORED = {_add_splits: 2, _lop_splits: 1}
+_SIEVED = {_mul_splits: mul, _pow_splits: pow}  # the product rules, by operator
 
 
 class Family(Record):
@@ -134,15 +147,15 @@ class Family(Record):
         columns = (ROOT_ALL,) if len(rules) == 1 else tuple(gate for gate, _ in rules)
         self._init(name=name, rules=rules, columns=columns)
 
-    def row(self, tot, m: int, first: int = 0) -> list:
-        """Counts of value m per root class from rule first on, from the totals
-        list below m: the leaf for m = 1, else sum(tot[l] * tot[r]) per rule."""
+    def row(self, tot, m: int) -> list:
+        """Counts of value m per root class, from the totals list below m:
+        the leaf for m = 1, else sum(tot[l] * tot[r]) per rule."""
         if m == 1:
-            return ([1] + [0] * (len(self.rules) - 1))[first:]
+            return [1] + [0] * (len(self.rules) - 1)
         return [
             _mirrored_sum(tot, m, _MIRRORED[splits]) if splits in _MIRRORED
             else sum(tot[a] * tot[b] for a, b in splits(m))
-            for _, splits in self.rules[first:]
+            for _, splits in self.rules
         ]
 
     def check_root(self, root: str) -> str:
@@ -270,13 +283,12 @@ class CountTable:
         """Install (family, root, n, count) rows, all of them or none.
 
         Raises CacheError, installing nothing, unless every row names a
-        column of the table, no row disagrees with the table or another row,
-        and per family the rows that extend the table's gap-free prefix
-        recompute from the merged totals: the new top row in full, as every
-        lower total is one of its operands, and every CHECK_EVERY-th row
-        above the old watermark but for its additive column, its total less
-        the others (checking that column too would take absorbing a table
-        warmed to 300 from 2.1 to 3.1 ms on a 2-vCPU VM).
+        column of the table, an int index n >= 1 and an int count >= 0, no
+        row disagrees with the table or another row, and per family the rows
+        that extend the table's gap-free prefix recompute from the merged
+        totals: the ``*`` and ``^`` columns of each by ``sieved``, and the
+        new top row in full.  Every lower total is an operand of that row,
+        and a count moved between columns moves a ``*`` or ``^`` count.
         Rows above a gap are dropped unchecked, since a fill would overwrite
         them before any read; the rows kept above the watermark are appended
         as fills append.  Returns the number of rows kept.
@@ -288,8 +300,12 @@ class CountTable:
                     i = FAMILIES[family].columns.index(root)
                 except (KeyError, TypeError, ValueError):
                     raise CacheError(f"unknown count column {family!r}/{root!r}") from None
+                if type(n) is not int or n < 1:
+                    raise CacheError(f"bad index {n!r}")
+                if type(c) is not int or c < 0:
+                    raise CacheError(f"bad count {c!r}")
                 col = self._cols[family][i]
-                known = col[n] if 0 < n < len(col) else above[family][i].setdefault(n, c)
+                known = col[n] if n < len(col) else above[family][i].setdefault(n, c)
                 if known != c:
                     raise CacheError(f"conflicting rows for {family}/{root} at {n}")
             extensions = []
@@ -302,15 +318,17 @@ class CountTable:
                     continue
                 ext = [[col[m] for col in new] for m in range(low + 1, top + 1)]
                 merged = tot + list(map(sum, ext))
-                sampled = range(low // CHECK_EVERY * CHECK_EVERY + CHECK_EVERY, top, CHECK_EVERY)
-                for m, first in [(top, 0), *((m, 1) for m in sampled)]:
-                    if f.row(merged, m, first) != ext[m - low - 1][first:]:
+                sieves = [(i, sieved(merged, _SIEVED[splits], low + 1, top + 1))
+                          for i, (_, splits) in enumerate(f.rules) if splits in _SIEVED]
+                for m, row in enumerate(ext, low + 1):
+                    if any(got[m - low - 1] != row[i] for i, got in sieves) or (
+                            m == top and f.row(merged, m) != row):
                         raise CacheError(f"wrong {name} counts at {m}")
                 extensions.append((tot, self._cols[name], ext))
             for tot, cols, ext in extensions:
                 for row in ext:
                     self._append(tot, cols, row)
-            return sum(1 <= n < len(self._tot[family]) for family, _, n, _ in rows)
+            return sum(n < len(self._tot[family]) for family, _, n, _ in rows)
 
 
 _DEFAULT = CountTable()

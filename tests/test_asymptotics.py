@@ -12,6 +12,7 @@ from formula_forge import (
     NonConvergence,
     constant_estimate,
     count_am,
+    count_ame,
     rho_estimate,
 )
 from formula_forge.asymptotics import _coefficients, _cut, _descending, _horner, _polish
@@ -50,10 +51,25 @@ def test_cut_drops_less_than_the_guard_bound(family, terms, bits, denominator, d
     assert 0 <= dropped < Fraction(1, 2 ** (bits + 16))
 
 
+def _plain_coefficients(family, terms):
+    """S by the plain double loop over every product d * n, 2 <= d, n < T,
+    plus the pow-rooted trees of each value below T for ame."""
+    count = count_am if family == "am" else count_ame
+    s = [0] * ((terms - 1) ** 2 + 1)
+    for d in range(2, terms):
+        for n in range(2, terms):
+            s[d * n] += count(d) * count(n)
+    if family == "ame":
+        for n in range(2, terms):
+            s[n] += count_ame(n, "^")
+    return s
+
+
 @settings(max_examples=30, deadline=None)
-@given(family=st.sampled_from(["am", "ame"]), terms=st.integers(8, 60), data=st.data())
+@given(family=st.sampled_from(["am", "ame"]), terms=st.integers(8, 150), data=st.data())
 def test_coefficients_below_a_degree_limit_are_a_prefix(family, terms, data):
     full = _coefficients(family, terms)
+    assert full == _plain_coefficients(family, terms)
     limit = data.draw(st.integers(1, len(full)), label="limit")
     assert _coefficients(family, terms, limit) == full[:limit]
 

@@ -12,7 +12,7 @@ import pytest
 import formula_forge
 from formula_forge import canonical, cli, enumeration, graph, sieve
 from formula_forge import parse_prefix, evaluate, is_strict
-from formula_forge.cache import ENV_VAR
+from formula_forge.cache import ENV_VAR, save_table
 from formula_forge.cli import main
 
 
@@ -683,6 +683,28 @@ def test_cache_with_a_wrong_count_is_rejected(tmp_path):
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
     assert json.loads(path.read_text())["entries"] == rows
+
+
+def test_cache_with_counts_shifted_between_roots_is_rejected(tmp_path):
+    # 1 moved from am's * column to its + column at 6 keeps the total, and
+    # count 6 --gates am --root add would print 49 where the count is 48
+    path = tmp_path / "counts.json"
+    table = formula_forge.CountTable()
+    table.count("am", 20)
+    save_table(str(path), table)
+    data = json.loads(path.read_text())
+    for row in data["entries"]:
+        if row[0] == "am" and row[2] == 6:
+            row[3] = str(int(row[3]) + (1 if row[1] == "+" else -1))
+    path.write_text(json.dumps(data))
+    saved = path.read_bytes()
+    for proc in (_run_child(tmp_path, "count", "6", "--gates", "am", "--root", "add",
+                            cache=path),
+                 _run_child(tmp_path, "cache", "load", str(path))):
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error:")
+        assert proc.stdout == ""
+    assert path.read_bytes() == saved
 
 
 def test_env_cache_round_trip(capsys, tmp_path, monkeypatch):

@@ -19,8 +19,8 @@ from formula_forge import (
 )
 from formula_forge.cache import load_table, save_table
 from formula_forge.counting import (
-    CHECK_EVERY, FAMILIES, Family, default_table, exact_root, exponent_candidates,
-    mid_divisors,
+    _SIEVED, FAMILIES, Family, default_table, exact_root, exponent_candidates,
+    mid_divisors, sieved,
 )
 
 
@@ -174,15 +174,17 @@ _FILLED = CountTable()  # every family filled to 400 by the first example
 
 
 @settings(max_examples=200, deadline=None)
-@given(family=st.sampled_from(list(FAMILIES.values())), m=st.integers(2, 400),
-       data=st.data())
-def test_row_equals_the_sum_over_every_split(family, m, data):
-    """Family.row multiplies each mirrored additive pair once; it must equal
-    the plain sum over every split pair, for every rule from `first` on."""
-    first = data.draw(st.integers(0, len(family.rules) - 1), label="first")
+@given(family=st.sampled_from(list(FAMILIES.values())), m=st.integers(2, 400))
+def test_row_equals_the_sum_over_every_split(family, m):
+    """Family.row multiplies each mirrored additive pair once, and sieved
+    gives a product rule's count for a range of rows; both must equal the
+    plain sum over every split pair."""
     tot, _ = _FILLED.filled(family, 400)
-    plain = [sum(tot[a] * tot[b] for a, b in splits(m)) for _, splits in family.rules[first:]]
-    assert family.row(tot, m, first) == plain
+    plain = [sum(tot[a] * tot[b] for a, b in splits(m)) for _, splits in family.rules]
+    assert family.row(tot, m) == plain
+    for (_, splits), want in zip(family.rules, plain):
+        if splits in _SIEVED:
+            assert sieved(tot[:401], _SIEVED[splits], m, m + 1) == [want]
 
 
 # -- cache files are checked for values, not only for shape ----------------
@@ -239,13 +241,41 @@ def test_cache_rejects_any_one_changed_count(sizes, data):
 
 
 def test_cache_rejects_counts_shifted_between_roots():
-    rows = _saved_rows(_filled_table({"am": 3 * CHECK_EVERY}))
-    m = 2 * CHECK_EVERY  # a sampled row, below the top; the total stays
-    for row in rows:
-        if row[0] == "am" and row[2] == m:
-            row[3] = str(int(row[3]) + (1 if row[1] == "+" else -1))
+    # a move between two root columns keeps the row's total, so only the
+    # * and ^ columns, which every row's check recomputes, can show it
+    rows = _saved_rows(_filled_table({"am": 40, "ame": 40}))
+    table = CountTable()
+    before = table.entries()
+    for family in ("am", "ame"):
+        cells = {(row[1], row[2]): row for row in rows if row[0] == family}
+        for (donor, m), row in cells.items():
+            for taker in FAMILIES[family].columns:
+                if taker == donor or row[3] == "0":
+                    continue
+                other = cells[taker, m]
+                row[3], other[3] = str(int(row[3]) - 1), str(int(other[3]) + 1)
+                with pytest.raises(CacheError):
+                    _load_rows_into(table, rows)
+                assert table.entries() == before
+                row[3], other[3] = str(int(row[3]) + 1), str(int(other[3]) - 1)
+
+
+@pytest.mark.parametrize("row", [
+    ("a", "all", 1.0, 1),
+    ("a", "all", True, 1),
+    ("a", "all", 0, 1),
+    ("a", "all", -1, 1),
+    ("a", "all", 2, 1.0),  # the right value, but save_table would write "1.0"
+    ("a", "all", 2, True),
+    ("a", "all", 2, "1"),
+], ids=["float-index", "bool-index", "zero-index", "negative-index", "float-count",
+        "bool-count", "str-count"])
+def test_absorb_refuses_a_row_that_is_not_an_int_index_and_count(row):
+    table = CountTable()
+    before = table.entries()
     with pytest.raises(CacheError):
-        _load_rows(rows)
+        table.absorb([row])
+    assert table.entries() == before
 
 
 def test_cache_rejects_conflicting_rows():
