@@ -57,6 +57,8 @@ MAX_ITERATIONS = 5000
 MAX_PRECISION_BITS = 3000
 _NOTATIONS = ("brackets", "prefix", "postfix")
 _ROOT_WORDS = {"+": "add", "*": "mul", "^": "pow"}
+# the fewest and most operands of each `goodstein` and `horner` mode
+_OPERANDS = {"levels": (0, 1), "encode": (1, 1), "add": (2, 2), "mul": (2, 2), "pow": (2, 2)}
 
 
 def _emit(obj):
@@ -154,7 +156,9 @@ def _gs_json(form):
     return {"value": str(gs_value(form)), "text": str(form)}
 
 
-def _emit_levels(t, exprs):
+def _emit_levels(levels, args):
+    t = args.operands[0] if args.operands else 1
+    exprs = levels(t, force=args.unsafe)
     _emit({"t": t, "count": len(exprs), "expressions": [_expr_json(e) for e in exprs]})
     return 0
 
@@ -163,19 +167,20 @@ def _cmd_goodstein(args):
     from .canonical import encode_goodstein, g_add, g_mul, g_pow, goodstein_levels
 
     if args.mode == "levels":
-        return _emit_levels(args.t, goodstein_levels(args.t, force=args.unsafe))
+        return _emit_levels(goodstein_levels, args)
     if args.mode == "encode":
-        form = encode_goodstein(args.a)
-        _emit({"n": str(args.a), **_gs_json(form)})
+        (n,) = args.operands
+        _emit({"n": str(n), **_gs_json(encode_goodstein(n))})
         return 0
-    fa, fb = encode_goodstein(args.a), encode_goodstein(args.b)
+    a, b = args.operands
+    fa, fb = encode_goodstein(a), encode_goodstein(b)
     if args.mode == "pow":
         result = g_pow(fa, fb, force=args.unsafe)
     elif args.mode == "mul":
         result = g_mul(fa, fb, force=args.unsafe)
     else:
         result = g_add(fa, fb)
-    _emit({"op": args.mode, "a": str(args.a), "b": str(args.b), **_gs_json(result)})
+    _emit({"op": args.mode, "a": str(a), "b": str(b), **_gs_json(result)})
     return 0
 
 
@@ -183,8 +188,9 @@ def _cmd_horner(args):
     from .canonical import encode_horner, horner_levels
 
     if args.mode == "levels":
-        return _emit_levels(args.t, horner_levels(args.t, force=args.unsafe))
-    _emit({"n": str(args.a), **_expr_json(encode_horner(args.a))})
+        return _emit_levels(horner_levels, args)
+    (n,) = args.operands
+    _emit({"n": str(n), **_expr_json(encode_horner(n))})
     return 0
 
 
@@ -192,10 +198,10 @@ def _cmd_sieve(args):
     from .sieve import (PRIME_COUNTS, check_rationals, dyadic_steps, rational_set, run_sieve,
                         scf_coarse)
 
+    bounds = [1 if b is None else b for b in (args.exponent_bound, args.factor_bound)]
     steps = dyadic_steps(args.levels, args.coarse, args.unsafe)
     if args.rationals and steps < len(PRIME_COUNTS):  # refuse before the sieve runs
-        check_rationals(PRIME_COUNTS[steps], args.exponent_bound, args.factor_bound,
-                        args.unsafe)
+        check_rationals(PRIME_COUNTS[steps], *bounds, args.unsafe)
     state = (scf_coarse if args.coarse else run_sieve)(args.levels, force=args.unsafe)
     out = {
         "levels": args.levels,
@@ -207,8 +213,7 @@ def _cmd_sieve(args):
     if args.integers:
         out["integers"] = [_expr_json(e) for e in state.integers]
     if args.rationals:
-        rationals = rational_set(state, args.exponent_bound, args.factor_bound,
-                                 force=args.unsafe)
+        rationals = rational_set(state, *bounds, force=args.unsafe)
         out["rationals"] = [_expr_json(r) for r in rationals]
     _emit(out)
     return 0
@@ -283,8 +288,8 @@ def _cmd_cache(args):
     from .cache import load_table, save_table
 
     if args.mode == "save":
-        check_cap(args.warm, MAX_WARM_VALUE, f"cache --warm {args.warm}", args.unsafe)
         if args.warm:
+            check_cap(args.warm, MAX_WARM_VALUE, f"cache --warm {args.warm}", args.unsafe)
             for name in FAMILIES:
                 default_table().count(name, args.warm)
         rows = save_table(args.path)
@@ -331,22 +336,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--notation", choices=_NOTATIONS, default="brackets")
 
     p = sub.add_parser("shortest", help="minimal strict encoding of n")
-    p.add_argument("n", type=int, nargs="?")
-    p.add_argument("--upto", type=int, default=None,
-                   help="all entries 1..N, one JSON line each")
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("n", type=int, nargs="?")
+    one.add_argument("--upto", type=int, help="all entries 1..N, one JSON line each")
     p.set_defaults(func=_cmd_shortest)
 
     p = sub.add_parser("goodstein", help="hereditary base-x normal forms")
-    p.add_argument("mode", choices=["levels", "encode", "add", "mul", "pow"])
-    p.add_argument("a", type=int, nargs="?")
-    p.add_argument("b", type=int, nargs="?")
-    p.add_argument("-t", type=int, default=None, help="level for mode=levels (default 1)")
+    p.add_argument("mode", choices=list(_OPERANDS))
+    p.add_argument("operands", type=int, nargs="*",
+                   help="levels [t]: the level t (default 1); encode n; add, mul, pow a b")
     p.set_defaults(func=_cmd_goodstein)
 
     p = sub.add_parser("horner", help="Horner-style canonical encodings")
     p.add_argument("mode", choices=["levels", "encode"])
-    p.add_argument("a", type=int, nargs="?")
-    p.add_argument("-t", type=int, default=None, help="level for mode=levels (default 1)")
+    p.add_argument("operands", type=int, nargs="*",
+                   help="levels [t]: the level t (default 1); encode n")
     p.set_defaults(func=_cmd_horner)
 
     p = sub.add_parser("sieve", help="prime discovery by encoding completion")
@@ -357,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include the full integer encoding table")
     p.add_argument("--rationals", action="store_true",
                    help="include signed-exponent prime products")
-    p.add_argument("--exponent-bound", type=int, default=1)
-    p.add_argument("--factor-bound", type=int, default=1)
+    p.add_argument("--exponent-bound", type=int, help="with --rationals (default 1)")
+    p.add_argument("--factor-bound", type=int, help="with --rationals (default 1)")
     p.set_defaults(func=_cmd_sieve)
 
     rho = sub.add_parser("rho", help="growth base of a counting sequence")
@@ -382,8 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cache", help="save or load the count cache")
     p.add_argument("mode", choices=["save", "load"])
     p.add_argument("path")
-    p.add_argument("--warm", type=int, default=0,
-                   help="fill all families up to N before saving")
+    p.add_argument("--warm", type=int, help="save only: fill all families up to N first")
     p.set_defaults(func=_cmd_cache)
 
     for p in sub.choices.values():
@@ -396,29 +399,18 @@ def _check_required(args, parser):
     for flag in ("limit", "count"):
         if (getattr(args, flag, None) or 0) < 0:
             parser.error(f"--{flag} must be >= 0")
-    if args.command == "shortest":
-        if args.n is None and args.upto is None:
-            parser.error("shortest needs n or --upto")
-        if args.n is not None and args.upto is not None:
-            parser.error("shortest takes n or --upto, not both")
-    if args.command == "goodstein":
-        if args.mode in ("encode", "add", "mul", "pow") and args.a is None:
-            parser.error(f"goodstein {args.mode} needs an operand")
-        if args.mode in ("add", "mul", "pow") and args.b is None:
-            parser.error(f"goodstein {args.mode} needs two operands")
-        if args.mode in ("encode", "levels") and args.b is not None:
-            parser.error(f"goodstein {args.mode} takes one operand")
-    if args.command == "horner" and args.mode == "encode" and args.a is None:
-        parser.error("horner encode needs an operand")
-    if args.command in ("goodstein", "horner") and args.mode != "levels" and args.t is not None:
-        parser.error(f"{args.command} {args.mode} takes no -t")
-    if args.command in ("goodstein", "horner") and args.mode == "levels":
-        if args.a is not None and args.t is not None:
-            parser.error(f"{args.command} levels takes the level or -t, not both")
-        if args.a is not None:
-            args.t = args.a
-        elif args.t is None:
-            args.t = 1
+    if args.command in ("goodstein", "horner"):
+        fewest, most = _OPERANDS[args.mode]
+        if not fewest <= len(args.operands) <= most:
+            amount = str(most) if fewest == most else f"at most {most}"
+            noun = "operand" if most == 1 else "operands"
+            parser.error(f"{args.command} {args.mode} takes {amount} {noun}")
+    # options that only one mode or flag reads
+    if args.command == "cache" and args.mode == "load" and args.warm is not None:
+        parser.error("cache load takes no --warm")
+    for bound in ("exponent_bound", "factor_bound"):
+        if getattr(args, bound, None) is not None and not args.rationals:
+            parser.error(f"--{bound.replace('_', '-')} needs --rationals")
 
 
 def _reads_counts(args):

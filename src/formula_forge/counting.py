@@ -295,6 +295,7 @@ class CountTable:
         """
         with self._lock:
             above = {name: [{} for _ in f.columns] for name, f in FAMILIES.items()}
+            indices = []  # (family, n) of every row, to count the kept ones
             for family, root, n, c in rows:
                 try:
                     i = FAMILIES[family].columns.index(root)
@@ -308,6 +309,7 @@ class CountTable:
                 known = col[n] if n < len(col) else above[family][i].setdefault(n, c)
                 if known != c:
                     raise CacheError(f"conflicting rows for {family}/{root} at {n}")
+                indices.append((family, n))
             extensions = []
             for name, f in FAMILIES.items():
                 tot, new = self._tot[name], above[name]
@@ -328,7 +330,7 @@ class CountTable:
             for tot, cols, ext in extensions:
                 for row in ext:
                     self._append(tot, cols, row)
-            return sum(n < len(self._tot[family]) for family, _, n, _ in rows)
+            return sum(n < len(self._tot[family]) for family, n in indices)
 
 
 _DEFAULT = CountTable()

@@ -209,7 +209,8 @@ def test_goodstein_arithmetic(capsys):
 def test_goodstein_levels(capsys):
     got = run_json(capsys, "goodstein", "levels", "2")
     assert got["count"] == 255
-    assert run_json(capsys, "goodstein", "levels", "-t", "1")["count"] == 7
+    got = run_json(capsys, "goodstein", "levels")
+    assert (got["t"], got["count"]) == (1, 7)
 
 
 def test_goodstein_guards(capsys):
@@ -782,25 +783,44 @@ def test_env_cache_rewritten_when_rows_are_added(capsys, tmp_path, monkeypatch):
 
 # usage plumbing
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(capsys, tmp_path):
+    cache = str(tmp_path / "counts.json")
+    save_table(cache)  # a file `cache load` reads, so only --warm is wrong
     for argv in (
         [],
         ["list", "3", "--gates", "xyz"],
         ["nope"],
         ["list", "5", "--limit", "-3"],
         ["sample", "5", "--count", "-2"],
-        # a value given twice, positionally and by flag
+        # shortest takes n or --upto, exactly one
+        ["shortest"],
         ["shortest", "5", "--upto", "3"],
+        # there is no -t: goodstein and horner take the level as an operand
         ["goodstein", "levels", "1", "-t", "2"],
         ["horner", "levels", "1", "-t", "2"],
-        # an operand the mode does not use
-        ["goodstein", "encode", "5", "7"],
+        # an operand count the mode does not take: too few, then too many
         ["goodstein", "levels", "1", "2"],
+        ["goodstein", "encode"],
+        ["goodstein", "encode", "5", "7"],
+        ["goodstein", "add", "2"],
+        ["goodstein", "add", "2", "3", "4"],
+        ["goodstein", "mul", "2"],
+        ["goodstein", "mul", "2", "3", "4"],
+        ["goodstein", "pow"],
+        ["goodstein", "pow", "2", "3", "4"],
+        ["horner", "levels", "1", "2"],
+        ["horner", "encode"],
+        ["horner", "encode", "5", "7"],
+        # an option that the mode or the flags given do not read
+        ["cache", "load", cache, "--warm", "50"],
+        ["sieve", "--levels", "3", "--exponent-bound", "3"],
+        ["sieve", "--levels", "3", "--factor-bound", "2"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
-        assert exc.value.code == 2
-        capsys.readouterr()
+        assert exc.value.code == 2, argv
+        out, _ = capsys.readouterr()
+        assert out == "", argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -814,7 +834,23 @@ def test_t_outside_levels_is_a_usage_error(capsys, argv):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert "takes no -t" in err
+    assert f"unrecognized arguments: -t {argv[-1]}" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["goodstein", "add", "2"], "goodstein add takes 2 operands"),
+    (["goodstein", "levels", "1", "2"], "goodstein levels takes at most 1 operand"),
+    (["horner", "encode"], "horner encode takes 1 operand"),
+    (["goodstein", "levels", "-t", "2"], "unrecognized arguments: -t 2"),
+    (["shortest"], "one of the arguments n --upto is required"),
+    (["shortest", "5", "--upto", "3"], "argument --upto: not allowed with argument n"),
+    (["cache", "load", "counts.json", "--warm", "50"], "cache load takes no --warm"),
+    (["sieve", "--factor-bound", "2"], "--factor-bound needs --rationals"),
+])
+def test_usage_error_messages(capsys, argv, message):
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert message in capsys.readouterr().err
 
 
 def test_version(capsys):

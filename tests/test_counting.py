@@ -323,6 +323,17 @@ def test_cache_rows_above_a_gap_are_dropped():
     assert table.am(50, "+") == count_am(50, "+")
 
 
+def test_absorb_counts_an_iterator_of_rows_as_it_counts_a_list():
+    # absorb walks its rows once, so an iterator is counted as the list is;
+    # the row above the gap at 11-49 is dropped and not counted either way
+    rows = _filled_table({"am": 10, "a": 6}).entries()
+    above_a_gap = ("am", "+", 50, count_am(50, "+") + 7)
+    for given in (rows, rows + [above_a_gap]):
+        table = CountTable()
+        assert table.absorb(iter(given)) == CountTable().absorb(given) == len(rows)
+        assert table.entries() == rows
+
+
 def test_cache_conflicting_with_the_table_is_rejected_whole():
     # the file's am rows are right and its one a row agrees with nothing in
     # the file, but the table already holds a(3) = 2: nothing is installed
