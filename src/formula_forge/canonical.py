@@ -12,18 +12,18 @@ MAX_MUL_PAIRS; powers square by the same count over unordered pairs, and
 their result is capped at MAX_POW_BITS bits.  force=True lifts these caps
 and the level caps.
 
-The Horner side builds level lists of even/odd/power shorthand expressions
-and a direct encoder that peels factors of x.
+Each form has one builder, its encoder: encode_goodstein, or encode_horner,
+which peels factors of x.  The level sets take every expression from them.
 """
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 
 from .errors import (DomainError, LevelTooLarge, MagnitudeError, SizeGuard, check_cap, nested,
                      require_int)
-from .symexpr import (CACHE_CLEARS, ONE, X, Interned, Prod, Sum, SymExpr, sym_pow, sym_prod,
-                      sym_sum, sym_value)
+from .symexpr import CACHE_CLEARS, ONE, X, Interned, Prod, Sum, SymExpr, sym_pow, sym_value
 
 
 class GoodsteinForm(Interned):
@@ -49,7 +49,7 @@ MAX_MUL_PAIRS = 1 << 21
 # bits of a g_pow result: str() of a 2^20-bit value takes 1.8 s on a 2-vCPU VM
 MAX_POW_BITS = 1 << 20
 # level sets: goodstein level 3 would hold 2^256 - 1 expressions, and
-# horner level 5 runs past two minutes (level 4 holds 385 expressions)
+# horner level 4 holds values near 2^(2^65536), too large for an int
 MAX_GOODSTEIN_LEVEL = 2
 MAX_HORNER_LEVEL = 3
 
@@ -202,57 +202,57 @@ def gs_to_symexpr(f: GoodsteinForm) -> SymExpr:
 
 
 def _gs_to_symexpr(f):
-    return sym_sum([ONE if e is ZERO else sym_pow(X, _gs_to_symexpr(e)) for e in f.exponents])
+    """f's Sum node, or its lone term: the terms descend by value as the
+    exponents do, so this is the node sym_sum would sort them into."""
+    terms = [ONE if e is ZERO else sym_pow(X, _gs_to_symexpr(e)) for e in f.exponents]
+    return Sum(tuple(terms)) if len(terms) > 1 else terms[0]
 
 
 def goodstein_levels(t: int, force: bool = False) -> list:
     """Level sets of normal-form expressions, doubling-tower sized.
 
-    Level 0 is [1, x].  Each round replaces the level N by all nonempty
-    subset sums of {1} + {x^n : n in N}.  Level 1 has 7 expressions
-    (values 1..7), level 2 has 255 (values 1..255); level 3 would have
-    2^256 - 1, so t > MAX_GOODSTEIN_LEVEL is refused unless force=True.
+    Level 0 is [1, x].  Each round replaces the level L by all nonempty
+    subset sums of {1} + {x^n : n in L}, by their bit masks.  L holds the
+    values 1..|L| in order, so pool term k is worth 2^k and mask m sums to
+    m: mask order is value order, and level t is the normal forms of 1..N_t
+    with N_0 = 2 and N_(t+1) = 2^(N_t + 1) - 1.  Level 1 has 7 expressions,
+    level 2 has 255, and level 3 would have 2^256 - 1, so
+    t > MAX_GOODSTEIN_LEVEL is refused unless force=True.
     """
     check_cap(require_int(t, 0, "level"), MAX_GOODSTEIN_LEVEL, f"goodstein level {t}",
               force, LevelTooLarge)
-    level = [ONE, X]
+    top = 2
     for _ in range(t):
-        pool = [ONE] + [sym_pow(X, e) for e in level]
-        level = []
-        for mask in range(1, 1 << len(pool)):
-            picked = [pool[i] for i in range(len(pool)) if mask >> i & 1]
-            level.append(sym_sum(picked))
-    return level
+        top = (1 << top + 1) - 1
+    return [_gs_to_symexpr(_encode(n)) for n in range(1, top + 1)]
 
 
 def horner_levels(t: int, force: bool = False) -> list:
     """Horner-style level list: every value gets exactly one expression.
 
-    State at level k is (N, LE, LO, LP): all expressions so far, the new
-    even ones, the new odd ones, and the accumulated pure powers.  One step:
+    State at level k is (N, LE, LO, LP): all values so far, the new even
+    ones, the new odd ones, and the accumulated pure powers.  One step:
 
         LE' = {m * n : m in LP, n in LO} + {x^m : m in LE + LO}
         LO' = {n + 1 : n in LE}
         LP' = LP + {x^m : m in LE + LO}
 
-    Level 0 is [1, x, x + 1, x^x]; level 1 adds values {5, 6, 8, 12, 16}.
-    t > MAX_HORNER_LEVEL is refused unless force=True.
+    It runs on values, and each expression is encode_horner's, the shape
+    the step gives it.  Level 0 is [1, x, x + 1, x^x]; level 1 adds values
+    {5, 6, 8, 12, 16}.  t > MAX_HORNER_LEVEL is refused unless force=True,
+    and a forced t > 3 raises MagnitudeError: level 4 is past an int.
     """
     check_cap(require_int(t, 0, "level"), MAX_HORNER_LEVEL, f"horner level {t}",
               force, LevelTooLarge)
-    xx = sym_pow(X, X)
-    n_all = [ONE, X, sym_sum([X, ONE]), xx]
-    le = [xx]
-    lo = [sym_sum([X, ONE])]
-    lp = [X, xx]
+    n_all, le, lo, lp = [1, 2, 3, 4], [4], [3], [2, 4]
     for _ in range(t):
-        le1 = [sym_prod([m, n]) for m in lp for n in lo]
-        le1 += [sym_pow(X, m) for m in le + lo]
-        lo1 = [sym_sum([n, ONE]) for n in le]
-        lp1 = lp + [sym_pow(X, m) for m in le + lo]
-        n_all = n_all + le1 + lo1
-        le, lo, lp = le1, lo1, lp1
-    return n_all
+        if max(le + lo) > sys.maxsize:  # 1 << m would pass the int size limit
+            raise MagnitudeError(f"horner level {t} holds values too large to build")
+        powers = [1 << m for m in le + lo]
+        le, lo = [m * n for m in lp for n in lo] + powers, [n + 1 for n in le]
+        lp = lp + powers
+        n_all += le + lo
+    return [encode_horner(v) for v in n_all]
 
 
 def encode_horner(n: int) -> SymExpr:

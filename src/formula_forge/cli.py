@@ -392,25 +392,30 @@ def build_parser() -> argparse.ArgumentParser:
     for p in sub.choices.values():
         p.add_argument("--unsafe", action="store_true",
                        help="allow a request beyond the size guard (exit 4)")
+        p.set_defaults(parser=p)
     return parser
 
 
-def _check_required(args, parser):
+def _check_required(args, extra):
+    """Usage errors past argparse's, `extra` the arguments it did not know;
+    each goes through the subcommand's parser, which prints its usage."""
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     for flag in ("limit", "count"):
         if (getattr(args, flag, None) or 0) < 0:
-            parser.error(f"--{flag} must be >= 0")
+            args.parser.error(f"--{flag} must be >= 0")
     if args.command in ("goodstein", "horner"):
         fewest, most = _OPERANDS[args.mode]
         if not fewest <= len(args.operands) <= most:
             amount = str(most) if fewest == most else f"at most {most}"
             noun = "operand" if most == 1 else "operands"
-            parser.error(f"{args.command} {args.mode} takes {amount} {noun}")
+            args.parser.error(f"{args.command} {args.mode} takes {amount} {noun}")
     # options that only one mode or flag reads
     if args.command == "cache" and args.mode == "load" and args.warm is not None:
-        parser.error("cache load takes no --warm")
+        args.parser.error("cache load takes no --warm")
     for bound in ("exponent_bound", "factor_bound"):
         if getattr(args, bound, None) is not None and not args.rationals:
-            parser.error(f"--{bound.replace('_', '-')} needs --rationals")
+            args.parser.error(f"--{bound.replace('_', '-')} needs --rationals")
 
 
 def _reads_counts(args):
@@ -455,9 +460,8 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _check_required(args, parser)
+    args, extra = build_parser().parse_known_args(argv)
+    _check_required(args, extra)
     # lift the 4,300-digit str() limit of 3.10.7 on for the results, and put
     # the caller's limit back; the operands were parsed under it
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()

@@ -155,7 +155,7 @@ def sym_value(e: SymExpr):
             x = sym_value(e.exponent)
             if isinstance(x, int) and x >= 0:
                 return b**x
-            if x < 0:
+            if x < 0 and x.denominator == 1:  # x^(-3/2) is no rational
                 from fractions import Fraction  # only Neg exponents need it
 
                 return Fraction(1, b ** int(-x))

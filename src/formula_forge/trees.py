@@ -12,15 +12,25 @@ root-to-leaf path.  A tree is *strict* when no subterm is 1*f, f*1, f^1 or
 
 from __future__ import annotations
 
-from .errors import DomainError, MalformedString, nested
+from .errors import DomainError, FormulaForgeError, MalformedString, nested
 
 ADD, MUL, POW = "+", "*", "^"
 GATES = (ADD, MUL, POW)
 
 
+def _walk(walk, tree, verb):
+    """nested(walk, tree, "tree", verb), and DomainError for a non-tree."""
+    try:
+        return nested(walk, tree, "tree", verb)
+    except FormulaForgeError:
+        raise
+    except (TypeError, ValueError, LookupError) as exc:
+        raise DomainError(f"not a formula tree: {exc}") from None
+
+
 def evaluate(tree) -> int:
     """Value of the formula, in exact big ints; SizeGuard on deep nesting."""
-    return nested(_evaluate, tree, "tree", "evaluate")
+    return _walk(_evaluate, tree, "evaluate")
 
 
 def _evaluate(tree):
@@ -39,7 +49,7 @@ def _evaluate(tree):
 
 def size(tree) -> int:
     """Node count; odd, equal to 2*leaf_count(tree) - 1."""
-    return nested(_size, tree, "tree", "measure")
+    return _walk(_size, tree, "measure")
 
 
 def _size(tree):
@@ -50,7 +60,7 @@ def _size(tree):
 
 def depth(tree) -> int:
     """Longest root-to-leaf path; 0 for the bare leaf."""
-    return nested(_depth, tree, "tree", "measure")
+    return _walk(_depth, tree, "measure")
 
 
 def _depth(tree):
@@ -65,7 +75,7 @@ def leaf_count(tree) -> int:
 
 def is_strict(tree) -> bool:
     """True when no subterm is 1*f, f*1, f^1 or 1^f."""
-    return nested(_is_strict, tree, "tree", "check")
+    return _walk(_is_strict, tree, "check")
 
 
 def _is_strict(tree):
@@ -79,20 +89,17 @@ def _is_strict(tree):
 
 def validate(tree) -> None:
     """Raise DomainError unless tree is a well-formed formula tree."""
-    nested(_validate, tree, "tree", "check")
+    _walk(_validate, tree, "check")
 
 
 def _validate(tree):
     if tree == 1 and type(tree) is int:  # not 1.0 or True
         return
-    if (
-        not isinstance(tree, tuple)
-        or len(tree) != 3
-        or tree[0] not in GATES
-    ):
-        raise DomainError(f"not a formula tree: {tree!r}")
-    _validate(tree[1])
-    _validate(tree[2])
+    gate, left, right = tree  # a value of another length faults
+    if not isinstance(tree, tuple) or gate not in GATES:
+        raise DomainError(f"not a formula tree: a {type(tree).__name__} with gate {gate!r}")
+    _validate(left)
+    _validate(right)
 
 
 def to_prefix(tree) -> str:
@@ -100,6 +107,10 @@ def to_prefix(tree) -> str:
 
     to_prefix(('+', 1, 1)) == '+11'
     """
+    return _walk(_to_prefix, tree, "print")
+
+
+def _to_prefix(tree):
     parts, pending = [], []  # pending: gates whose right operand is still due
     while True:
         if tree == 1:
@@ -147,7 +158,7 @@ def parse_postfix(text: str):
 
 def to_brackets(tree):
     """Nested-list form for JSON: ('+', 1, 1) -> ['+', 1, 1]."""
-    return nested(_to_brackets, tree, "tree", "print")
+    return _walk(_to_brackets, tree, "print")
 
 
 def _to_brackets(tree):

@@ -1,6 +1,7 @@
 """Hereditary base-x normal forms, their arithmetic, and the level lists."""
 
 import random
+import time
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 
@@ -92,6 +93,26 @@ def test_str_goldens():
 def test_symexpr_view_matches_value():
     for n in range(1, 300):
         assert sym_value(gs_to_symexpr(encode_goodstein(n))) == n
+
+
+def _sym_sum_view(f):
+    """f's expression with each sum sorted by sym_sum: the node that
+    gs_to_symexpr, building each Sum in the form's own order, must give."""
+    return sym_sum([ONE if e is ZERO else sym_pow(X, _sym_sum_view(e)) for e in f.exponents])
+
+
+def test_symexpr_view_is_the_sym_sum_node():
+    forms = [encode_goodstein(n) for n in range(1, 1 << 12)]
+    rng = random.Random(4096)
+    for _ in range(50):
+        a, b = (encode_goodstein(rng.randint(1, 10**6)) for _ in range(2))
+        forms.append(g_mul(a, b))
+    for a in (2, 3, 7):
+        for b in (5, 13, 100):
+            forms.append(g_pow(encode_goodstein(a), encode_goodstein(b)))
+    forms.append(g_pow(encode_goodstein(3), encode_goodstein(2000)))
+    for f in forms:
+        assert gs_to_symexpr(f) is _sym_sum_view(f)
 
 
 def test_deep_forms_are_too_deep_to_walk():
@@ -328,6 +349,14 @@ def test_horner_level_guard():
         horner_levels(4)
     with pytest.raises(DomainError):
         horner_levels(-2)
+
+
+def test_forced_horner_level_four_is_a_magnitude_guard():
+    # level 4 holds values near 2^(2^65536): refused at once, not built
+    start = time.perf_counter()
+    with pytest.raises(MagnitudeError):
+        horner_levels(4, force=True)
+    assert time.perf_counter() - start < 1
 
 
 # direct Horner encoder

@@ -391,6 +391,15 @@ def test_horner_encode_too_deep_to_render(tmp_path):
     assert proc.stdout == ""
 
 
+def test_forced_horner_level_four_is_a_magnitude_guard(tmp_path):
+    # level 4 holds values near 2^(2^65536): refused at once, not built
+    proc = _run_child(tmp_path, "horner", "levels", "4", "--unsafe")
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("guard:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_horner_encode_2_128_minus_1_prints(tmp_path):
     n = 2**128 - 1  # nests 256 levels deep
     proc = _run_child(tmp_path, "horner", "encode", str(n))
@@ -848,9 +857,12 @@ def test_t_outside_levels_is_a_usage_error(capsys, argv):
     (["sieve", "--factor-bound", "2"], "--factor-bound needs --rationals"),
 ])
 def test_usage_error_messages(capsys, argv, message):
+    # the usage printed, and the prefix of the error line, are the subcommand's
     with pytest.raises(SystemExit):
         main(argv)
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: formula-forge {argv[0]} [-h]")
+    assert f"formula-forge {argv[0]}: error: {message}\n" in err
 
 
 def test_version(capsys):

@@ -33,6 +33,12 @@ def test_values():
     assert sym_value(Pow(sym_sum([X, ONE]), Neg(X))) == Fraction(1, 9)
 
 
+def test_a_fractional_negative_exponent_has_no_value():
+    # x^(-x + x^(-1)) is 2^(-3/2), no rational: refused, not read as 2^(-1)
+    with pytest.raises(DomainError, match="unsupported exponent value"):
+        sym_value(Pow(X, Sum((Neg(X), Pow(X, Neg(ONE))))))
+
+
 def test_constructor_canonicalization():
     # sums sort descending by value and flatten
     s = sym_sum([ONE, sym_sum([X, sym_pow(X, X)])])

@@ -123,6 +123,15 @@ def test_brackets():
         from_brackets(["&", 1, 1])
 
 
+@pytest.mark.parametrize("walk", [
+    evaluate, size, depth, leaf_count, is_strict, validate, to_brackets, to_prefix, to_postfix,
+])
+@pytest.mark.parametrize("value", [2, None, ("+", 1), "11"])
+def test_every_walker_refuses_a_value_that_is_no_tree(walk, value):
+    with pytest.raises(DomainError, match="not a formula tree"):
+        walk(value)
+
+
 def test_nesting_past_the_recursion_limit_is_a_size_guard():
     # == on tuples this deep recurses in the interpreter, so compare tokens
     text = "+1" * (3 * _LIMIT) + "1"
