@@ -19,7 +19,7 @@ which peels factors of x.  The level sets take every expression from them.
 from __future__ import annotations
 
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import (DomainError, LevelTooLarge, MagnitudeError, SizeGuard, check_cap, nested,
                      require_int)
@@ -198,33 +198,38 @@ def gs_to_symexpr(f: GoodsteinForm) -> SymExpr:
     """
     if f is ZERO:
         raise DomainError("0 has no gate expression")
-    return nested(_gs_to_symexpr, f, "Goodstein form", "convert")
+    return nested(partial(_gs_to_symexpr, done={}), f, "Goodstein form", "convert")
 
 
-def _gs_to_symexpr(f):
+def _gs_to_symexpr(f, done):
     """f's Sum node, or its lone term: the terms descend by value as the
-    exponents do, so this is the node sym_sum would sort them into."""
-    terms = [ONE if e is ZERO else sym_pow(X, _gs_to_symexpr(e)) for e in f.exponents]
-    return Sum(tuple(terms)) if len(terms) > 1 else terms[0]
+    exponents do, so this is the node sym_sum would sort them into.  done,
+    one call's table, maps each exponent converted so far to its term."""
+    for e in f.exponents:
+        if e not in done:
+            done[e] = ONE if e is ZERO else sym_pow(X, _gs_to_symexpr(e, done))
+    terms = tuple(map(done.__getitem__, f.exponents))
+    return Sum(terms) if len(terms) > 1 else terms[0]
 
 
 def goodstein_levels(t: int, force: bool = False) -> list:
     """Level sets of normal-form expressions, doubling-tower sized.
 
     Level 0 is [1, x].  Each round replaces the level L by all nonempty
-    subset sums of {1} + {x^n : n in L}, by their bit masks.  L holds the
-    values 1..|L| in order, so pool term k is worth 2^k and mask m sums to
-    m: mask order is value order, and level t is the normal forms of 1..N_t
-    with N_0 = 2 and N_(t+1) = 2^(N_t + 1) - 1.  Level 1 has 7 expressions,
-    level 2 has 255, and level 3 would have 2^256 - 1, so
-    t > MAX_GOODSTEIN_LEVEL is refused unless force=True.
+    subset sums of {1} + {x^n : n in L}.  L holds the values 1..|L|, so
+    level t is the normal forms of 1..N_t, in value order, with N_0 = 2 and
+    N_(t+1) = 2^(N_t + 1) - 1: level 1 has 7 expressions and level 2 255.
+    t > MAX_GOODSTEIN_LEVEL is refused unless force=True, and a forced t > 2
+    raises SizeGuard: level 3 would hold 2^256 - 1, more than a list can.
     """
     check_cap(require_int(t, 0, "level"), MAX_GOODSTEIN_LEVEL, f"goodstein level {t}",
               force, LevelTooLarge)
     top = 2
     for _ in range(t):
+        if top >= sys.maxsize.bit_length():  # 2^(top + 1) - 1 > sys.maxsize
+            raise SizeGuard(f"goodstein level {t} holds at least 2^{top + 1} - 1 expressions")
         top = (1 << top + 1) - 1
-    return [_gs_to_symexpr(_encode(n)) for n in range(1, top + 1)]
+    return list(map(partial(_gs_to_symexpr, done={}), map(_encode, range(1, top + 1))))
 
 
 def horner_levels(t: int, force: bool = False) -> list:

@@ -61,16 +61,17 @@ def initial_state() -> SieveState:
     return SieveState(0, (ONE, X), (X,))
 
 
-def _composites(state: SieveState, k: int) -> list:
-    """(value, encoding) for every composite in (2^(k+1), 2^(k+2)], each
-    built once: v = p^e * b with p its smallest prime, b coprime to p, is
-    p^e if b = 1 and otherwise the product of p^e with b's known encoding.
+def _encode_range(state: SieveState, k: int) -> list:
+    """(value, encoding) for every value in (2^(k+1), 2^(k+2)], by value.
 
-    Exponents and cofactors are encoded by table lookup, so a product's
-    factors are the distinct prime powers of v, primes ascending by value.
-    b's encoding is one prime power or a Prod of them descending by value,
-    so p^e is inserted at its place by value (prime powers never tie)
-    instead of sorting again through sym_prod.
+    v = p^e * b, with p its smallest known prime and b coprime to p, is p^e
+    if b = 1 and otherwise the product of p^e with b's known encoding: a Pow
+    or a Prod.  A value with no such p is a new prime, the Sum of its
+    predecessor and 1.  Each value's p is read from one list, which each
+    prime's multiples overwrite, largest prime first.  A product's factors
+    are v's distinct prime powers, looked up; b's encoding is one or a Prod
+    of them descending by value, so p^e is inserted at its place by value
+    (prime powers never tie) instead of sorted in by sym_prod.
     """
     lo, hi = 2 ** (k + 1), 2 ** (k + 2)
     if state.covers < lo:
@@ -79,64 +80,56 @@ def _composites(state: SieveState, k: int) -> list:
     if any(a >= b for a, b in zip(pvals, pvals[1:])):
         raise InternalGapError("known primes do not ascend strictly by value")
     integers = state.integers
-    claimed = bytearray(hi - lo)  # v is claimed[v - lo - 1]
-    out = []
-    for p, vp in zip(state.primes, pvals):
-        if vp * vp > hi:
-            break
-        for v in range(lo - lo % vp + vp, hi + 1, vp):
-            if claimed[v - lo - 1]:
-                continue  # built from a smaller prime
-            claimed[v - lo - 1] = 1
+    smallest = [(None, 0)] * (hi - lo)  # v's smallest prime and its value, at v - lo - 1
+    for p, vp in reversed([(p, vp) for p, vp in zip(state.primes, pvals) if vp * vp <= hi]):
+        start = vp - lo % vp - 1  # the index of p's first multiple
+        smallest[start::vp] = [(p, vp)] * len(range(start, hi - lo, vp))
+    out, enc = [], integers[lo - 1]
+    for v, (p, vp) in zip(range(lo + 1, hi + 1), smallest):
+        if p is None:  # a prime: the even v - 1 >= 2 is x, a Pow or a Prod
+            enc = Sum((enc, ONE))
+        else:
             e, b = 1, v // vp
             while b % vp == 0:
                 e, b = e + 1, b // vp
-            power = sym_pow(p, integers[e - 1])
-            if b == 1:
-                out.append((v, power))
-                continue
-            fb = integers[b - 1]
-            fs = fb.factors if type(fb) is Prod else (fb,)
-            i = sum(sym_value(f) > v // b for f in fs)  # factors above p^e
-            out.append((v, Prod((*fs[:i], power, *fs[i:]))))
+            enc = sym_pow(p, integers[e - 1])
+            if b > 1:
+                fb = integers[b - 1]
+                fs = fb.factors if type(fb) is Prod else (fb,)
+                q, j = v // b, 0  # j counts the factors above p^e = q
+                while j < len(fs) and sym_value(fs[j]) > q:
+                    j += 1
+                enc = Prod((*fs[:j], enc, *fs[j:]))
+        out.append((v, enc))
     return out
 
 
 def prime_power_range(state: SieveState, k: int) -> list:
-    """(value, encoding) for prime powers p^e, e >= 2, in (2^(k+1), 2^(k+2)].
+    """(value, encoding) by value for prime powers p^e, e >= 2, in (2^(k+1), 2^(k+2)].
 
     Exponents are encoded by table lookup, so p^e arrives as the known
     encoding of p raised to the known encoding of e.
     """
-    return [(v, enc) for v, enc in _composites(state, k) if not isinstance(enc, Prod)]
+    return [(v, enc) for v, enc in _encode_range(state, k) if type(enc) is Pow]
 
 
 def multi_factor_products(state: SieveState, k: int, c: int) -> list:
-    """(value, encoding) for products of exactly c distinct prime powers
-    landing in (2^(k+1), 2^(k+2)], primes ascending inside each product.
+    """(value, encoding) by value for products of exactly c distinct prime
+    powers in (2^(k+1), 2^(k+2)], primes ascending inside each product.
 
     multi_factor_products at k=2 with primes 2,3,5,7 known and c=2 yields
     the values 10, 12, 14, 15 (and their encodings).
     """
     require_int(c, 2, "factor count")
-    return [(v, enc) for v, enc in _composites(state, k)
-            if isinstance(enc, Prod) and len(enc.factors) == c]
+    return [(v, enc) for v, enc in _encode_range(state, k)
+            if type(enc) is Prod and len(enc.factors) == c]
 
 
 def zeta_step(state: SieveState) -> SieveState:
     """Advance one dyadic range, discovering the primes in it."""
-    k = state.level
-    lo, hi = 2 ** (k + 1), 2 ** (k + 2)
-    composite = dict(_composites(state, k))
-    integers = list(state.integers)
-    primes = list(state.primes)
-    for v in range(lo + 1, hi + 1):
-        enc = composite.get(v)
-        if enc is None:
-            enc = Sum((integers[v - 2], ONE))  # the even v - 1 >= 2 is x, a Pow or a Prod
-            primes.append(enc)
-        integers.append(enc)
-    return SieveState(k + 1, tuple(integers), tuple(primes))
+    found = tuple(enc for _, enc in _encode_range(state, state.level))
+    return SieveState(state.level + 1, state.integers + found,
+                      state.primes + tuple(e for e in found if type(e) is Sum))
 
 
 _STATES = {}  # steps from the initial state -> the state they reach

@@ -8,11 +8,12 @@ trivial powers, and keep n-ary operands sorted by descending value.  The
 sieve and canonical.encode_horner build their Sum and Prod nodes directly
 in that normal form: their operands are already flat, unit-free and
 strictly descending by value, so sorting them again would change nothing.
-Nodes are interned (hash-consed, as are the forms in ``canonical``): each
-distinct node is built once, so ``==`` and ``hash`` are identity and cost
-O(1), as do lookups in memo tables keyed by node: sym_value's values, and the
-text table ``_TEXTS`` of render, which grows per rendered node until
-clear_caches() (a refused render keeps only the operands it finished).
+Nodes are interned, in one table per class (hash-consed, as are the forms
+in ``canonical``): each distinct node is built once, so ``==`` and ``hash``
+are identity and cost O(1), as do lookups in memo tables keyed by node:
+sym_value's values, and render's text table ``_TEXTS``, which grows per
+rendered node until clear_caches() (a refused render keeps only the
+operands it finished).
 """
 
 from __future__ import annotations
@@ -21,17 +22,16 @@ from functools import lru_cache
 
 from .errors import DomainError, Record, SizeGuard, nested
 
-_NODES = {}
-
 
 class Interned(Record):
     """Hash-consing base: one instance per class and field values.
 
-    A subclass lists its fields in __slots__ and takes them positionally;
-    __match_args__ collects them along the class chain.  Nodes are immutable
-    and compare and hash by identity.  Copies are the node itself, and a
-    pickle holds the node's DAG as a flat post-order list, so neither walks
-    a deep node recursively.
+    A subclass lists its one or two fields in __slots__ and takes them
+    positionally; __match_args__ collects them along the class chain.  Each
+    class keys its own table, _nodes, by its lone field or its pair of them.
+    Nodes are immutable and compare and hash by identity.  Copies are the
+    node itself, and a pickle holds the node's DAG as a flat post-order
+    list, so neither walks a deep node recursively.
     """
 
     __slots__ = ()
@@ -41,17 +41,29 @@ class Interned(Record):
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls.__match_args__ += cls.__dict__.get("__slots__", ())
+        if not cls.__match_args__:
+            return
+        table = cls._nodes = {}  # setdefault is atomic: racing threads agree on one node
+        setters = [getattr(cls, name).__set__ for name in cls.__match_args__]
+        set_first, set_second = setters[0], setters[-1]
 
-    def __new__(cls, *fields):
-        key = (cls, *fields)
-        found = _NODES.get(key)
-        if found is None:
-            found = object.__new__(cls)
-            for name, value in zip(cls.__match_args__, fields, strict=True):
-                object.__setattr__(found, name, value)
-            # setdefault is atomic, so racing threads still agree on one node
-            found = _NODES.setdefault(key, found)
-        return found
+        def one(cls, first):
+            node = table.get(first)
+            if node is None:
+                node = object.__new__(cls)
+                set_first(node, first)
+                node = table.setdefault(first, node)
+            return node
+
+        def two(cls, first, second):
+            node = table.get((first, second))
+            if node is None:
+                node = object.__new__(cls)
+                set_first(node, first)
+                set_second(node, second)
+                node = table.setdefault((first, second), node)
+            return node
+        cls.__new__ = staticmethod({1: one, 2: two}[len(setters)])
 
     def __copy__(self):
         return self

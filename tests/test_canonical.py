@@ -128,6 +128,35 @@ def test_deep_forms_are_too_deep_to_walk():
         clear_caches()
 
 
+def test_deep_conversion_does_not_depend_on_earlier_conversions():
+    # sub-forms 250 levels apart: a table kept from one call to the next
+    # would let each rung, and at last the whole form, convert past the
+    # recursion limit; a table per call refuses the form every time
+    chain = [ZERO]
+    for _ in range(3000):
+        chain.append(GoodsteinForm((chain[-1],)))
+    converted = []
+    for depth in (*range(250, 3000, 250), 1000):
+        try:
+            converted.append(gs_to_symexpr(chain[depth]))
+        except SizeGuard:
+            pass
+    assert converted[0] is sym_pow(X, gs_to_symexpr(chain[249]))
+    with pytest.raises(SizeGuard, match="Goodstein form nests too deeply to convert"):
+        gs_to_symexpr(chain[3000])
+
+
+def test_conversion_reuses_each_shared_exponent(monkeypatch):
+    # 3^2000 has 1,583 distinct forms among its exponents, shared by many terms
+    f = g_pow(encode_goodstein(3), encode_goodstein(2000))
+    calls = []
+    walk = canonical._gs_to_symexpr
+    monkeypatch.setattr(canonical, "_gs_to_symexpr",
+                        lambda g, done: calls.append(g) or walk(g, done))
+    gs_to_symexpr(f)
+    assert len(calls) == len(set(calls)) == 1582  # each nonzero form once
+
+
 # arithmetic: the binary-expansion encoder is the oracle, and normal forms
 # are unique, so structural equality is the strongest possible check
 
@@ -311,6 +340,15 @@ def test_goodstein_level_guard():
     for bad in (-1, 1.5, True, "2"):
         with pytest.raises(DomainError):
             goodstein_levels(bad)
+
+
+def test_forced_goodstein_level_three_is_a_size_guard():
+    # level 3 holds 2^256 - 1 expressions: refused at once, not built
+    for t in (3, 4):
+        start = time.perf_counter()
+        with pytest.raises(SizeGuard, match=r"2\^256 - 1 expressions"):
+            goodstein_levels(t, force=True)
+        assert time.perf_counter() - start < 1
 
 
 def test_horner_level_zero_and_one():

@@ -400,6 +400,15 @@ def test_forced_horner_level_four_is_a_magnitude_guard(tmp_path):
     assert proc.stdout == ""
 
 
+def test_forced_goodstein_level_three_is_a_size_guard(tmp_path):
+    # level 3 holds 2^256 - 1 expressions: refused at once, not built
+    proc = _run_child(tmp_path, "goodstein", "levels", "3", "--unsafe")
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("guard:") and "2^256 - 1 expressions" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_horner_encode_2_128_minus_1_prints(tmp_path):
     n = 2**128 - 1  # nests 256 levels deep
     proc = _run_child(tmp_path, "horner", "encode", str(n))

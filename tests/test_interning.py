@@ -68,6 +68,24 @@ def test_equal_structure_is_one_object():
     assert unordered is not encode_goodstein(3)
 
 
+def test_each_class_has_its_own_table_keyed_by_its_fields():
+    t = (X, ONE)
+    assert Sum(t) is not Prod(t)
+    assert type(Sum(t)) is Sum and type(Prod(t)) is Prod
+    assert Sum._nodes[t] is Sum(t) and Prod._nodes[t] is Prod(t)
+    assert Pow(X, X) is Pow(X, X) and Pow._nodes[(X, X)] is Pow(X, X)
+    assert Neg(X) is Neg._nodes[X]
+    assert GoodsteinForm(()) is ZERO and GoodsteinForm._nodes[()] is ZERO
+
+
+@pytest.mark.parametrize("build", [lambda: Sum(X, ONE), lambda: Sum(), lambda: Pow(X),
+                                   lambda: Pow(X, X, X), lambda: GoodsteinForm(),
+                                   lambda: Neg(base=X)])
+def test_a_wrong_field_count_raises_type_error(build):
+    with pytest.raises(TypeError):
+        build()
+
+
 def test_distinct_structure_is_unequal():
     assert Pow(X, X) != Prod((X, X))
     assert Sum((X, ONE)) != Sum((ONE, X))

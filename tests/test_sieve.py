@@ -12,8 +12,10 @@ from formula_forge import (
     InternalGapError,
     LevelTooLarge,
     ONE,
+    Prod,
     SieveState,
     SizeGuard,
+    Sum,
     X,
     clear_caches,
     encode_goodstein,
@@ -25,6 +27,7 @@ from formula_forge import (
     rational_set,
     run_sieve,
     scf_coarse,
+    sym_pow,
     sym_prod,
     sym_sum,
     sym_value,
@@ -101,6 +104,61 @@ def test_multi_factor_products_golden():
             multi_factor_products(s, 2, bad)
     with pytest.raises(DomainError):
         multi_factor_products(initial_state(), 2, 2)
+
+
+def test_products_and_powers_ascend_by_value():
+    s = run_sieve(6)
+    powers = prime_power_range(s, 7)
+    assert [v for v, _ in powers] == sorted(v for v, _ in powers)
+    assert [v for v, _ in powers][:3] == [289, 343, 361]
+    products = multi_factor_products(s, 7, 3)
+    assert [v for v, _ in products] == sorted(v for v, _ in products)
+    assert [v for v, _ in products][:4] == [258, 260, 264, 266]
+
+
+def _reference_composites(state, k):
+    """The composites of sieve._encode_range by the walk over each prime's
+    multiples, smallest prime first, with a flag per value that a smaller
+    prime claimed: composites grouped by smallest prime, and p^e placed by
+    counting the cofactor's larger factors."""
+    lo, hi = 2 ** (k + 1), 2 ** (k + 2)
+    claimed = bytearray(hi - lo)
+    out = []
+    for p, vp in zip(state.primes, state.prime_values()):
+        if vp * vp > hi:
+            break
+        for v in range(lo - lo % vp + vp, hi + 1, vp):
+            if claimed[v - lo - 1]:
+                continue
+            claimed[v - lo - 1] = 1
+            e, b = 1, v // vp
+            while b % vp == 0:
+                e, b = e + 1, b // vp
+            power = sym_pow(p, state.integers[e - 1])
+            if b == 1:
+                out.append((v, power))
+                continue
+            fb = state.integers[b - 1]
+            fs = fb.factors if type(fb) is Prod else (fb,)
+            i = sum(sym_value(f) > v // b for f in fs)
+            out.append((v, Prod((*fs[:i], power, *fs[i:]))))
+    return out
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_composites_equal_the_reference_walk(k):
+    state = sieve._dyadic(k)
+    got = sieve._encode_range(state, k)
+    assert [v for v, _ in got] == list(range(2 ** (k + 1) + 1, 2 ** (k + 2) + 1))
+    want = sorted(_reference_composites(state, k))
+    composites = [(v, e) for v, e in got if type(e) is not Sum]
+    assert [v for v, _ in composites] == [v for v, _ in want]
+    assert all(a is b for (_, a), (_, b) in zip(composites, want, strict=True))
+    # the rest are the primes, each its predecessor plus one
+    primes = [(v, e) for v, e in got if type(e) is Sum]
+    assert [v for v, _ in primes] == classical_primes(2 ** (k + 2))[len(state.primes):]
+    known = dict(got)
+    assert all(e is Sum((known.get(v - 1) or state.integers[v - 2], ONE)) for v, e in primes)
 
 
 def test_zeta_step_advances_one_range():
