@@ -48,9 +48,9 @@ MAX_SAMPLE_VALUE = 2000
 # about 0.8 s, start-up included, and the fill grows about as n^1.4
 MAX_SHORTEST_VALUE = 10_000
 DEFAULT_LIST_LIMIT = 1_000_000  # encodings `list` prints without --limit
-# --warm 1000 takes 2.1 s and 2000 20.5 s; --terms 1000 takes 4-5 s and 2000
-# 44-47 s with a 678 MB peak; --iterations 5000 takes 1.7 s, --precision-bits
-# 3000 1.4 s, and 10^5 iterations or 20,000 bits each run past 10 s
+# --warm 1000 takes 0.6 s and 2000 5.5 s; --terms 1000 takes 0.26 s (0.9 s
+# at 3000 bits) and 2000 1.6 s, peaks near 20 MB; --iterations 5000 and
+# --precision-bits 3000 take 0.5 s each, 10^5 iterations 8.6 s, 20,000 bits 66 s
 MAX_WARM_VALUE = 1000
 MAX_TERMS = 1000
 MAX_ITERATIONS = 5000

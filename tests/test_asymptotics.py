@@ -1,5 +1,7 @@
 """The growth-base / leading-constant estimates and the cut of S."""
 
+import dataclasses
+import hashlib
 from fractions import Fraction
 
 import mpmath
@@ -15,7 +17,15 @@ from formula_forge import (
     count_ame,
     rho_estimate,
 )
-from formula_forge.asymptotics import _coefficients, _cut, _descending, _horner, _polish
+import formula_forge.asymptotics as asymptotics
+from formula_forge.asymptotics import (
+    _certified,
+    _coefficients,
+    _cut,
+    _descending,
+    _horner,
+    _polish,
+)
 
 
 # the cut of S
@@ -87,6 +97,155 @@ def test_horner_on_raw_values_matches_mpf_arithmetic(coefficients, bits, x):
         for c in reversed(coefficients):
             acc = acc * x + c
         assert _horner(_descending(coefficients), x) == mpmath.mpf(acc)._mpf_
+
+
+def _full_cut(family, terms, bits, _full={}):
+    if (family, terms) not in _full:
+        _full[family, terms] = _coefficients(family, terms)
+    return _cut(_full[family, terms], bits)
+
+
+@pytest.mark.parametrize("bits", [53, 100, 300, 1000])
+@pytest.mark.parametrize("terms", [8, 9, 20, 41, 60, 100, 150, 300])
+@pytest.mark.parametrize("family", ["am", "ame"])
+def test_certified_prefix_cuts_like_the_full_series(family, terms, bits):
+    assert _certified(family, terms, bits) == _full_cut(family, terms, bits)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(["am", "ame"]),
+    terms=st.integers(8, 200),
+    bits=st.integers(53, 1200),
+)
+def test_certified_prefix_property(family, terms, bits):
+    assert _certified(family, terms, bits) == _full_cut(family, terms, bits)
+
+
+def test_rho_builds_only_a_prefix_of_the_series(monkeypatch):
+    # the full series at T = 1000 has 998,002 coefficients; the cut keeps 81
+    bounds = []
+
+    def spy(tot, op, lo, hi):
+        bounds.append(hi)
+        return counting_sieved(tot, op, lo, hi)
+
+    counting_sieved = asymptotics.sieved
+    monkeypatch.setattr(asymptotics, "sieved", spy)
+    est = rho_estimate("am", 1000, 20, 53)
+    assert 4.07 < est.rho < 4.08
+    assert bounds and max(bounds) <= 5000
+    assert len(_certified("am", 1000, 53)) == 81
+
+
+def _mpf_horner(descending, x):
+    acc = mpmath.mpf(0)
+    for c in descending:
+        acc = acc * x + c
+    return acc._mpf_
+
+
+@pytest.mark.parametrize("bits, descending, x", [
+    # ties in the product: 3 * (2^52 + 1) and 3 * (2^52 + 3) have 54 bits,
+    # the dropped one exactly half; the first rounds up to even, the second down
+    (53, [2**52 + 1, 0], 3),
+    (53, [2**52 + 3, 0], 3),
+    # ties in the sum: 1 + 2^53 rounds down, 3 + 2^53 up
+    (53, [1, 2**53], 1),
+    (53, [3, 2**53], 1),
+    # 2 * (2^53 - 1) + 1 = 2^54 - 1 rounds up into a new power of two, and
+    # its negative down
+    (53, [2**53 - 1, 1], 2),
+    (53, [-(2**53 - 1), -1], 2),
+    # c more than prec + 4 bits above the product, its lowest bit 130, 101
+    # and 100 bits above the product's: the first two take mpf_add's
+    # perturbation shortcut, the last the exact sum
+    (150, [-(2**150 - 1), 2**199 + 2**49 + 1], mpmath.mpf(2) ** -130),
+    (150, [2**150 - 1, 2**199 + 2**49 + 1], mpmath.mpf(2) ** -130),
+    (150, [-(2**121 - 1), 2**199 + 2**49 + 1], mpmath.mpf(2) ** -101),
+    (150, [-(2**120 - 1), 2**199 + 2**49 + 1], mpmath.mpf(2) ** -100),
+    # c far below the product, its lowest bit more than 100 below
+    (200, [2**100 + 1, 1], mpmath.mpf(2) ** 200),
+    (200, [2**100 + 1, -(2**90 + 1)], mpmath.mpf(2) ** 200),
+    # zero and negative coefficients, negative x, x = 0, the empty list
+    (100, [0, 0, 5, 0, -7, 0], mpmath.mpf(-1) / 3),
+    (100, [-(2**120) + 1, 3**80, -(5**40), 0], mpmath.mpf(-2) / 7),
+    (100, [0, 0, 0], mpmath.mpf(1) / 3),
+    (100, [2**200 + 1, 17, -3], 0),
+    (100, [], mpmath.mpf(1) / 3),
+    # 1 * 3 - 3 cancels to zero before the last step
+    (100, [1, -3, 5], 3),
+])
+def test_horner_edge_cases_match_mpf_steps(bits, descending, x):
+    with mpmath.workprec(bits):
+        x = mpmath.mpf(x)
+        assert _horner(descending, x) == _mpf_horner(descending, x)
+
+
+def test_horner_keeps_the_perturbation_shortcut_of_mpf_add():
+    # 2^199 + 2^49 + 1 - (2^20 - tiny) is below the midpoint 2^199 + 2^49 of
+    # its 150-bit neighbours; the exact sum rounds it down, and the shortcut,
+    # which sees only the product's sign, rounds it up
+    c = 2**199 + 2**49 + 1
+    with mpmath.workprec(150):
+        exact = _horner([-(2**120 - 1), c], mpmath.mpf(2) ** -100)
+        shortcut = _horner([-(2**121 - 1), c], mpmath.mpf(2) ** -101)
+        assert exact == mpmath.mpf(2**199)._mpf_
+        assert shortcut == mpmath.mpf(2**199 + 2**50)._mpf_
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coefficients=st.lists(
+        st.one_of(
+            st.integers(-(2**600), 2**600),
+            st.builds(lambda k, d: (1 << k) + d, st.integers(0, 600), st.integers(-1, 1)),
+        ),
+        max_size=12,
+    ),
+    bits=st.integers(53, 400),
+    x=st.floats(-1, 1),
+    scale=st.integers(-400, 300),
+)
+def test_horner_across_exponent_gaps_matches_mpf_arithmetic(coefficients, bits, x, scale):
+    with mpmath.workprec(bits):
+        x = mpmath.mpf(x) * mpmath.mpf(2) ** scale
+        assert _horner(_descending(coefficients), x) == _mpf_horner(coefficients[::-1], x)
+
+
+# every field of every estimate, bit for bit, over a grid that holds the
+# growth benchmark's 13 cells
+
+_DIGEST = "b58681e1b3a23880cdf1d4e539c92f68f1c03e82e359f26b65f70ae1d4ddbee6"
+
+
+def _field(value):
+    if isinstance(value, mpmath.mpf):
+        return repr(value._mpf_)
+    if isinstance(value, tuple):
+        return "(" + ",".join(_field(v) for v in value) + ")"
+    return repr(value)
+
+
+def _outcome(estimate, *args):
+    try:
+        est = estimate(*args)
+    except Exception as exc:  # the exception is part of the pinned outcome
+        return f"{type(exc).__name__}: {exc}"
+    return ";".join(f"{f.name}={_field(getattr(est, f.name))}" for f in dataclasses.fields(est))
+
+
+def test_estimates_match_their_pinned_digest():
+    digest = hashlib.sha256()
+    for terms in (8, 9, 20, 41, 60, 100, 150):
+        for bits in (53, 100, 200, 300):
+            for iterations in (1, 20):
+                for family in ("am", "ame"):
+                    outcome = _outcome(rho_estimate, family, terms, iterations, bits)
+                    digest.update(f"rho {family} {terms} {iterations} {bits} {outcome}\n".encode())
+                outcome = _outcome(constant_estimate, terms, iterations, bits)
+                digest.update(f"constant {terms} {iterations} {bits} {outcome}\n".encode())
+    assert digest.hexdigest() == _DIGEST
 
 
 # Newton polish failure modes
