@@ -1,13 +1,17 @@
 """Formula trees over the gates {+, *, ^} with all-1 leaves.
 
 A tree is either the leaf ``1`` (the int) or a tuple ``(gate, left, right)``
-with gate one of ``'+'``, ``'*'``, ``'^'``.  For ``'^'`` the left child is the
-base.  This mirrors the bracket notation used throughout: ``(+ 1 (+ 1 1))``
-is ``('+', 1, ('+', 1, 1))``.
-
+with gate one of ``'+'``, ``'*'``, ``'^'``; for ``'^'`` the left child is the
+base, as in the bracket notation ``(+ 1 (+ 1 1))`` = ``('+', 1, ('+', 1, 1))``.
 Size is the node count (always odd, 2*leaves - 1), depth the longest
 root-to-leaf path.  A tree is *strict* when no subterm is 1*f, f*1, f^1 or
 1^f; those shapes waste gates without changing the value.
+
+Every walker takes only the int 1 (by identity: not 1.0 or True) as a leaf
+and only three-element nodes, else DomainError; it answers a leaf operand
+inline, one call per gate.  Only evaluate and validate check the gate; the
+others pass an unknown one.  parse_prefix shares one tuple per gate over
+two leaves, so its trees may share subtrees (== does not see it).
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from .errors import DomainError, FormulaForgeError, MalformedString, nested
 
 ADD, MUL, POW = "+", "*", "^"
 GATES = (ADD, MUL, POW)
+_LEAF = 1
+_CHERRIES = {gate: (gate, 1, 1) for gate in GATES}
 
 
 def _walk(walk, tree, verb):
@@ -30,14 +36,13 @@ def _walk(walk, tree, verb):
 
 def evaluate(tree) -> int:
     """Value of the formula, in exact big ints; SizeGuard on deep nesting."""
-    return _walk(_evaluate, tree, "evaluate")
+    return 1 if tree is _LEAF else _walk(_evaluate, tree, "evaluate")
 
 
 def _evaluate(tree):
-    if tree == 1:
-        return 1
     gate, left, right = tree
-    a, b = _evaluate(left), _evaluate(right)
+    a = 1 if left is _LEAF else _evaluate(left)
+    b = 1 if right is _LEAF else _evaluate(right)
     if gate == ADD:
         return a + b
     if gate == MUL:
@@ -49,24 +54,22 @@ def _evaluate(tree):
 
 def size(tree) -> int:
     """Node count; odd, equal to 2*leaf_count(tree) - 1."""
-    return _walk(_size, tree, "measure")
+    return 1 if tree is _LEAF else _walk(_size, tree, "measure")
 
 
 def _size(tree):
-    if tree == 1:
-        return 1
-    return 1 + _size(tree[1]) + _size(tree[2])
+    _, left, right = tree
+    return 1 + (1 if left is _LEAF else _size(left)) + (1 if right is _LEAF else _size(right))
 
 
 def depth(tree) -> int:
     """Longest root-to-leaf path; 0 for the bare leaf."""
-    return _walk(_depth, tree, "measure")
+    return 0 if tree is _LEAF else _walk(_depth, tree, "measure")
 
 
 def _depth(tree):
-    if tree == 1:
-        return 0
-    return 1 + max(_depth(tree[1]), _depth(tree[2]))
+    _, left, right = tree
+    return 1 + max(0 if left is _LEAF else _depth(left), 0 if right is _LEAF else _depth(right))
 
 
 def leaf_count(tree) -> int:
@@ -75,53 +78,48 @@ def leaf_count(tree) -> int:
 
 def is_strict(tree) -> bool:
     """True when no subterm is 1*f, f*1, f^1 or 1^f."""
-    return _walk(_is_strict, tree, "check")
+    return tree is _LEAF or _walk(_is_strict, tree, "check")
 
 
 def _is_strict(tree):
-    if tree == 1:
-        return True
     gate, left, right = tree
-    if gate in (MUL, POW) and (left == 1 or right == 1):
+    if gate in (MUL, POW) and (left is _LEAF or right is _LEAF):
         return False
-    return _is_strict(left) and _is_strict(right)
+    return (left is _LEAF or _is_strict(left)) and (right is _LEAF or _is_strict(right))
 
 
 def validate(tree) -> None:
     """Raise DomainError unless tree is a well-formed formula tree."""
-    _walk(_validate, tree, "check")
+    if tree is not _LEAF:
+        _walk(_validate, tree, "check")
 
 
 def _validate(tree):
-    if tree == 1 and type(tree) is int:  # not 1.0 or True
-        return
     gate, left, right = tree  # a value of another length faults
     if not isinstance(tree, tuple) or gate not in GATES:
         raise DomainError(f"not a formula tree: a {type(tree).__name__} with gate {gate!r}")
-    _validate(left)
-    _validate(right)
+    if left is not _LEAF:
+        _validate(left)
+    if right is not _LEAF:
+        _validate(right)
 
 
 def to_prefix(tree) -> str:
-    """Preorder string over the alphabet {1, +, *, ^}, at any depth.
-
-    to_prefix(('+', 1, 1)) == '+11'
-    """
+    """Preorder string over {1, +, *, ^}, at any depth: ('+', 1, 1) -> '+11'."""
     return _walk(_to_prefix, tree, "print")
 
 
 def _to_prefix(tree):
-    parts, pending = [], []  # pending: gates whose right operand is still due
+    parts, pending = [], []  # pending: right operands still due
     while True:
-        if tree == 1:
-            parts.append("1")
-            if not pending:
-                return "".join(parts)
-            tree = pending.pop()[2]
-        else:
-            parts.append(tree[0])
-            pending.append(tree)
-            tree = tree[1]
+        while tree is not _LEAF:
+            gate, tree, right = tree
+            parts.append(gate)
+            pending.append(right)
+        parts.append("1")
+        if not pending:
+            return "".join(parts)
+        tree = pending.pop()
 
 
 def to_postfix(tree) -> str:
@@ -141,7 +139,8 @@ def parse_prefix(text: str):
         if ch == "1":
             push(1)
         elif ch in GATES and len(stack) > 1:
-            push((ch, pop(), pop()))
+            left, right = pop(), pop()
+            push(_CHERRIES[ch] if left is right is _LEAF else (ch, left, right))
         elif ch in GATES:
             raise MalformedString(f"gate {ch!r} lacks an operand in {text!r}")
         else:
@@ -158,13 +157,13 @@ def parse_postfix(text: str):
 
 def to_brackets(tree):
     """Nested-list form for JSON: ('+', 1, 1) -> ['+', 1, 1]."""
-    return _walk(_to_brackets, tree, "print")
+    return 1 if tree is _LEAF else _walk(_to_brackets, tree, "print")
 
 
 def _to_brackets(tree):
-    if tree == 1:
-        return 1
-    return [tree[0], _to_brackets(tree[1]), _to_brackets(tree[2])]
+    gate, left, right = tree
+    return [gate, 1 if left is _LEAF else _to_brackets(left),
+            1 if right is _LEAF else _to_brackets(right)]
 
 
 def from_brackets(obj):
@@ -173,7 +172,7 @@ def from_brackets(obj):
 
 
 def _from_brackets(obj):
-    if obj == 1 and type(obj) is int:  # not 1.0 or True
+    if obj is _LEAF:  # not 1.0 or True
         return 1
     if isinstance(obj, (list, tuple)) and len(obj) == 3 and obj[0] in GATES:
         return (obj[0], _from_brackets(obj[1]), _from_brackets(obj[2]))

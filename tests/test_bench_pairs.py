@@ -80,6 +80,14 @@ def test_claim_outside_the_pairs_is_a_usage_error(capsys):
     assert "--claim workload 'growth' is not among the pairs" in capsys.readouterr().err
 
 
+def test_claim_on_fewer_than_ten_pairs_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--label", "x", "--change", "x", "--claim", "towers:wall_s",
+                          "towers=9", "growth=10", "--traced", "towers=10"])
+    assert exc.value.code == 2
+    assert "--claim needs at least 10 pairs of 'towers', not 9" in capsys.readouterr().err
+
+
 def test_export_tree_copies_the_files_git_would_take(tmp_path):
     top, dest = tmp_path / "top", tmp_path / "dest"
     top.mkdir()

@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import operator
 import random
 import sys
 from pathlib import Path
@@ -66,12 +68,24 @@ def test_validate_rejects_garbage():
     validate(T6)
 
 
-@pytest.mark.parametrize("walk", [validate, from_brackets, neighbors])
-@pytest.mark.parametrize("tree", [True, 1.0, ("+", 1.0, 1), ("+", True, 1), ["+", 1, True]])
+@pytest.mark.parametrize("walk", [
+    evaluate, size, depth, leaf_count, is_strict, validate, to_brackets, to_prefix, to_postfix,
+    from_brackets, neighbors,
+])
+@pytest.mark.parametrize("tree", [
+    True, 1.0, ("+", 1.0, 1), ("+", True, 1), ["+", 1, True], ("+", 1, 1, "junk"),
+])
 def test_float_and_bool_leaves_are_refused(walk, tree):
-    # 1.0 == True == 1, but only the int 1 is a leaf
+    # 1.0 == True == 1, but only the int 1 is a leaf, and a node has three items
     with pytest.raises(DomainError):
         walk(tree)
+
+
+def test_parse_prefix_shares_each_gate_over_two_leaves():
+    tree = parse_prefix("*+11+11")
+    assert tree == ("*", ("+", 1, 1), ("+", 1, 1))
+    assert tree[1] is tree[2] is parse_prefix("+11")
+    assert parse_prefix("^11") is parse_prefix("+1^11")[2]
 
 
 def test_prefix_postfix_goldens():
@@ -273,3 +287,116 @@ def test_every_string_parses_to_its_own_prefix_or_is_malformed(text):
         except MalformedString:
             continue
         assert encode(tree) == string
+
+
+# Small recursive oracles for the walkers, independent of formula_forge.trees.
+# A tree's leaf is 1; a node is (gate, left, right).
+
+class _TooBig(Exception):
+    pass
+
+
+_OPS = {"+": operator.add, "*": operator.mul, "^": operator.pow}
+
+
+def _o_value(t):
+    if t == 1:
+        return 1
+    a, b = _o_value(t[1]), _o_value(t[2])
+    if t[0] == "^" and a > 1 and a.bit_length() * b > 10_000:
+        raise _TooBig
+    return _OPS[t[0]](a, b)
+
+
+def _o_size(t):
+    return 1 if t == 1 else 1 + _o_size(t[1]) + _o_size(t[2])
+
+
+def _o_depth(t):
+    return 0 if t == 1 else 1 + max(_o_depth(t[1]), _o_depth(t[2]))
+
+
+def _o_strict(t):
+    if t == 1:
+        return True
+    gate, left, right = t
+    wasted = gate in "*^" and (left == 1 or right == 1)
+    return not wasted and _o_strict(left) and _o_strict(right)
+
+
+def _o_prefix(t):
+    return "1" if t == 1 else t[0] + _o_prefix(t[1]) + _o_prefix(t[2])
+
+
+def _o_brackets(t):
+    return 1 if t == 1 else [t[0], _o_brackets(t[1]), _o_brackets(t[2])]
+
+
+@contextlib.contextmanager
+def _room_to_recurse():
+    """The oracles recurse once per node; give them room past the limit
+    that the walkers work under."""
+    sys.setrecursionlimit(4 * _LIMIT)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(_LIMIT)
+
+
+_SHARED = {gate: (gate, 1, 1) for gate in "+*^"}
+
+
+def _share_cherries(t):
+    """t with every gate over two leaves replaced by one shared tuple."""
+    if t == 1:
+        return 1
+    gate, left, right = t
+    if left == 1 and right == 1:
+        return _SHARED[gate]
+    return (gate, _share_cherries(left), _share_cherries(right))
+
+
+_SMALL = st.recursive(st.just(1), lambda kids: st.tuples(st.sampled_from("+*^"), kids, kids),
+                      max_leaves=40)
+_WALKER_TREES = st.one_of(
+    _SMALL,
+    _SMALL.map(_share_cherries),
+    st.tuples(st.integers(_LIMIT - 60, _LIMIT + 60), st.integers(0, 2**32 - 1))
+    .map(lambda hs: _deep_tree(hs[0], "right", hs[1])[0]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=_WALKER_TREES)
+def test_walkers_agree_with_recursive_oracles(tree):
+    """Each walker gives the oracle's answer; on a tree nested near the
+    recursion limit a recursive walker may refuse with SizeGuard instead,
+    and the prefix codecs never do."""
+    with _room_to_recurse():
+        try:
+            value = _o_value(tree)
+        except _TooBig:
+            value = None
+        want = {size: _o_size(tree), depth: _o_depth(tree), is_strict: _o_strict(tree),
+                to_brackets: _o_brackets(tree)}
+        text = _o_prefix(tree)
+    shallow = want[depth] < _LIMIT // 2
+    if value is not None:
+        want[evaluate] = value
+    want[leaf_count] = (want[size] + 1) // 2
+    want[validate] = None
+    for walk, expected in want.items():
+        try:
+            got = walk(tree)
+        except SizeGuard:
+            assert not shallow, walk.__name__
+            continue
+        with _room_to_recurse():
+            assert got == expected, walk.__name__
+    assert to_prefix(tree) == text
+    assert to_postfix(tree) == text[::-1]
+    with _room_to_recurse():
+        assert _o_prefix(parse_prefix(text)) == text
+        assert _o_prefix(parse_postfix(text[::-1])) == text
+        if shallow:
+            assert parse_prefix(text) == tree

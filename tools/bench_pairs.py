@@ -26,8 +26,8 @@ and inclusive-quartile range of each side, the change's delta per seed and
 in the median, how many pairs the change read lower, and whether the
 change's median is within the metric's BENCHMARK.json bound.  With
 --claim WORKLOAD:METRIC, "claim" records that end-to-end metric of that
-workload's untraced pairs (see claim_record); without it no gain is claimed
-("claim": null).
+workload's untraced pairs (see claim_record), of which there must be at
+least CLAIM_PAIRS (10); without it no gain is claimed ("claim": null).
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import sys
 import tempfile
 
 HELD_OUT_SEED = 90917
+CLAIM_PAIRS = 10  # a claimed gain is judged on at least this many untraced pairs
 RUN_TIMEOUT_S = 300  # perfbench stops starting passes at 150 s
 
 
@@ -164,8 +165,12 @@ def main(argv=None) -> int:
     ap.add_argument("pairs", nargs="+", type=parse_pairs, metavar="WORKLOAD=PAIRS")
     args = ap.parse_args(argv)
     claim = args.claim and args.claim.partition(":")[::2]
-    if claim and claim[0] not in dict(args.pairs):
+    requested = dict(args.pairs)
+    if claim and claim[0] not in requested:
         ap.error(f"--claim workload {claim[0]!r} is not among the pairs")
+    if claim and requested[claim[0]] < CLAIM_PAIRS:
+        ap.error(f"--claim needs at least {CLAIM_PAIRS} pairs of {claim[0]!r}, "
+                 f"not {requested[claim[0]]}")
 
     top = git("rev-parse", "--show-toplevel", cwd=os.getcwd()).decode().strip()
     base_sha = git("rev-parse", args.base, cwd=top).decode().strip()
