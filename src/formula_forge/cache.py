@@ -53,8 +53,7 @@ def save_table(path: str, table: CountTable | None = None) -> int:
         fd, tmp = tempfile.mkstemp(prefix=".counts-", suffix=".json", dir=directory)
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh)
-                fh.write("\n")
+                fh.write(json.dumps(payload) + "\n")  # dumps runs the C encoder
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -61,17 +61,17 @@ def initial_state() -> SieveState:
     return SieveState(0, (ONE, X), (X,))
 
 
-def _encode_range(state: SieveState, k: int) -> list:
-    """(value, encoding) for every value in (2^(k+1), 2^(k+2)], by value.
+def _range_encodings(state: SieveState, k: int) -> list:
+    """The encodings of the values in (lo, hi] = (2^(k+1), 2^(k+2)], by value.
 
     v = p^e * b, with p its smallest known prime and b coprime to p, is p^e
-    if b = 1 and otherwise the product of p^e with b's known encoding: a Pow
-    or a Prod.  A value with no such p is a new prime, the Sum of its
+    (p for e = 1) if b = 1 and otherwise the product of p^e with b's known
+    encoding.  A value with no such p is a new prime, the Sum of its
     predecessor and 1.  Each value's p is read from one list, which each
-    prime's multiples overwrite, largest prime first.  A product's factors
-    are v's distinct prime powers, looked up; b's encoding is one or a Prod
-    of them descending by value, so p^e is inserted at its place by value
-    (prime powers never tie) instead of sorted in by sym_prod.
+    prime's multiples overwrite, largest prime first.  b's encoding is one
+    prime power, worth b, or a Prod of them descending by value, so p^e is
+    inserted at its place by value (prime powers never tie) instead of
+    sorted in by sym_prod.
     """
     lo, hi = 2 ** (k + 1), 2 ** (k + 2)
     if state.covers < lo:
@@ -80,28 +80,37 @@ def _encode_range(state: SieveState, k: int) -> list:
     if any(a >= b for a, b in zip(pvals, pvals[1:])):
         raise InternalGapError("known primes do not ascend strictly by value")
     integers = state.integers
-    smallest = [(None, 0)] * (hi - lo)  # v's smallest prime and its value, at v - lo - 1
+    smallest = [None] * (hi - lo)  # (v's smallest prime, its value), at v - lo - 1
     for p, vp in reversed([(p, vp) for p, vp in zip(state.primes, pvals) if vp * vp <= hi]):
         start = vp - lo % vp - 1  # the index of p's first multiple
         smallest[start::vp] = [(p, vp)] * len(range(start, hi - lo, vp))
     out, enc = [], integers[lo - 1]
-    for v, (p, vp) in zip(range(lo + 1, hi + 1), smallest):
-        if p is None:  # a prime: the even v - 1 >= 2 is x, a Pow or a Prod
+    for v, pair in zip(range(lo + 1, hi + 1), smallest):
+        if pair is None:  # a prime: the even v - 1 >= 2 is x, a Pow or a Prod
             enc = Sum((enc, ONE))
         else:
+            p, vp = pair
             e, b = 1, v // vp
             while b % vp == 0:
                 e, b = e + 1, b // vp
-            enc = sym_pow(p, integers[e - 1])
+            enc = p if e == 1 else Pow(p, integers[e - 1])
             if b > 1:
-                fb = integers[b - 1]
-                fs = fb.factors if type(fb) is Prod else (fb,)
-                q, j = v // b, 0  # j counts the factors above p^e = q
-                while j < len(fs) and sym_value(fs[j]) > q:
-                    j += 1
-                enc = Prod((*fs[:j], enc, *fs[j:]))
-        out.append((v, enc))
+                fb, q = integers[b - 1], v // b
+                if type(fb) is not Prod:  # one prime power, worth b
+                    enc = Prod((fb, enc) if b > q else (enc, fb))
+                else:
+                    fs, j = fb.factors, 0  # j counts the factors above p^e = q
+                    while j < len(fs) and sym_value(fs[j]) > q:
+                        j += 1
+                    enc = Prod((*fs[:j], enc, *fs[j:]))
+        out.append(enc)
     return out
+
+
+def _encode_range(state: SieveState, k: int) -> list:
+    """(value, encoding) pairs over _range_encodings, for the range filters
+    and tests; a step keeps only the encodings, its values implicit."""
+    return list(enumerate(_range_encodings(state, k), 2 ** (k + 1) + 1))
 
 
 def prime_power_range(state: SieveState, k: int) -> list:
@@ -127,7 +136,7 @@ def multi_factor_products(state: SieveState, k: int, c: int) -> list:
 
 def zeta_step(state: SieveState) -> SieveState:
     """Advance one dyadic range, discovering the primes in it."""
-    found = tuple(enc for _, enc in _encode_range(state, state.level))
+    found = tuple(_range_encodings(state, state.level))
     return SieveState(state.level + 1, state.integers + found,
                       state.primes + tuple(e for e in found if type(e) is Sum))
 

@@ -81,11 +81,11 @@ def is_strict(tree) -> bool:
     return tree is _LEAF or _walk(_is_strict, tree, "check")
 
 
-def _is_strict(tree):
+def _is_strict(tree):  # walks both operands, so a malformed one raises
     gate, left, right = tree
-    if gate in (MUL, POW) and (left is _LEAF or right is _LEAF):
-        return False
-    return (left is _LEAF or _is_strict(left)) and (right is _LEAF or _is_strict(right))
+    a = left is _LEAF or _is_strict(left)
+    b = right is _LEAF or _is_strict(right)
+    return a and b and not (gate in (MUL, POW) and (left is _LEAF or right is _LEAF))
 
 
 def validate(tree) -> None:

@@ -220,6 +220,18 @@ def _saved_rows(table):
             return json.load(fh)["entries"]
 
 
+def test_cache_saved_bytes_are_pinned(tmp_path):
+    table = CountTable()
+    table.count("a", 3)
+    path = tmp_path / "counts.json"
+    assert save_table(str(path), table) == 9
+    assert path.read_bytes() == (
+        b'{"format": "formula-forge-counts", "version": 1, "entries": [["a", "all", 1, "1"], '
+        b'["a", "all", 2, "1"], ["a", "all", 3, "2"], ["lop", "all", 1, "1"], '
+        b'["am", "+", 1, "1"], ["am", "*", 1, "0"], ["ame", "+", 1, "1"], '
+        b'["ame", "*", 1, "0"], ["ame", "^", 1, "0"]]}\n')
+
+
 @settings(max_examples=40, deadline=None)
 @given(sizes=_SIZES)
 def test_cache_save_load_round_trip(sizes):

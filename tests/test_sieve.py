@@ -170,6 +170,15 @@ def test_zeta_step_advances_one_range():
     assert t.prime_values() == classical_primes(t.covers)
 
 
+@pytest.mark.parametrize("level", range(13))
+def test_zeta_step_keeps_the_encodings_of_the_range(level):
+    s = sieve._dyadic(level)
+    found = zeta_step(s).integers[s.covers:]
+    want = sieve._encode_range(s, s.level)
+    assert len(found) == len(want) == s.covers
+    assert all(a is b for a, (_, b) in zip(found, want))
+
+
 def test_corrupt_state_is_detected():
     # a duplicated prime makes the same power arrive twice
     broken = SieveState(0, (ONE, X), (X, X))

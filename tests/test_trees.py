@@ -74,9 +74,11 @@ def test_validate_rejects_garbage():
 ])
 @pytest.mark.parametrize("tree", [
     True, 1.0, ("+", 1.0, 1), ("+", True, 1), ["+", 1, True], ("+", 1, 1, "junk"),
+    ("*", True, 1), ("*", 1, "junk"), ("^", ("+", 1, 1, "x"), 1),
 ])
 def test_float_and_bool_leaves_are_refused(walk, tree):
-    # 1.0 == True == 1, but only the int 1 is a leaf, and a node has three items
+    # 1.0 == True == 1, but only the int 1 is a leaf, and a node has three items;
+    # a malformed operand beside a wasted gate (1*f, f^1) is refused too
     with pytest.raises(DomainError):
         walk(tree)
 
