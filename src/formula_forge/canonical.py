@@ -9,8 +9,8 @@ sum of an exponent of one factor and one of the other), then carries the
 counts upward as binary addition does: two copies of x^v make x^(v + 1).
 The work of a product is one step per pair of exponents, capped by
 MAX_MUL_PAIRS; powers square by the same count over unordered pairs, and
-their result is capped at MAX_POW_BITS bits.  force=True lifts these caps
-and the level caps.
+their result is capped at MAX_POW_BITS bits.  force=True lifts these caps;
+the level caps are hard limits.
 
 Each form has one builder, its encoder: encode_goodstein, or encode_horner,
 which peels factors of x.  The level sets take every expression from them.
@@ -18,7 +18,6 @@ which peels factors of x.  The level sets take every expression from them.
 
 from __future__ import annotations
 
-import sys
 from functools import lru_cache, partial
 
 from .errors import (DomainError, LevelTooLarge, MagnitudeError, SizeGuard, check_cap, nested,
@@ -48,8 +47,8 @@ GS_ONE = GoodsteinForm((ZERO,))
 MAX_MUL_PAIRS = 1 << 21
 # bits of a g_pow result: str() of a 2^20-bit value takes 1.8 s on a 2-vCPU VM
 MAX_POW_BITS = 1 << 20
-# level sets: goodstein level 3 would hold 2^256 - 1 expressions, and
-# horner level 4 holds values near 2^(2^65536), too large for an int
+# level sets, hard limits: goodstein level 3 would hold 2^256 - 1
+# expressions, and horner level 4 holds values near 2^(2^65536), past an int
 MAX_GOODSTEIN_LEVEL = 2
 MAX_HORNER_LEVEL = 3
 
@@ -212,27 +211,26 @@ def _gs_to_symexpr(f, done):
     return Sum(terms) if len(terms) > 1 else terms[0]
 
 
-def goodstein_levels(t: int, force: bool = False) -> list:
+def goodstein_levels(t: int) -> list:
     """Level sets of normal-form expressions, doubling-tower sized.
 
     Level 0 is [1, x].  Each round replaces the level L by all nonempty
     subset sums of {1} + {x^n : n in L}.  L holds the values 1..|L|, so
     level t is the normal forms of 1..N_t, in value order, with N_0 = 2 and
     N_(t+1) = 2^(N_t + 1) - 1: level 1 has 7 expressions and level 2 255.
-    t > MAX_GOODSTEIN_LEVEL is refused unless force=True, and a forced t > 2
-    raises SizeGuard: level 3 would hold 2^256 - 1, more than a list can.
+    t > MAX_GOODSTEIN_LEVEL raises LevelTooLarge, with no override: level 3
+    would hold 2^256 - 1, more than a list can.
     """
-    check_cap(require_int(t, 0, "level"), MAX_GOODSTEIN_LEVEL, f"goodstein level {t}",
-              force, LevelTooLarge)
+    if require_int(t, 0, "level") > MAX_GOODSTEIN_LEVEL:
+        raise LevelTooLarge(f"goodstein level {t} > {MAX_GOODSTEIN_LEVEL}: level 3 would "
+                            "hold 2^256 - 1 expressions, more than a list can")
     top = 2
     for _ in range(t):
-        if top >= sys.maxsize.bit_length():  # 2^(top + 1) - 1 > sys.maxsize
-            raise SizeGuard(f"goodstein level {t} holds at least 2^{top + 1} - 1 expressions")
         top = (1 << top + 1) - 1
     return list(map(partial(_gs_to_symexpr, done={}), map(_encode, range(1, top + 1))))
 
 
-def horner_levels(t: int, force: bool = False) -> list:
+def horner_levels(t: int) -> list:
     """Horner-style level list: every value gets exactly one expression.
 
     State at level k is (N, LE, LO, LP): all values so far, the new even
@@ -244,15 +242,14 @@ def horner_levels(t: int, force: bool = False) -> list:
 
     It runs on values, and each expression is encode_horner's, the shape
     the step gives it.  Level 0 is [1, x, x + 1, x^x]; level 1 adds values
-    {5, 6, 8, 12, 16}.  t > MAX_HORNER_LEVEL is refused unless force=True,
-    and a forced t > 3 raises MagnitudeError: level 4 is past an int.
+    {5, 6, 8, 12, 16}.  t > MAX_HORNER_LEVEL raises LevelTooLarge, with no
+    override: level 4 holds values near 2^(2^65536), past an int.
     """
-    check_cap(require_int(t, 0, "level"), MAX_HORNER_LEVEL, f"horner level {t}",
-              force, LevelTooLarge)
+    if require_int(t, 0, "level") > MAX_HORNER_LEVEL:
+        raise LevelTooLarge(f"horner level {t} > {MAX_HORNER_LEVEL}: level 4 holds values "
+                            "near 2^(2^65536), past an int")
     n_all, le, lo, lp = [1, 2, 3, 4], [4], [3], [2, 4]
     for _ in range(t):
-        if max(le + lo) > sys.maxsize:  # 1 << m would pass the int size limit
-            raise MagnitudeError(f"horner level {t} holds values too large to build")
         powers = [1 << m for m in le + lo]
         le, lo = [m * n for m in lp for n in lo] + powers, [n + 1 for n in le]
         lp = lp + powers

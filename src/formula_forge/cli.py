@@ -6,9 +6,10 @@ One subcommand per capability; results go to stdout as single-line JSON
 closed early (a reader such as `head` stopped; nothing is printed on stderr
 and the cache is not written), 2 usage, 3 domain error or an output file
 that cannot be written, 4 resource guard refused the request (every
-subcommand takes --unsafe to override its guards).  Every guard is one
-errors.check_cap call made before the work it caps; the caps that only the
-command line enforces are in the block below the imports.
+subcommand takes --unsafe to override its guards, except the hard limits
+of `list`'s stream depth and the level sets).  Every guard that --unsafe
+lifts is one errors.check_cap call made before the work it caps; the caps
+that only the command line enforces are in the block below the imports.
 
 With FORMULA_FORGE_CACHE set, a command that reads the count table
 (`count`, `sample`, `cache`, `rho`, `constant`, and `list` without --limit)
@@ -158,7 +159,7 @@ def _gs_json(form):
 
 def _emit_levels(levels, args):
     t = args.operands[0] if args.operands else 1
-    exprs = levels(t, force=args.unsafe)
+    exprs = levels(t)
     _emit({"t": t, "count": len(exprs), "expressions": [_expr_json(e) for e in exprs]})
     return 0
 
@@ -195,13 +196,8 @@ def _cmd_horner(args):
 
 
 def _cmd_sieve(args):
-    from .sieve import (PRIME_COUNTS, check_rationals, dyadic_steps, rational_set, run_sieve,
-                        scf_coarse)
+    from .sieve import rational_set, run_sieve, scf_coarse
 
-    bounds = [1 if b is None else b for b in (args.exponent_bound, args.factor_bound)]
-    steps = dyadic_steps(args.levels, args.coarse, args.unsafe)
-    if args.rationals and steps < len(PRIME_COUNTS):  # refuse before the sieve runs
-        check_rationals(PRIME_COUNTS[steps], *bounds, args.unsafe)
     state = (scf_coarse if args.coarse else run_sieve)(args.levels, force=args.unsafe)
     out = {
         "levels": args.levels,
@@ -213,6 +209,7 @@ def _cmd_sieve(args):
     if args.integers:
         out["integers"] = [_expr_json(e) for e in state.integers]
     if args.rationals:
+        bounds = [1 if b is None else b for b in (args.exponent_bound, args.factor_bound)]
         rationals = rational_set(state, *bounds, force=args.unsafe)
         out["rationals"] = [_expr_json(r) for r in rationals]
     _emit(out)

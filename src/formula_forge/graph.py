@@ -19,7 +19,7 @@ from enum import Enum
 
 from .enumeration import enumerate_ame
 from .errors import Record, check_cap, require_int
-from .trees import evaluate, is_strict, parse_prefix, size, to_prefix, validate
+from .trees import is_strict, parse_prefix, to_prefix, validate
 
 MAX_GRAPH_VALUE = 9
 
@@ -92,18 +92,15 @@ def _rewrites(p: str) -> list:
 
 
 def neighbors(tree) -> set:
-    """All (tree', rule) one step away, filtered to the vertex set: strict,
-    same value, size within 2n - 1, and different from the source.
-    DomainError unless tree is a formula tree (trees.validate)."""
+    """All (tree', rule) one step away, filtered to the vertex set: strict
+    and different from the source.  Every law preserves the value, and a
+    strict tree of value n has at most n leaves, so no rewrite can leave the
+    value or pass size 2n - 1.  DomainError unless tree is a formula tree
+    (trees.validate)."""
     validate(tree)
-    n = evaluate(tree)
-    bound = 2 * n - 1
-    out = set()
-    for pu, bit in _rewrites(to_prefix(tree)):
-        u = parse_prefix(pu)
-        if u != tree and is_strict(u) and evaluate(u) == n and size(u) <= bound:
-            out.add((u, _RULE_OF_BIT[bit]))
-    return out
+    p = to_prefix(tree)
+    return {(u, _RULE_OF_BIT[bit]) for pu, bit in _rewrites(p)
+            if pu != p and is_strict(u := parse_prefix(pu))}
 
 
 class RewriteGraph(Record):
@@ -181,7 +178,7 @@ def build_graph(n: int, force: bool = False) -> RewriteGraph:
     for pv, near in adj.items():
         for pu, bit in _rewrites(pv):
             # the vertices are exactly the strict trees of value n, so
-            # membership is neighbors()' strict, value and size filter
+            # membership is neighbors()' strict filter
             if pu in tree_of and pu != pv:
                 near.add(pu)
                 key = (pv, pu) if pv < pu else (pu, pv)

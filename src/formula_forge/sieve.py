@@ -29,10 +29,6 @@ COARSE_MAX_LEVELS = 2
 # expressions rational_set builds, about 55 us each with their JSON on the
 # command line: 37,687 take 2.2 s on a 2-vCPU VM
 MAX_RATIONALS = 50_000
-# the known primes after each of the dyadic steps 0-15, pi(2^(steps + 1)):
-# the sieve's own counts, pinned by a test, so that a rational_set request
-# can be sized before the sieve runs
-PRIME_COUNTS = (1, 2, 4, 6, 11, 18, 31, 54, 97, 172, 309, 564, 1028, 1900, 3512, 6542)
 
 
 @dataclass(frozen=True)
@@ -110,7 +106,7 @@ def _range_encodings(state: SieveState, k: int) -> list:
 def _encode_range(state: SieveState, k: int) -> list:
     """(value, encoding) pairs over _range_encodings, for the range filters
     and tests; a step keeps only the encodings, its values implicit."""
-    return list(enumerate(_range_encodings(state, k), 2 ** (k + 1) + 1))
+    return list(enumerate(_range_encodings(state, require_int(k, 0, "k")), 2 ** (k + 1) + 1))
 
 
 def prime_power_range(state: SieveState, k: int) -> list:
@@ -196,23 +192,6 @@ def scf_coarse(levels: int, force: bool = False) -> SieveState:
     return _dyadic(dyadic_steps(levels, True, force))
 
 
-def check_rationals(primes: int, exponent_bound: int, factor_bound: int,
-                    force: bool = False) -> None:
-    """Check rational_set's bounds over `primes` known primes, and refuse
-    with SizeGuard above MAX_RATIONALS expressions unless force=True.
-
-    With P known primes and E = exponent_bound there are the sum over
-    c <= min(factor_bound, P) of C(P, c) * (2E)^c products: c of the primes,
-    each to one of 2E exponents.
-    """
-    require_int(exponent_bound, 1, "exponent_bound")
-    require_int(factor_bound, 0, "factor_bound")
-    size = sum(comb(primes, c) * (2 * exponent_bound) ** c
-               for c in range(min(factor_bound, primes) + 1))
-    check_cap(size, MAX_RATIONALS, f"rational expressions over {primes} primes with "
-              f"exponent bound {exponent_bound} and factor bound {factor_bound}", force)
-
-
 def rational_set(state: SieveState, exponent_bound: int, factor_bound: int,
                  force: bool = False) -> list:
     """Signed-exponent extension: products p1^(±e1)*...*pc^(±ec) over at
@@ -222,10 +201,18 @@ def rational_set(state: SieveState, exponent_bound: int, factor_bound: int,
     rational_set(initial_state(), 1, 1) -> [1, x, x^(-1)]
     (values 1, 2, 1/2).
 
-    check_rationals sizes the request first: above MAX_RATIONALS, SizeGuard
-    is raised before any is built, unless force=True.
+    With P known primes and E = exponent_bound there are the sum over
+    c <= min(factor_bound, P) of C(P, c) * (2E)^c products: c of the primes,
+    each to one of 2E exponents.  Above MAX_RATIONALS, SizeGuard is raised
+    before any is built, unless force=True.
     """
-    check_rationals(len(state.primes), exponent_bound, factor_bound, force)
+    require_int(exponent_bound, 1, "exponent_bound")
+    require_int(factor_bound, 0, "factor_bound")
+    primes = len(state.primes)
+    size = sum(comb(primes, c) * (2 * exponent_bound) ** c
+               for c in range(min(factor_bound, primes) + 1))
+    check_cap(size, MAX_RATIONALS, f"rational expressions over {primes} primes with "
+              f"exponent bound {exponent_bound} and factor bound {factor_bound}", force)
     if exponent_bound > state.covers:
         raise DomainError(
             f"exponent bound {exponent_bound} exceeds covered range {state.covers}"

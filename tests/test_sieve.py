@@ -106,6 +106,16 @@ def test_multi_factor_products_golden():
         multi_factor_products(initial_state(), 2, 2)
 
 
+@pytest.mark.parametrize("bad", [-1, -2, -3, 1.5, "2", True])
+def test_range_filters_refuse_a_bad_k(bad):
+    # not a raw TypeError, an empty range for -1, or True read as 1
+    s = run_sieve(1)
+    for call in (sieve._encode_range, prime_power_range,
+                 lambda s, k: multi_factor_products(s, k, 2)):
+        with pytest.raises(DomainError):
+            call(s, bad)
+
+
 def test_products_and_powers_ascend_by_value():
     s = run_sieve(6)
     powers = prime_power_range(s, 7)
@@ -264,14 +274,6 @@ def test_clear_caches_keeps_results_and_nodes():
     assert encode_goodstein(10**30 + 7) is form and gs_value(form) == value
 
 
-def test_prime_counts_table_matches_every_step():
-    counts = [len(sieve._dyadic(steps).primes) for steps in range(len(sieve.PRIME_COUNTS))]
-    assert tuple(counts) == sieve.PRIME_COUNTS
-    assert len(run_sieve(sieve.MAX_LEVELS).primes) == sieve.PRIME_COUNTS[-1]
-    steps = sieve.dyadic_steps(sieve.COARSE_MAX_LEVELS + 1, coarse=True, force=True)
-    assert steps == len(sieve.PRIME_COUNTS) - 1  # coarse level 3 covers 65536 too
-
-
 def test_run_sieve_guards():
     with pytest.raises(LevelTooLarge):
         run_sieve(15)
@@ -291,6 +293,8 @@ def test_coarse_matches_dyadic_at_equal_coverage():
         scf_coarse(3)
     with pytest.raises(DomainError):
         scf_coarse(-1)
+    # coarse level 3 covers 65536, as the dyadic state of MAX_LEVELS does
+    assert sieve.dyadic_steps(3, coarse=True, force=True) == 15
 
 
 def test_rational_set_golden():

@@ -23,8 +23,9 @@ pairs the same way with --trace 1 and records every per-layer metric.  The
 pairs go to BENCH_<NAME>.json at the top of the working tree, in the
 layout of the BENCH_*.json files there: per workload and metric, the median
 and inclusive-quartile range of each side, the change's delta per seed and
-in the median, how many pairs the change read lower, and whether the
-change's median is within the metric's BENCHMARK.json bound.  With
+in the median, how many pairs the change read lower, whether the change's
+median is within the metric's BENCHMARK.json bound, and whether the pairs
+resolve the metric at that bound (resolved).  With
 --claim WORKLOAD:METRIC, "claim" records that end-to-end metric of that
 workload's untraced pairs (see claim_record), of which there must be at
 least CLAIM_PAIRS (10); without it no gain is claimed ("claim": null).
@@ -92,6 +93,18 @@ def within_bound(metric, parent, change):
     return None if bound is None else change - parent <= bound * parent
 
 
+def resolved(metric, parent, change):
+    """Whether the runs can tell the metric at its bound: the parent's
+    interquartile width is at most bound times the parent's median, or every
+    change run reads lower than every parent run.  Otherwise a median within
+    the bound is unresolved, not unchanged.  None without a bound."""
+    bound = metric.get("bound")
+    if bound is None:
+        return None
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    return q3 - q1 <= bound * statistics.median(parent) or max(change) < min(parent)
+
+
 def workload_record(runs, seeds, first_side, metrics):
     """runs maps (side, seed) to a run's last line; side is parent or change."""
     out = {
@@ -115,6 +128,7 @@ def workload_record(runs, seeds, first_side, metrics):
             "bound": m.get("bound"),
             "within_bound": within_bound(m, statistics.median(parent),
                                          statistics.median(change)),
+            "resolved": resolved(m, parent, change),
             "parent": summary(parent),
             "change": summary(change),
             "median_delta_pct": delta_pct(statistics.median(parent), statistics.median(change)),
@@ -203,7 +217,9 @@ def main(argv=None) -> int:
             "pair_delta_pct is (change - parent) / parent per seed; pairs_change_lower "
             "counts pairs where the change read lower; failed_ops is [failed, attempted] "
             "summed over the runs of a side; within_bound is whether the change's median "
-            "is worse than the parent's by at most bound times the parent's median. "
+            "is worse than the parent's by at most bound times the parent's median; "
+            "resolved is whether the parent's interquartile width is at most bound times "
+            "its median, or every change run read lower than every parent run. "
             "Written by tools/bench_pairs.py."),
         "workloads": {},
     }
