@@ -63,41 +63,27 @@ for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 import mpmath
 from mpmath.libmp import fone, from_man_exp, mpf_add, mpf_sub
 
 from .counting import FAMILIES, default_table, sieved
-from .errors import DomainError, NegativeRadicand, NonConvergence, require_int
+from .errors import DomainError, NegativeRadicand, NonConvergence, Record, require_int
 
 _GUARD_BITS = 16
 _MAX_EXTRA_ITERATIONS = 64
 _SEEDS = {"am": "4.077", "ame": "4.131"}
 
 
-@dataclass(frozen=True)
-class RhoEstimate:
-    family: str
-    rho: object
-    fixed_point: object
-    terms: int
-    iterations: int
-    extra_iterations: int
-    precision_bits: int
-    residual: object
+class RhoEstimate(Record):
+    __slots__ = __match_args__ = ("family", "rho", "fixed_point", "terms", "iterations",
+                                  "extra_iterations", "precision_bits", "residual")
 
 
-@dataclass(frozen=True)
-class ConstantEstimate:
-    rho: object
-    constant: object
-    radicand: object
-    ratios: tuple
-    terms: int
-    iterations: int
-    precision_bits: int
+class ConstantEstimate(Record):
+    __slots__ = __match_args__ = ("rho", "constant", "radicand", "ratios", "terms",
+                                  "iterations", "precision_bits")
 
 
 def _normalize_family(family):

@@ -16,12 +16,13 @@ With FORMULA_FORGE_CACHE set, a command that reads the count table
 loads the tables from that path first and writes them back after
 a successful run that added rows (or when the file did not exist yet), so
 repeated invocations share work; a failed write-back is only a warning.
-Every other command leaves the file alone: it neither reads nor creates it.
+`cache load` of that path reads it once and never writes it.  Every other
+command leaves the file alone: it neither reads nor creates it.
 
-Start-up imports only what the parser needs (counting and errors, neither
-of which imports `dataclasses`); each subcommand imports its own modules
-when it runs, the `cache` module only with the count table, and only `rho`
-and `constant` import mpmath.
+Start-up imports only `errors` of the package, all that the parser needs;
+each subcommand imports its own modules when it runs (`goodstein`,
+`horner` and `sieve` never import `counting`), the `cache` module only
+with the count table, and only `rho` and `constant` import mpmath.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import os
 import sys
 
 from . import __version__
-from .counting import FAMILIES, GATE_SETS, ROOT_ALL, default_table, resolve_family
 from .errors import (
     CacheError, FormulaForgeError, LevelTooLarge, MagnitudeError, SizeGuard, check_cap,
     require_int,
@@ -60,6 +60,7 @@ _NOTATIONS = ("brackets", "prefix", "postfix")
 _ROOT_WORDS = {"+": "add", "*": "mul", "^": "pow"}
 # the fewest and most operands of each `goodstein` and `horner` mode
 _OPERANDS = {"levels": (0, 1), "encode": (1, 1), "add": (2, 2), "mul": (2, 2), "pow": (2, 2)}
+_GATE_SETS = ("a", "am", "ame")  # counting.GATE_SETS, pinned equal by a test
 
 
 def _emit(obj):
@@ -89,11 +90,15 @@ def _renderer(notation):
 
 def _request(args):
     """(family, root) behind n and --gates/--root/--lop; checks the combination."""
+    from .counting import resolve_family
+
     require_int(args.n)
     return resolve_family(args.gates, args.root, args.lop)
 
 
 def _cmd_count(args):
+    from .counting import ROOT_ALL, default_table
+
     family, root = _request(args)
     check_cap(args.n, MAX_COUNT_VALUE, f"count value {args.n}", args.unsafe)
     count = default_table().count
@@ -113,6 +118,7 @@ def _cmd_count(args):
 
 
 def _cmd_list(args):
+    from .counting import default_table
     from .enumeration import stream
 
     family, root = _request(args)
@@ -283,6 +289,7 @@ def _cmd_graph(args):
 
 def _cmd_cache(args):
     from .cache import load_table, save_table
+    from .counting import FAMILIES, default_table
 
     if args.mode == "save":
         if args.warm:
@@ -301,7 +308,7 @@ def _family_command(sub, name, help, func):
     """A subcommand on the trees of value n in the family --gates/--root/--lop name."""
     p = sub.add_parser(name, help=help)
     p.add_argument("n", type=int)
-    p.add_argument("--gates", choices=GATE_SETS, default="a",
+    p.add_argument("--gates", choices=_GATE_SETS, default="a",
                    help="gate set: a (add-only), am, or ame (default a)")
     p.add_argument("--root", choices=["all", "add", "mul", "pow"], default="all",
                    help="restrict the root gate (am/ame families)")
@@ -429,8 +436,12 @@ def _run(args) -> int:
     cache_path = None
     if _reads_counts(args):
         from .cache import ENV_VAR, load_table, save_table
+        from .counting import default_table
 
         cache_path = os.environ.get(ENV_VAR)
+        if cache_path and args.command == "cache" and args.mode == "load" and (
+                os.path.realpath(cache_path) == os.path.realpath(args.path)):
+            cache_path = None  # the command reads that file itself
     loaded = None  # rows read from the cache file, None if there was none
     try:
         if cache_path and os.path.exists(cache_path):

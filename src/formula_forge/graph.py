@@ -110,9 +110,6 @@ class RewriteGraph(Record):
 
     __slots__ = __match_args__ = ("n", "vertices", "adjacency", "edge_labels")
 
-    def __init__(self, n: int, vertices: tuple, adjacency: dict, edge_labels: dict):
-        self._init(n=n, vertices=vertices, adjacency=adjacency, edge_labels=edge_labels)
-
     @property
     def edge_count(self) -> int:
         return len(self.edge_labels)

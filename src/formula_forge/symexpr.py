@@ -35,6 +35,7 @@ class Interned(Record):
     """
 
     __slots__ = ()
+    __init__ = object.__init__  # __new__ sets the fields: no Python-level call
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 

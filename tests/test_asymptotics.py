@@ -1,6 +1,5 @@
 """The growth-base / leading-constant estimates and the cut of S."""
 
-import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -232,7 +231,7 @@ def _outcome(estimate, *args):
         est = estimate(*args)
     except Exception as exc:  # the exception is part of the pinned outcome
         return f"{type(exc).__name__}: {exc}"
-    return ";".join(f"{f.name}={_field(getattr(est, f.name))}" for f in dataclasses.fields(est))
+    return ";".join(f"{name}={_field(getattr(est, name))}" for name in est.__match_args__)
 
 
 def test_estimates_match_their_pinned_digest():

@@ -10,10 +10,12 @@ import time
 import pytest
 
 import formula_forge
+import formula_forge.cache as cache_module
 from formula_forge import canonical, cli, enumeration, graph, sieve
 from formula_forge import parse_prefix, evaluate, is_strict
 from formula_forge.cache import ENV_VAR, save_table
 from formula_forge.cli import main
+from formula_forge.counting import GATE_SETS
 
 
 def run(capsys, *argv):
@@ -788,6 +790,28 @@ def test_env_cache_left_as_is_when_no_row_is_added(capsys, tmp_path, monkeypatch
     assert path.stat().st_mtime_ns == 10**18
 
 
+def test_cache_load_reads_the_env_cache_once(capsys, tmp_path, monkeypatch):
+    path, _ = _warm_cache_file(capsys, tmp_path, monkeypatch)
+    before = path.read_bytes()
+    monkeypatch.delenv(ENV_VAR)
+    alone = run_json(capsys, "cache", "load", str(path))
+    other = tmp_path / "other.json"
+    other.write_bytes(before)
+    real, reads = cache_module.load_table, []
+    monkeypatch.setattr(cache_module, "load_table",
+                        lambda p, *rest: reads.append(os.path.basename(p)) or real(p, *rest))
+    monkeypatch.setenv(ENV_VAR, str(path))
+    assert run_json(capsys, "cache", "load", str(path)) == alone
+    monkeypatch.chdir(tmp_path)  # the same file by another name
+    assert run_json(capsys, "cache", "load", "warm.json")["loaded"] == alone["loaded"]
+    assert reads == ["warm.json"] * 2
+    assert path.read_bytes() == before and path.stat().st_mtime_ns == 10**18
+    reads.clear()  # a different file is read as well as the env cache
+    assert run_json(capsys, "cache", "load", str(other))["loaded"] == alone["loaded"]
+    assert reads == ["warm.json", "other.json"]
+    assert path.stat().st_mtime_ns == 10**18
+
+
 def test_env_cache_rewritten_when_rows_are_added(capsys, tmp_path, monkeypatch):
     path, watermark = _warm_cache_file(capsys, tmp_path, monkeypatch)
     run_json(capsys, "count", str(watermark + 3), "--gates", "am")
@@ -797,6 +821,11 @@ def test_env_cache_rewritten_when_rows_are_added(capsys, tmp_path, monkeypatch):
 
 
 # usage plumbing
+
+def test_gates_choices_are_the_gate_sets():
+    # the parser keeps its own copy, so that start-up need not import counting
+    assert cli._GATE_SETS == GATE_SETS
+
 
 def test_usage_errors_exit_two(capsys, tmp_path):
     cache = str(tmp_path / "counts.json")

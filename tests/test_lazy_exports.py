@@ -108,6 +108,50 @@ def test_cli_start_up_loads_only_what_the_parser_needs(tmp_path):
     assert ran.split() == ["False"] * 9
 
 
+def test_growth_loads_no_dataclasses_or_inspect():
+    out = _fresh("""
+        import contextlib, io, sys
+        from formula_forge import constant_estimate, rho_estimate
+        from formula_forge.cli import main
+
+        def unloaded():
+            return all(m not in sys.modules for m in ("dataclasses", "inspect"))
+
+        def run(*argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(list(argv)) == 0, argv
+            return unloaded()
+
+        rho_estimate("ame", 20, 5, 53)
+        after_rho = unloaded()
+        constant_estimate(20, 5, 53)
+        print(after_rho, unloaded(),
+              run("rho", "--terms", "20", "--precision-bits", "53"),
+              run("constant", "--json", "--terms", "20", "--precision-bits", "53"))
+    """)
+    assert out.split() == ["True"] * 4
+
+
+def test_tower_commands_load_no_counting():
+    out = _fresh("""
+        import contextlib, io, sys
+        from formula_forge.cli import main
+
+        def run(*argv):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(list(argv)) == 0, argv
+            return "formula_forge.counting" in sys.modules
+
+        print(run("goodstein", "mul", "1000003", "999983"),
+              run("goodstein", "levels", "2"),
+              run("horner", "encode", "99"),
+              run("horner", "levels", "3"),
+              run("sieve", "--levels", "3", "--integers", "--rationals"),
+              run("sieve", "--levels", "2", "--coarse"))
+    """)
+    assert out.split() == ["False"] * 6
+
+
 def test_tower_commands_load_no_fractions():
     # Fraction is needed only for Neg exponents, as in sieve --rationals
     out = _fresh("""
