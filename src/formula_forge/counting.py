@@ -45,10 +45,8 @@ def normalize_root(root: str) -> str:
 
 
 def exact_root(n: int, k: int):
-    """Integer b with b**k == n, or None.  isqrt for k = 2, the rounded
-    float root below 2**52, else a Newton floor root; exact check."""
-    if n < 1 or k < 1:
-        return None
+    """Integer b with b**k == n, or None, for n, k >= 1.  isqrt for k = 2,
+    the rounded float root below 2**52, else a Newton floor root; exact check."""
     if k == 2:
         b = isqrt(n)
     elif n.bit_length() <= 52:  # float(n) is exact, its root within 2**-30
@@ -144,8 +142,8 @@ class Family(Record):
     __match_args__ = ("name", "rules")
 
     def __init__(self, name: str, rules: tuple):
-        columns = (ROOT_ALL,) if len(rules) == 1 else tuple(gate for gate, _ in rules)
-        self._init(name=name, rules=rules, columns=columns)
+        super().__init__(name, rules)
+        Family.columns.__set__(self, tuple(g for g, _ in rules) if rules[1:] else (ROOT_ALL,))
 
     def row(self, tot, m: int) -> list:
         """Counts of value m per root class, from the totals list below m:

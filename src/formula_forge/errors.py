@@ -76,30 +76,53 @@ def nested(walk, value, kind: str, verb: str):
         raise SizeGuard(f"{kind} nests too deeply to {verb}") from None
 
 
+class _Dataclass:
+    """Record's lazy __dataclass_fields__ or __dataclass_params__."""
+
+    twins = {}  # Record class -> the make_dataclass class with its fields
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, record, cls):
+        if cls.__eq__ is not Record.__eq__:  # compared by identity: no dataclass
+            raise AttributeError(self.name)
+        if cls not in self.twins:
+            from dataclasses import make_dataclass
+            self.twins.setdefault(cls, make_dataclass(cls.__name__, cls.__match_args__))
+        return getattr(self.twins[cls], self.name)
+
+
 class Record:
     """Base of the package's immutable value classes.
 
     It gives what a frozen dataclass would, without importing `dataclasses`
-    (11 ms with what it pulls in on a 2-vCPU VM, a tenth of a command-line
-    run).  Fields live in __slots__; __match_args__ names the fields that
-    ==, hash, repr, copies and pickles use, and the constructor takes them
-    in that order, by position or keyword.  A class with more slots, or
-    another signature, defines __init__ and sets each slot once through
-    _init.  Assignment and deletion raise AttributeError.
+    (11 ms with what it pulls in on a 2-vCPU VM).  Fields live in __slots__;
+    __match_args__ names the fields that ==, hash, repr, copies and pickles
+    use, and the constructor takes them in that order, by position or
+    keyword, and sets each through its slot (_setters).  A class with more
+    slots, or another signature, defines __init__.  Assignment and deletion
+    raise AttributeError.  dataclasses.replace, fields and asdict read a
+    make_dataclass twin, made on first use, unless == is identity.
     """
 
     __slots__ = ()
     __match_args__ = ()
+    __dataclass_fields__ = _Dataclass()
+    __dataclass_params__ = _Dataclass()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
 
     def __init__(self, *args, **kwargs):
         names = self.__match_args__
-        if len(args) > len(names) or sorted(kwargs) != sorted(names[len(args):]):
+        if kwargs and sorted(kwargs) == sorted(names[len(args):]):
+            args += tuple(map(kwargs.get, names[len(args):]))
+        elif kwargs or len(args) != len(names):
             raise TypeError(f"{type(self).__qualname__} takes the fields {', '.join(names)}")
-        self._init(**dict(zip(names, args)), **kwargs)
-
-    def _init(self, **fields):
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+        for set_field, value in zip(self._setters, args):
+            set_field(self, value)
 
     def __reduce__(self):  # copies and pickles go through the constructor
         return type(self), self._values()
@@ -118,14 +141,11 @@ class Record:
     def __repr__(self):
         """Class name and the __match_args__ fields; SizeGuard on a value
         nested past the interpreter's recursion limit."""
-        return f"{type(self).__qualname__}({nested(_fields, self, 'value', 'repr')})"
+        fields = (f"{n}={v!r}" for n, v in zip(self.__match_args__, self._values()))
+        return f"{type(self).__qualname__}({nested(', '.join, fields, 'value', 'repr')})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-def _fields(record):
-    return ", ".join(f"{name}={getattr(record, name)!r}" for name in record.__match_args__)

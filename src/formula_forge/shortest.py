@@ -26,10 +26,9 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque
-from dataclasses import dataclass
 
 from .counting import FAMILIES
-from .errors import require_int
+from .errors import Record, require_int
 from .trees import size
 
 # the * and ^ rules of {+, *, ^}; each replaces the pick so far, additive or
@@ -38,11 +37,8 @@ from .trees import size
 _PRODUCT_RULES = FAMILIES["ame"].rules[1:]
 
 
-@dataclass(frozen=True)
-class ShortestEntry:
-    n: int
-    size: int
-    witness: object  # formula tree
+class ShortestEntry(Record):
+    __slots__ = __match_args__ = ("n", "size", "witness")  # witness: a formula tree
 
 
 class ShortestTable:

@@ -17,10 +17,9 @@ process, so a longer run extends a shorter one; clear_caches() releases it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
-from .errors import DomainError, InternalGapError, LevelTooLarge, check_cap, require_int
+from .errors import DomainError, InternalGapError, LevelTooLarge, Record, check_cap, require_int
 from .symexpr import (CACHE_CLEARS, ONE, Neg, Pow, Prod, Sum, SymExpr, X, sym_pow, sym_prod,
                       sym_value)
 
@@ -31,13 +30,10 @@ COARSE_MAX_LEVELS = 2
 MAX_RATIONALS = 50_000
 
 
-@dataclass(frozen=True)
-class SieveState:
+class SieveState(Record):
     """Encodings for 1..2^(level+1), ascending; primes is the flagged subset."""
 
-    level: int
-    integers: tuple
-    primes: tuple
+    __slots__ = __match_args__ = ("level", "integers", "primes")
 
     @property
     def covers(self) -> int:

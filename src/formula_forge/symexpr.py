@@ -40,13 +40,12 @@ class Interned(Record):
     __hash__ = object.__hash__
 
     def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
         cls.__match_args__ += cls.__dict__.get("__slots__", ())
+        super().__init_subclass__(**kwargs)  # sets cls._setters from __match_args__
         if not cls.__match_args__:
             return
         table = cls._nodes = {}  # setdefault is atomic: racing threads agree on one node
-        setters = [getattr(cls, name).__set__ for name in cls.__match_args__]
-        set_first, set_second = setters[0], setters[-1]
+        set_first, set_second = cls._setters[0], cls._setters[-1]
 
         def one(cls, first):
             node = table.get(first)
@@ -64,7 +63,7 @@ class Interned(Record):
                 set_second(node, second)
                 node = table.setdefault((first, second), node)
             return node
-        cls.__new__ = staticmethod({1: one, 2: two}[len(setters)])
+        cls.__new__ = staticmethod({1: one, 2: two}[len(cls._setters)])
 
     def __copy__(self):
         return self

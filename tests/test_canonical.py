@@ -306,6 +306,27 @@ def test_pow_magnitude_guard(monkeypatch):
     assert g_pow(two, encode_goodstein(64), force=True) == encode_goodstein(2**64)
 
 
+def test_pow_magnitude_guard_at_its_boundary(monkeypatch):
+    # 2 ** 64 has 65 bits, which the estimate vb * (bit_length(va) - 1) + 1 gives
+    two, exponent = encode_goodstein(2), encode_goodstein(64)
+    monkeypatch.setattr(canonical, "MAX_POW_BITS", 65)
+    assert g_pow(two, exponent) is encode_goodstein(2**64)
+    monkeypatch.setattr(canonical, "MAX_POW_BITS", 64)
+    with pytest.raises(MagnitudeError, match="^a power of about 65 bits > 64;"):
+        g_pow(two, exponent)
+
+
+def test_pow_pair_guard_counts_a_square_as_its_unordered_pairs(monkeypatch):
+    # 7 ** 2: the square of 7's 3 exponents counts 3 * 4 / 2 = 6 pairs, and
+    # the multiply by it 1 * 3 more, 9 in all
+    seven, two = encode_goodstein(7), encode_goodstein(2)
+    monkeypatch.setattr(canonical, "MAX_MUL_PAIRS", 9)
+    assert g_pow(seven, two) is encode_goodstein(49)
+    monkeypatch.setattr(canonical, "MAX_MUL_PAIRS", 8)
+    with pytest.raises(SizeGuard, match="^9 exponent pairs to multiply > 8;"):
+        g_pow(seven, two)
+
+
 # level lists
 
 def test_goodstein_level_zero_and_one():

@@ -335,6 +335,15 @@ def test_cache_rows_above_a_gap_are_dropped():
     assert table.am(50, "+") == count_am(50, "+")
 
 
+def test_absorb_counts_only_the_rows_it_keeps():
+    # am's + row at 2 without its * row is checked but not kept
+    table = CountTable()
+    assert table.absorb([("am", "+", 2, 1)]) == 0
+    assert table.rows() == CountTable().rows()
+    assert table.absorb([("am", "+", 2, 1), ("am", "*", 2, 0)]) == 2
+    assert table.rows() == CountTable().rows() + 2
+
+
 def test_absorb_counts_an_iterator_of_rows_as_it_counts_a_list():
     # absorb walks its rows once, so an iterator is counted as the list is;
     # the row above the gap at 11-49 is dropped and not counted either way

@@ -2,12 +2,14 @@
 command loads only the modules that are used, and mpmath only for the
 growth constants."""
 
+import ast
 import importlib
 import inspect
 import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import formula_forge
 from formula_forge.cache import ENV_VAR
@@ -101,11 +103,29 @@ def test_cli_start_up_loads_only_what_the_parser_needs(tmp_path):
               run("goodstein", "add", "3", "4"),
               run("horner", "encode", "99"),
               run("graph", "4"),
-              run("cache", "load", {str(cache)!r}))
+              run("cache", "load", {str(cache)!r}),
+              run("shortest", "50"),
+              run("sieve", "--levels", "5"))
     """)
     loaded, ran = out.splitlines()
     assert loaded == "[]"
-    assert ran.split() == ["False"] * 9
+    assert ran.split() == ["False"] * 11
+
+
+def test_shortest_and_sieve_load_no_dataclasses_until_a_caller_does():
+    # dataclasses.replace works on the value records once a caller imports it
+    out = _fresh("""
+        import sys
+        from formula_forge import ShortestTable, rational_set, run_sieve
+
+        entry = ShortestTable().entry(50)
+        state = run_sieve(3)
+        rational_set(run_sieve(2), 2, 2)
+        print(all(m not in sys.modules for m in ("dataclasses", "inspect")))
+        import dataclasses
+        print(dataclasses.replace(entry, size=0).size, dataclasses.replace(state, level=9).level)
+    """)
+    assert out.split() == ["True", "0", "9"]
 
 
 def test_growth_loads_no_dataclasses_or_inspect():
@@ -210,3 +230,40 @@ def test_shortest_stays_the_function_after_its_module_loads():
         print(ff.shortest(6).size, list(ff.shortest_range(3))[-1].size)
     """)
     assert out.split() == ["9", "5"]
+
+
+def _import_time_imports(tree):
+    """The import statements of a module that run when it is imported:
+    every one outside a function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _imports_dataclasses(source):
+    for node in _import_time_imports(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.level == 0 else []
+        else:
+            names = [alias.name for alias in node.names]
+        if any(name.split(".")[0] == "dataclasses" for name in names):
+            return True
+    return False
+
+
+def test_no_module_imports_dataclasses_when_it_loads():
+    modules = sorted(Path(formula_forge.__file__).parent.glob("*.py"))
+    assert {"errors.py", "shortest.py", "sieve.py"} <= {m.name for m in modules}
+    assert [m.name for m in modules if _imports_dataclasses(m.read_text())] == []
+    # the check sees both forms, at any depth outside a function
+    assert _imports_dataclasses("import dataclasses")
+    assert _imports_dataclasses("import os, dataclasses as dc")
+    assert _imports_dataclasses("from dataclasses import dataclass")
+    assert _imports_dataclasses("class A:\n    from dataclasses import field")
+    assert _imports_dataclasses("try:\n    import dataclasses\nexcept ImportError:\n    pass")
+    assert not _imports_dataclasses("def f():\n    from dataclasses import make_dataclass")
+    assert not _imports_dataclasses("from .dataclasses import x\nimport dataclasses_json")
