@@ -63,7 +63,7 @@ assert leftovers == [37, 41, 43, 47, 53, 59, 61]
 print()
 
 print("= coarse variant =")
-# scf_coarse paces coverage by squaring: each step squares the bound.
+# scf_coarse paces coverage as a tower: each level turns the bound c into 2^c.
 for t in range(3):
     s = scf_coarse(t)
     print(f"coarse level {t} covers 1..{s.covers}, {len(s.primes)} primes")

@@ -74,6 +74,16 @@ def _nstr(value, precision_bits):
     return mpmath.nstr(value, digits)
 
 
+def _estimate_json(est):
+    """A growth estimate's fields in its own order, each mpf to the estimate's
+    precision (the residual to 17 digits); `ratios` prints only as CSV."""
+    import mpmath
+
+    fields = {name: getattr(est, name) for name in est.__match_args__ if name != "ratios"}
+    return {name: _nstr(v, 17 if name == "residual" else est.precision_bits)
+            if isinstance(v, mpmath.mpf) else v for name, v in fields.items()}
+
+
 def _expr_json(e):
     from .symexpr import sym_value
 
@@ -234,17 +244,8 @@ def _cmd_rho(args):
     _check_growth_caps(args)
     from .asymptotics import rho_estimate
 
-    est = rho_estimate(args.gates, args.terms, args.iterations, args.precision_bits)
-    _emit({
-        "family": est.family,
-        "rho": _nstr(est.rho, est.precision_bits),
-        "fixed_point": _nstr(est.fixed_point, est.precision_bits),
-        "terms": est.terms,
-        "iterations": est.iterations,
-        "extra_iterations": est.extra_iterations,
-        "precision_bits": est.precision_bits,
-        "residual": _nstr(est.residual, 17),
-    })
+    _emit(_estimate_json(rho_estimate(args.gates, args.terms, args.iterations,
+                                      args.precision_bits)))
     return 0
 
 
@@ -254,14 +255,7 @@ def _cmd_constant(args):
 
     est = constant_estimate(args.terms, args.iterations, args.precision_bits)
     if args.json:
-        _emit({
-            "rho": _nstr(est.rho, est.precision_bits),
-            "constant": _nstr(est.constant, est.precision_bits),
-            "radicand": _nstr(est.radicand, est.precision_bits),
-            "terms": est.terms,
-            "iterations": est.iterations,
-            "precision_bits": est.precision_bits,
-        })
+        _emit(_estimate_json(est))
         return 0
     print("n,ratio")
     for i, ratio in enumerate(est.ratios):

@@ -13,6 +13,8 @@ encodings in place of flags.
 
 run_sieve and scf_coarse keep the states they reach in one table per
 process, so a longer run extends a shorter one; clear_caches() releases it.
+Both refuse, unless forced, a state past run_sieve(MAX_LEVELS), which
+covers 65536: the coarse levels have no cap of their own.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .symexpr import (CACHE_CLEARS, ONE, Neg, Pow, Prod, Sum, SymExpr, X, sym_po
                       sym_value)
 
 MAX_LEVELS = 14
-COARSE_MAX_LEVELS = 2
 # expressions rational_set builds, about 55 us each with their JSON on the
 # command line: 37,687 take 2.2 s on a 2-vCPU VM
 MAX_RATIONALS = 50_000
@@ -153,19 +154,10 @@ def _dyadic(steps: int) -> SieveState:
     return state
 
 
-def dyadic_steps(levels: int, coarse: bool = False, force: bool = False) -> int:
-    """The dyadic steps run_sieve(levels), or with coarse scf_coarse(levels),
-    takes; LevelTooLarge past MAX_LEVELS (COARSE_MAX_LEVELS) unless force."""
-    require_int(levels, 0, "levels")
-    if not coarse:
-        check_cap(levels, MAX_LEVELS, f"sieve levels {levels}", force, LevelTooLarge)
-        return levels + 1 if levels else 0
-    check_cap(levels, COARSE_MAX_LEVELS, f"coarse sieve levels {levels}", force,
-              LevelTooLarge)
-    covers = 2
-    for _ in range(levels):
-        covers = 2**covers
-    return covers.bit_length() - 2  # covers 2^(steps + 1)
+def _capped(steps: int, what: str, force: bool) -> SieveState:
+    """_dyadic(steps), refused past the steps of run_sieve(MAX_LEVELS)."""
+    check_cap(steps - 1, MAX_LEVELS, what, force, LevelTooLarge)
+    return _dyadic(steps)
 
 
 def run_sieve(levels: int, force: bool = False) -> SieveState:
@@ -175,17 +167,24 @@ def run_sieve(levels: int, force: bool = False) -> SieveState:
     run_sieve(3).prime_values() lists the 11 primes up to 32.
     Levels beyond 14 (coverage 65536) are refused unless force=True.
     """
-    return _dyadic(dyadic_steps(levels, False, force))
+    steps = levels + 1 if require_int(levels, 0, "levels") else 0
+    return _capped(steps, f"sieve levels {levels}", force)
 
 
 def scf_coarse(levels: int, force: bool = False) -> SieveState:
     """Tower-paced sieve: coverage jumps 2 -> 4 -> 16 -> 65536 per level.
 
-    Internally runs the same dyadic steps, so scf_coarse(t) equals the
-    dyadic state of equal coverage.  levels > 2 is refused unless
-    force=True (level 3 already builds 65536 encodings).
+    Internally runs the same dyadic steps, so scf_coarse(t) is the dyadic
+    state of equal coverage: scf_coarse(3) is run_sieve(14), and levels
+    from 4 on (coverage 2^65536) pass run_sieve's cap and are refused
+    unless force=True.
     """
-    return _dyadic(dyadic_steps(levels, True, force))
+    steps = 0  # covering 2^(steps + 1)
+    for _ in range(require_int(levels, 0, "levels")):
+        if steps - 1 > MAX_LEVELS and not force:
+            break  # refused by _capped; one more level would cover 2^(2^65536)
+        steps = 2 ** (steps + 1) - 1  # coverage c becomes 2^c
+    return _capped(steps, f"coarse sieve levels {levels} reach sieve levels", force)
 
 
 def rational_set(state: SieveState, exponent_bound: int, factor_bound: int,

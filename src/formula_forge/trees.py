@@ -133,9 +133,20 @@ def parse_prefix(text: str):
     The string is read right to left: a 1 pushes a leaf, and a gate pops
     its left operand, then its right one.
     """
+    return _parse(text, reversed)
+
+
+def parse_postfix(text: str):
+    """Inverse of to_postfix: the prefix reading, left to right."""
+    return _parse(text, iter)
+
+
+def _parse(text, order):
+    if not isinstance(text, str):
+        raise MalformedString(f"not a string: {text!r}")
     stack = []
     push, pop = stack.append, stack.pop
-    for ch in reversed(text):
+    for ch in order(text):
         if ch == "1":
             push(1)
         elif ch in GATES and len(stack) > 1:
@@ -148,11 +159,6 @@ def parse_prefix(text: str):
     if len(stack) != 1:
         raise MalformedString(f"{len(stack)} trees in {text!r}, not one")
     return stack[0]
-
-
-def parse_postfix(text: str):
-    """Inverse of to_postfix: parse the reversed string as prefix."""
-    return parse_prefix(text[::-1])
 
 
 def to_brackets(tree):

@@ -1,5 +1,7 @@
 """End-to-end command-line checks through main(argv)."""
 
+import importlib
+import itertools
 import json
 import os
 import re
@@ -265,7 +267,7 @@ def test_sieve_rationals(capsys):
 def test_sieve_guard(capsys):
     code, _, _ = run(capsys, "sieve", "--levels", "15")
     assert code == 4
-    code, _, _ = run(capsys, "sieve", "--coarse", "--levels", "3")
+    code, _, _ = run(capsys, "sieve", "--coarse", "--levels", "4")
     assert code == 4
 
 
@@ -496,8 +498,7 @@ _GUARDS = [  # one row per guard: argv, and the cap its guard line quotes
                  id="goodstein-levels"),
     pytest.param(("horner", "levels", "5"), canonical.MAX_HORNER_LEVEL, id="horner-levels"),
     pytest.param(("sieve", "--levels", "20"), sieve.MAX_LEVELS, id="sieve-levels"),
-    pytest.param(("sieve", "--levels", "3", "--coarse"), sieve.COARSE_MAX_LEVELS,
-                 id="sieve-coarse"),
+    pytest.param(("sieve", "--levels", "4", "--coarse"), sieve.MAX_LEVELS, id="sieve-coarse"),
     pytest.param(("sieve", "--levels", "3", "--rationals", "--exponent-bound", "3",
                   "--factor-bound", "4"), sieve.MAX_RATIONALS, id="sieve-rationals"),
     pytest.param(("graph", "12"), graph.MAX_GRAPH_VALUE, id="graph"),
@@ -530,6 +531,20 @@ def test_every_guard_refuses_before_the_work(tmp_path, argv, cap):
     # the recursion limit and the level sets' caps are hard limits, with no override
     hard = argv == ("list", "3000") or argv[1] == "levels"
     assert ("--unsafe" in proc.stderr) != hard
+
+
+def test_readme_guard_table_matches_each_cap():
+    # each row of README's guard table, e.g. | ... | `goodstein mul` | 2^21 | `canonical.X` |
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    table = readme.split("| cap | subcommand | value | where it lives |\n| --- |", 1)[1]
+    lines = itertools.takewhile(lambda line: line.startswith("|"), table.splitlines()[1:])
+    rows = [line.split("|")[-3:-1] for line in lines]
+    assert len(rows) >= 16
+    for value, where in rows:
+        module, name = re.fullmatch(r" `(\w+)\.([A-Z_]+)` ", where).groups()
+        base, _, exponent = value.strip().replace(",", "").partition("^")
+        cap = getattr(importlib.import_module(f"formula_forge.{module}"), name)
+        assert cap == int(base) ** int(exponent or 1), where
 
 
 @pytest.mark.parametrize("cap, argv", [

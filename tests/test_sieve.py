@@ -289,12 +289,15 @@ def test_coarse_matches_dyadic_at_equal_coverage():
     two = scf_coarse(2)
     assert two.covers == 16
     assert two == run_sieve(2)
-    with pytest.raises(LevelTooLarge):
-        scf_coarse(3)
     with pytest.raises(DomainError):
         scf_coarse(-1)
     # coarse level 3 covers 65536, as the dyadic state of MAX_LEVELS does
-    assert sieve.dyadic_steps(3, coarse=True, force=True) == 15
+    assert scf_coarse(3) is run_sieve(sieve.MAX_LEVELS)
+    for levels in (4, 6, 10**6):  # refused before the tower passes 2^65536
+        start = time.perf_counter()
+        with pytest.raises(LevelTooLarge, match=rf"> {sieve.MAX_LEVELS};.*--unsafe"):
+            scf_coarse(levels)
+        assert time.perf_counter() - start < 1
 
 
 def test_rational_set_golden():

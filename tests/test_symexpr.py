@@ -39,6 +39,15 @@ def test_a_fractional_negative_exponent_has_no_value():
         sym_value(Pow(X, Sum((Neg(X), Pow(X, Neg(ONE))))))
 
 
+@pytest.mark.parametrize("bad, message", [
+    (Neg(Neg(ONE)), "Neg wraps positive integer exponents only"),
+    (5, "not a symbolic expression: 5"),
+], ids=repr)
+def test_sym_value_refuses_what_has_no_value(bad, message):
+    with pytest.raises(DomainError, match=message):
+        sym_value(bad)
+
+
 def test_constructor_canonicalization():
     # sums sort descending by value and flatten
     s = sym_sum([ONE, sym_sum([X, sym_pow(X, X)])])

@@ -68,6 +68,12 @@ def test_validate_rejects_garbage():
     validate(T6)
 
 
+def test_evaluate_refuses_an_unknown_gate():
+    for tree in (("?", 1, 1), ("+", 1, ("?", 1, 1))):
+        with pytest.raises(DomainError, match="unknown gate '\\?'"):
+            evaluate(tree)
+
+
 @pytest.mark.parametrize("walk", [
     evaluate, size, depth, leaf_count, is_strict, validate, to_brackets, to_prefix, to_postfix,
     from_brackets, neighbors,
@@ -81,6 +87,13 @@ def test_float_and_bool_leaves_are_refused(walk, tree):
     # a malformed operand beside a wasted gate (1*f, f^1) is refused too
     with pytest.raises(DomainError):
         walk(tree)
+
+
+@pytest.mark.parametrize("parse", [parse_prefix, parse_postfix])
+@pytest.mark.parametrize("text", [5, None, b"+11", ["+", "1", "1"]], ids=repr)
+def test_parsers_refuse_what_is_not_a_string(parse, text):
+    with pytest.raises(MalformedString, match="not a string"):
+        parse(text)
 
 
 def test_parse_prefix_shares_each_gate_over_two_leaves():
