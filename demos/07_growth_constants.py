@@ -6,7 +6,8 @@ list of exact integer coefficients built from the counts; g evaluates only
 the prefix of that list whose dropped terms are provably below the working
 precision.  A few plain steps of g are followed by Newton steps on
 x + S(x) - 1/4, which certify the point to the requested precision.  The
-constant C falls out of a square-root factorization at the singularity.
+constant C falls out of a square-root factorization at the singularity,
+from the slope of x + S(x) there.
 """
 
 import mpmath
@@ -31,7 +32,7 @@ print()
 print("= leading constant for {+, *} =")
 est = constant_estimate(terms=100)
 print(f"C = {mpmath.nstr(est.constant, 12)}")
-print(f"radicand G(1/rho) = {mpmath.nstr(est.radicand, 12)}")
+print(f"radicand G(1/rho) = 4 F'(1/rho) / rho = {mpmath.nstr(est.radicand, 12)}")
 print()
 
 # Sanity check the asymptotic against exact counts: the ratio

@@ -34,8 +34,8 @@ Newton iterate outside (0, 1/4], and the `rho > 4` check rejects a fixed
 point outside (0, 1/4).  Then each dropped term s[j]*x^j is below
 2^(bits(s[j]) - 2j), so the terms above degree k sum to less than
 len(s) * max_{j>k} of that, which is integer arithmetic on bit lengths.
-The derivative S' runs over the same cut; it only steers the steps, and
-the certificate is always checked on g itself.
+The derivative S' runs over the same cut; it steers the steps and gives C
+(below), and the certificate is always checked on g itself.
 
 Only a prefix of S is built.  With bits(n) = n.bit_length(), bits(a*b) <=
 bits(a) + bits(b), and a sum of m ints below 2^B is below 2^(B + bits(m)).
@@ -49,16 +49,16 @@ builds the first max(J + 1, T) entries, one spare, and cuts them with the
 limit of all L: at T = 1000 and 53 bits that is 1000 of 998,002 entries,
 81 kept.
 
-g, S' and G(r) run Horner on plain ints, each step rounded as mpf_mul and
+g and S' run Horner on plain ints, each step rounded as mpf_mul and
 mpf_add round it (_horner), so every estimate has the bits of the same
 steps on mpf values.
 
 The leading constant comes from the square-root factorization of the
 discriminant at the singularity: C = sqrt(G(r)) / (4*sqrt(pi)) with
-G = (1 - 4h) * sum_j (x/r)^j truncated at T terms, h = x + S.  At x = r the
-geometric factor collapses, so G(r) = sum_{i<T} (T - i) * a_i * r^i with a
-the coefficients of 1 - 4h; only the T lowest coefficients of S are built
-for it.
+G(x) = (1 - 4h(x)) / (1 - x/r), h = x + S.  Since 1 - 4h(r) = 0, G(r) is
+the limit 4 r h'(r) = 4 r F'(r), so C = sqrt(r F'(r)) / (2*sqrt(pi)), with
+F' the slope the Newton steps use, over the same cut (Flajolet & Sedgewick,
+"Analytic Combinatorics", 2009, Thm VII.3).  F' >= 1, so G(r) > 0.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ import mpmath
 from mpmath.libmp import fone, from_man_exp, mpf_add, mpf_sub
 
 from .counting import FAMILIES, default_table, sieved
-from .errors import DomainError, NegativeRadicand, NonConvergence, Record, require_int
+from .errors import DomainError, NonConvergence, Record, require_int
 
 _GUARD_BITS = 16
 _MAX_EXTRA_ITERATIONS = 64
@@ -93,12 +93,6 @@ def _normalize_family(family):
     if f in ("ame", "{+,*,^}"):
         return "ame"
     raise DomainError(f"unknown family {family!r}; expected 'am' or 'ame'")
-
-
-def _check_params(terms, iterations, precision_bits):
-    require_int(terms, 8, "terms")
-    require_int(iterations, 1, "iterations")
-    require_int(precision_bits, 53, "precision_bits")
 
 
 def _coefficients(family, terms, limit=None):
@@ -232,25 +226,13 @@ def _polish(g, slope, x, threshold):
     return x, residual, steps
 
 
-def rho_estimate(
-    family: str = "am",
-    terms: int = 100,
-    iterations: int = 20,
-    precision_bits: int = 100,
-) -> RhoEstimate:
-    """Growth base of the family's counting sequence, rho = 1/fixed point.
-
-    rho_estimate('am').rho is about 4.0766; rho_estimate('ame').rho about
-    4.1307.  The requested iterations of g run first; if the residual has
-    not yet certified to 2^-(precision_bits - 8), Newton steps on
-    F(x) = x + S(x) - 1/4 polish the point, at most 64 of them, and
-    extra_iterations counts them (1-3 at 100-300 bits).
-    NonConvergence is raised if an iterate escapes (0, 1) in the plain
-    steps or leaves (0, 1/4] in the Newton steps, if a Newton step does not
-    shrink the residual, if 64 steps do not certify it, or if rho <= 4.
-    """
+def _estimate(family, terms, iterations, precision_bits):
+    """rho_estimate's estimate, with the slope F'(x) = 1 + S'(x) over its
+    cut; call the slope at precision_bits + 16 working bits."""
     family = _normalize_family(family)
-    _check_params(terms, iterations, precision_bits)
+    require_int(terms, 8, "terms")
+    require_int(iterations, 1, "iterations")
+    require_int(precision_bits, 53, "precision_bits")
     cut = _certified(family, terms, precision_bits)
     s = _descending(cut)
     ds = _descending([j * c for j, c in enumerate(cut)][1:])  # S'
@@ -286,7 +268,27 @@ def rho_estimate(
         extra_iterations=extra,
         precision_bits=precision_bits,
         residual=residual,
-    )
+    ), slope
+
+
+def rho_estimate(
+    family: str = "am",
+    terms: int = 100,
+    iterations: int = 20,
+    precision_bits: int = 100,
+) -> RhoEstimate:
+    """Growth base of the family's counting sequence, rho = 1/fixed point.
+
+    rho_estimate('am').rho is about 4.0766; rho_estimate('ame').rho about
+    4.1307.  The requested iterations of g run first; if the residual has
+    not yet certified to 2^-(precision_bits - 8), Newton steps on
+    F(x) = x + S(x) - 1/4 polish the point, at most 64 of them, and
+    extra_iterations counts them (1-3 at 100-300 bits).
+    NonConvergence is raised if an iterate escapes (0, 1) in the plain
+    steps or leaves (0, 1/4] in the Newton steps, if a Newton step does not
+    shrink the residual, if 64 steps do not certify it, or if rho <= 4.
+    """
+    return _estimate(family, terms, iterations, precision_bits)[0]
 
 
 def constant_estimate(
@@ -296,24 +298,18 @@ def constant_estimate(
 ) -> ConstantEstimate:
     """Leading constant C with Cam(n) ~ C * rho^n / sqrt(n^3), {+, *} family.
 
-    The square-root factorization G of the discriminant against the geometric
-    series at the singularity gives C = sqrt(G(r)) / (4*sqrt(pi)); the ratios
+    At the fixed point r = 1/rho that rho_estimate returns, the square-root
+    factor of the discriminant is G(r) = 4 r F'(r), with F' = 1 + S' over
+    the same cut as the fixed point; radicand is G(r) and
+    C = sqrt(G(r)) / (4*sqrt(pi)).  The ratios
     Cam(n) / (C * rho^n / sqrt(n^3)) for n = 2..terms-1 are returned so the
     approach to 1 can be inspected.
     """
-    est = rho_estimate("am", terms, iterations, precision_bits)
+    est, slope = _estimate("am", terms, iterations, precision_bits)
     counts, _ = default_table().filled(FAMILIES["am"], terms - 1)
-    a = [-4 * c for c in _coefficients("am", terms, terms)]  # 1 - 4h
-    a[0] += 1
-    a[1] -= 4
     with mpmath.workprec(precision_bits + _GUARD_BITS):
         r = est.fixed_point  # singularity radius, 1/rho
-        weighted = _descending([(terms - i) * c for i, c in enumerate(a)])
-        radicand = mpmath.mp.make_mpf(_horner(weighted, r))
-        if radicand < 0:
-            raise NegativeRadicand(
-                f"G(r) = {mpmath.nstr(radicand, 8)} < 0; no real constant"
-            )
+        radicand = 4 * r * slope(r)
         constant = mpmath.sqrt(radicand) / (4 * mpmath.sqrt(mpmath.pi))
         ratios = []
         for n in range(2, terms):

@@ -38,7 +38,8 @@ class NonConvergence(FormulaForgeError, ArithmeticError):
 
 
 class NegativeRadicand(FormulaForgeError, ArithmeticError):
-    """Square root of a negative truncated-polynomial value (T too small)."""
+    """Square root of a negative value.  No estimate raises it since C is
+    computed from F' >= 1; it stays exported for callers that catch it."""
 
 
 class InternalGapError(FormulaForgeError, RuntimeError):

@@ -213,9 +213,11 @@ def test_horner_across_exponent_gaps_matches_mpf_arithmetic(coefficients, bits, 
 
 
 # every field of every estimate, bit for bit, over a grid that holds the
-# growth benchmark's 13 cells
+# growth benchmark's 13 cells: rho's digest is the one recorded before C came
+# from the slope F'(r), and C's was re-recorded then
 
-_DIGEST = "b58681e1b3a23880cdf1d4e539c92f68f1c03e82e359f26b65f70ae1d4ddbee6"
+_RHO_DIGEST = "b6f4a518d951374dc3f0d785079b070641842013c875b5d2d3fa862975023bc8"
+_CONSTANT_DIGEST = "ba8307c00de520492b4b4e8982bd1eaafc85794027950537be488fa580c395d1"
 
 
 def _field(value):
@@ -235,16 +237,16 @@ def _outcome(estimate, *args):
 
 
 def test_estimates_match_their_pinned_digest():
-    digest = hashlib.sha256()
+    rho, constant = hashlib.sha256(), hashlib.sha256()
     for terms in (8, 9, 20, 41, 60, 100, 150):
         for bits in (53, 100, 200, 300):
             for iterations in (1, 20):
                 for family in ("am", "ame"):
                     outcome = _outcome(rho_estimate, family, terms, iterations, bits)
-                    digest.update(f"rho {family} {terms} {iterations} {bits} {outcome}\n".encode())
+                    rho.update(f"rho {family} {terms} {iterations} {bits} {outcome}\n".encode())
                 outcome = _outcome(constant_estimate, terms, iterations, bits)
-                digest.update(f"constant {terms} {iterations} {bits} {outcome}\n".encode())
-    assert digest.hexdigest() == _DIGEST
+                constant.update(f"constant {terms} {iterations} {bits} {outcome}\n".encode())
+    assert (rho.hexdigest(), constant.hexdigest()) == (_RHO_DIGEST, _CONSTANT_DIGEST)
 
 
 # Newton polish failure modes
@@ -283,6 +285,19 @@ def test_fixed_point_certifies_exactly(family, terms, bits):
     cut = _cut(_coefficients(family, terms), bits)
     f = x + _exact_value(cut, x) - Fraction(1, 4)
     assert abs(f) < Fraction(1, 2 ** (bits - 8))
+
+
+def test_plain_steps_refuse_an_iterate_that_escapes(monkeypatch):
+    # from x = 1, g(x) = 1/4 - S(1) is far below 0
+    monkeypatch.setitem(asymptotics._SEEDS, "am", "1.0")
+    with pytest.raises(NonConvergence, match=r"iterate escaped \(0, 1\): -1\.76879e\+10"):
+        rho_estimate("am", 20, 20, 100)
+
+
+def test_a_fixed_point_past_the_quarter_is_refused(monkeypatch):
+    monkeypatch.setattr(asymptotics, "_polish", lambda *args: (mpmath.mpf("0.3"), mpmath.mpf(0), 0))
+    with pytest.raises(NonConvergence, match=r"fixed point gives rho = 3\.3333333 <= 4"):
+        rho_estimate("am", 20, 20, 100)
 
 
 # growth base
@@ -353,6 +368,13 @@ def test_constant_ratios_settle_near_one():
     # the normalized ratios drift toward 1 as n grows
     assert abs(ce.ratios[-1] - 1) < abs(ce.ratios[5] - 1)
     assert abs(ce.ratios[-1] - 1) < 0.01
+
+
+def test_constant_converges_at_the_rate_of_rho():
+    # G(r) = 4 r F'(r) drops only the terms of S of degree 2T and up, so C
+    # converges as fast as rho does, far faster than one bit per term
+    reference = constant_estimate(400, 20, 300).constant
+    assert abs(constant_estimate(40, 20, 200).constant - reference) < mpmath.mpf(2) ** -80
 
 
 def test_constant_agrees_with_rho_estimate():
